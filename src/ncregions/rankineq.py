@@ -34,6 +34,7 @@ from .ff import PrimeField, PrimeFieldMatrix, mat_rank, mat_stack, mat
 from .subspace import (
     SubspaceAssignment,
     SubspaceLattice,
+    count_subspaces,
     entropy,
     lattice,
     subspace_span,
@@ -360,10 +361,11 @@ def _integer_plan(expr: EntropyExpression, variables: Sequence[str]):
     return plan, denom
 
 
-def _slack_block(plan, denom, lat: SubspaceLattice, index_columns: list[np.ndarray]):
-    """Vector of slack values (scaled by denom) for a block of assignments."""
-    jt = np.asarray(lat.join_table, dtype=np.int32)
-    dims = np.asarray(lat.dims, dtype=np.int64)
+def _slack_block(plan, lat: SubspaceLattice, index_columns: list[np.ndarray]):
+    """Vector of slack values (scaled by the plan's denominator) for a
+    block of assignments."""
+    jt = lat.join_table
+    dims = lat.dims
     n = index_columns[0].shape[0] if index_columns else 1
     slack = np.zeros(n, dtype=np.int64)
     for weight, positions in plan:
@@ -400,6 +402,11 @@ def search_violation_detailed(
     indices from the splitmix sequence: trial t (0-based) uses calls
     t*nvars+1 .. t*nvars+nvars, in sorted variable order.
     """
+    if mode not in ("catalog", "exhaustive", "sample"):
+        raise ValueError(f"unknown mode {mode!r}; expected catalog, exhaustive or sample")
+    for name, value in (("dimension", d), ("samples", samples), ("budget", budget)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     variables = sorted(expr.variables())
     if mode == "catalog":
         best: Fraction | None = None
@@ -414,17 +421,17 @@ def search_violation_detailed(
                 return SearchOutcome(assign, checked, best)
         return SearchOutcome(None, checked, best)
 
-    lat = lattice(q, d)
-    size = len(lat)
+    size = count_subspaces(q, d)
     nvars = len(variables)
+    total = size**nvars
+    if mode == "exhaustive" and total > budget:
+        raise ValueError(
+            f"{size}^{nvars} = {total} assignments exceed the budget {budget}"
+        )
+    lat = lattice(q, d)
     plan, denom = _integer_plan(expr, variables)
 
     if mode == "exhaustive":
-        total = size**nvars
-        if total > budget:
-            raise ValueError(
-                f"{size}^{nvars} = {total} assignments exceed the budget {budget}"
-            )
         min_slack: int | None = None
         start = 0
         while start < total:
@@ -434,7 +441,7 @@ def search_violation_detailed(
                 ((block // (size ** (nvars - 1 - k))) % size).astype(np.int64)
                 for k in range(nvars)
             ]
-            slack = _slack_block(plan, denom, lat, cols)
+            slack = _slack_block(plan, lat, cols)
             block_min = int(slack.min()) if slack.size else 0
             min_slack = block_min if min_slack is None else min(min_slack, block_min)
             bad = np.nonzero(slack < 0)[0]
@@ -451,31 +458,28 @@ def search_violation_detailed(
             None, total, None if min_slack is None else Fraction(min_slack, denom)
         )
 
-    if mode == "sample":
-        min_slack = None
-        done = 0
-        while done < samples:
-            count = min(chunk // max(nvars, 1), samples - done)
-            raw = _splitmix_block(seed, done * nvars + 1, count * nvars)
-            idx = (raw % np.uint64(size)).astype(np.int64).reshape(count, nvars)
-            cols = [idx[:, k] for k in range(nvars)]
-            slack = _slack_block(plan, denom, lat, cols)
-            block_min = int(slack.min()) if slack.size else 0
-            min_slack = block_min if min_slack is None else min(min_slack, block_min)
-            bad = np.nonzero(slack < 0)[0]
-            if bad.size:
-                t = int(bad[0])
-                return SearchOutcome(
-                    _assignment_from_indices(lat, variables, idx[t]),
-                    done + t + 1,
-                    Fraction(min_slack, denom),
-                )
-            done += count
-        return SearchOutcome(
-            None, samples, None if min_slack is None else Fraction(min_slack, denom)
-        )
-
-    raise ValueError(f"unknown mode {mode!r}; expected catalog, exhaustive or sample")
+    min_slack = None
+    done = 0
+    while done < samples:
+        count = min(chunk // max(nvars, 1), samples - done)
+        raw = _splitmix_block(seed, done * nvars + 1, count * nvars)
+        idx = (raw % np.uint64(size)).astype(np.int64).reshape(count, nvars)
+        cols = [idx[:, k] for k in range(nvars)]
+        slack = _slack_block(plan, lat, cols)
+        block_min = int(slack.min()) if slack.size else 0
+        min_slack = block_min if min_slack is None else min(min_slack, block_min)
+        bad = np.nonzero(slack < 0)[0]
+        if bad.size:
+            t = int(bad[0])
+            return SearchOutcome(
+                _assignment_from_indices(lat, variables, idx[t]),
+                done + t + 1,
+                Fraction(min_slack, denom),
+            )
+        done += count
+    return SearchOutcome(
+        None, samples, None if min_slack is None else Fraction(min_slack, denom)
+    )
 
 
 def search_violation(

@@ -9,7 +9,11 @@ usable as table indices.
 For bulk scans, :class:`SubspaceLattice` enumerates all subspaces of an
 ambient space once and precomputes the pairwise join table; evaluating
 an entropy then folds indices through the table instead of doing linear
-algebra per query.
+algebra per query.  The table is built without pairwise linear algebra:
+each subspace is stored as a bitmask of its member vectors and gets one
+orthogonal complement, and A + B = (A^perp & B^perp)^perp becomes an
+AND of two masks plus a dict lookup.  Building is refused up front when
+the table would exceed ``LATTICE_TABLE_GUARD`` entries.
 """
 
 from __future__ import annotations
@@ -17,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from itertools import combinations, product
+from itertools import combinations, groupby, product
+
+import numpy as np
 
 from .ff import (
     PrimeField,
@@ -31,6 +37,9 @@ from .ff import (
 )
 
 ENUMERATION_GUARD = 2**20
+# Bound on count_subspaces(q, d)^2, the entries of a lattice's join table.
+LATTICE_TABLE_GUARD = 2**24
+_BITMAP_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -170,6 +179,8 @@ def enumerate_subspaces(q: int, d: int) -> list[Subspace]:
     first free position most significant.  Guarded by q^d <= 2^20.
     """
     fld = PrimeField(q)
+    if d < 0:
+        raise ValueError(f"ambient dimension must be non-negative, got {d}")
     if q**d > ENUMERATION_GUARD:
         raise ValueError(f"{q}^{d} exceeds the enumeration guard {ENUMERATION_GUARD}")
     out: list[Subspace] = []
@@ -238,40 +249,81 @@ def apply_ambient_transform(assign: SubspaceAssignment, m: PrimeFieldMatrix) -> 
     )
 
 
+def _member_masks(q: int, d: int, spaces: Sequence[Subspace]) -> list[int]:
+    """Bitmask of each subspace's q^dim member vectors.
+
+    Vector v sets bit sum_j v_j q^(d-1-j).  Subspaces of one dimension
+    are expanded together with numpy, at most ``_BITMAP_BYTES`` of
+    membership bitmap at a time.
+    """
+    width = q**d
+    place = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    rows_per_chunk = max(1, _BITMAP_BYTES // width)
+    masks: list[int] = []
+    for k, same_dim in groupby(spaces, key=lambda s: s.dim):
+        group = list(same_dim)
+        coeffs = np.array(list(product(range(q), repeat=k)), dtype=np.int64).reshape(q**k, k)
+        for start in range(0, len(group), rows_per_chunk):
+            chunk = group[start : start + rows_per_chunk]
+            bases = np.array([s.basis.entries for s in chunk], dtype=np.int64)
+            codes = ((coeffs @ bases.reshape(len(chunk), k, d)) % q) @ place
+            bits = np.zeros((len(chunk), width), dtype=bool)
+            np.put_along_axis(bits, codes, True, axis=1)
+            packed = np.packbits(bits, axis=1, bitorder="little")
+            masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return masks
+
+
 class SubspaceLattice:
-    """All subspaces of GF(q)^d with a precomputed pairwise join table."""
+    """All subspaces of GF(q)^d with a precomputed pairwise join table.
+
+    ``spaces`` is the :func:`enumerate_subspaces` order, so the zero
+    subspace is index 0; ``masks`` holds their member bitmasks.
+    ``join_table`` (int32) and ``dims`` (int64) are read-only arrays
+    built once.
+    """
 
     def __init__(self, q: int, d: int):
+        size = count_subspaces(q, d)
+        if size * size > LATTICE_TABLE_GUARD:
+            raise ValueError(
+                f"GF({q})^{d} has {size} subspaces; its {size}^2-entry join table "
+                f"exceeds the guard {LATTICE_TABLE_GUARD}"
+            )
         self.q = q
         self.d = d
         self.spaces = enumerate_subspaces(q, d)
-        self.index = {s: i for i, s in enumerate(self.spaces)}
-        self.dims = [s.dim for s in self.spaces]
-        size = len(self.spaces)
-        table = [[0] * size for _ in range(size)]
-        for i in range(size):
-            table[i][i] = i
-            for j in range(i + 1, size):
-                k = self.index[join(self.spaces[i], self.spaces[j])]
-                table[i][j] = k
-                table[j][i] = k
+        self.masks = _member_masks(q, d, self.spaces)
+        position = {s: i for i, s in enumerate(self.spaces)}
+        perp = [position[orthogonal_complement(s)] for s in self.spaces]
+        perp_masks = [self.masks[k] for k in perp]
+        # mask of X -> index of X^perp; X = A^perp & B^perp gives A + B
+        join_of = {self.masks[k]: perp[k] for k in range(size)}
+        table = np.empty((size, size), dtype=np.int32)
+        for i, pm in enumerate(perp_masks):
+            row = np.fromiter(
+                map(join_of.__getitem__, map(pm.__and__, perp_masks[i:])),
+                dtype=np.int32,
+                count=size - i,
+            )
+            table[i, i:] = row
+            table[i:, i] = row
+        table.flags.writeable = False
         self.join_table = table
+        self.dims = np.array([s.dim for s in self.spaces], dtype=np.int64)
+        self.dims.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.spaces)
 
     def join_indices(self, indices: Iterable[int]) -> int:
-        it = iter(indices)
-        try:
-            acc = next(it)
-        except StopIteration:
-            return self.index[zero_subspace(self.q, self.d)]
-        for i in it:
-            acc = self.join_table[acc][i]
+        acc = 0  # the zero subspace, the identity of join
+        for i in indices:
+            acc = int(self.join_table[acc, i])
         return acc
 
     def entropy_of(self, indices: Iterable[int]) -> int:
-        return self.dims[self.join_indices(indices)]
+        return int(self.dims[self.join_indices(indices)])
 
 
 _LATTICE_CACHE: dict[tuple[int, int], SubspaceLattice] = {}

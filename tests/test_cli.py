@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -191,6 +192,40 @@ def test_rank_budget_exceeded(capsys):
 def test_rank_rejects_composite_field(capsys):
     code, _, err = run(capsys, "rank", "oddLRI", "--field", "4", "--dim", "2")
     assert code == 2
+
+
+def test_rank_lattice_guard_exits_two_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "rank", "ingleton", "--field", "2", "--dim", "7", "--mode", "sample"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "guard" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--dim", "-1"), ("--samples", "-5"), ("--budget", "-1")]
+)
+@pytest.mark.parametrize("mode", ["catalog", "exhaustive", "sample"])
+def test_rank_rejects_negative_sizes(capsys, flag, value, mode):
+    sizes = {"--dim": "2", "--samples": "10", "--budget": "100"}
+    sizes[flag] = value
+    code, out, err = run(
+        capsys, "rank", "ingleton", "--field", "2", "--mode", mode,
+        *(x for item in sizes.items() for x in item),
+    )
+    assert code == 2 and out == ""
+    assert "non-negative" in err and "Traceback" not in err
+
+
+def test_rank_dimension_zero_is_legal(capsys):
+    code, out, _ = run(
+        capsys, "rank", "ingleton", "--field", "2", "--dim", "0",
+        "--mode", "sample", "--samples", "10",
+    )
+    assert code == 0
+    assert "assignments checked: 10" in out
 
 
 # ---------------------------------------------------------------------------

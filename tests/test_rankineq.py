@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ncregions import subspace as subspace_mod
 from ncregions.ff import GF3, GF5, mat, mat_identity, mat_zeros
 from ncregions.rankineq import (
     DEFAULT_BUDGET,
@@ -214,6 +215,13 @@ def test_sampling_valid_regimes_stay_clean():
             builtin_inequality(ineq), q, 3, "sample", seed=1, samples=20000
         )
         assert out.witness is None and out.checked == 20000
+
+
+def test_exhaustive_budget_is_checked_before_the_lattice_is_built(monkeypatch):
+    monkeypatch.setattr(subspace_mod, "_LATTICE_CACHE", {})
+    with pytest.raises(ValueError, match="budget"):
+        search_violation_detailed(builtin_inequality("ingleton"), 2, 5, "exhaustive")
+    assert (2, 5) not in subspace_mod._LATTICE_CACHE
 
 
 def test_unknown_mode_rejected():

@@ -1,9 +1,11 @@
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
-from ncregions.ff import GF2, GF3, PrimeField, mat, mat_rank
+from ncregions import subspace as subspace_mod
+from ncregions.ff import GF2, GF3, PrimeField, mat, mat_rank, mat_stack
 from ncregions.subspace import (
     LinearMapBetweenSubspaces,
     apply_ambient_transform,
@@ -95,6 +97,8 @@ def test_enumeration_is_deterministic_and_duplicate_free():
 def test_enumeration_guard():
     with pytest.raises(ValueError):
         enumerate_subspaces(2, 21)
+    with pytest.raises(ValueError):
+        enumerate_subspaces(2, -1)
 
 
 def test_dimension_modularity_over_all_pairs():
@@ -104,11 +108,40 @@ def test_dimension_modularity_over_all_pairs():
 
 
 def test_lattice_join_table_matches_direct_joins():
-    lat = lattice(2, 2)
-    for idx1, s1 in enumerate(lat.spaces):
-        for idx2, s2 in enumerate(lat.spaces):
-            assert lat.spaces[lat.join_table[idx1][idx2]] == join(s1, s2)
-    assert lat.entropy_of([]) == 0
+    for q, d in [(2, 0), (2, 2), (2, 3), (3, 3), (5, 2), (2, 4)]:
+        lat = lattice(q, d)
+        table = lat.join_table
+        assert table.dtype == np.int32 and table.shape == (len(lat), len(lat))
+        assert np.array_equal(table, table.T)
+        assert np.array_equal(np.diagonal(table), np.arange(len(lat)))
+        for idx1, s1 in enumerate(lat.spaces):
+            for idx2, s2 in enumerate(lat.spaces):
+                k = table[idx1, idx2]
+                assert lat.spaces[k] == join(s1, s2)
+                assert lat.dims[k] == mat_rank(mat_stack(s1.basis, s2.basis))
+        assert lat.spaces[0] == zero_subspace(q, d)
+        assert lat.entropy_of([]) == 0
+
+
+@pytest.mark.parametrize("q,d", [(2, 3), (3, 2), (5, 2)])
+def test_lattice_masks_are_member_vectors(q, d):
+    lat = lattice(q, d)
+    for s, m in zip(lat.spaces, lat.masks):
+        codes = {sum(x * q ** (d - 1 - j) for j, x in enumerate(v)) for v in s.vectors()}
+        assert m == sum(1 << c for c in codes)
+
+
+def test_lattice_table_guard_runs_before_enumeration(monkeypatch):
+    def fail(q, d):
+        raise AssertionError("enumerated despite the guard")
+
+    monkeypatch.setattr(subspace_mod, "enumerate_subspaces", fail)
+    for q, d in [(2, 7), (101, 3)]:
+        assert count_subspaces(q, d) ** 2 > subspace_mod.LATTICE_TABLE_GUARD
+        with pytest.raises(ValueError, match="guard"):
+            subspace_mod.SubspaceLattice(q, d)
+    for q, d in [(2, 6), (3, 5), (7, 4)]:
+        assert count_subspaces(q, d) ** 2 <= subspace_mod.LATTICE_TABLE_GUARD
 
 
 def test_join_meet_algebra():
