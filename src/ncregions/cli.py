@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -45,21 +44,17 @@ def _rate_strings(rates: dict[str, Fraction]) -> dict[str, str]:
 
 
 def _achieve_field(network: str, cls: str) -> PrimeField:
-    table = {
-        ("gbutterfly", "coding"): 2,
-        ("gbutterfly", "routing"): 2,
-        ("fano", "coding"): 2,
-        ("fano", "linear-odd"): 3,
-        ("fano", "routing"): 2,
-        ("nonfano", "coding"): 3,
-        ("nonfano", "linear-even"): 2,
-        ("nonfano", "routing"): 2,
-        ("vamos", "routing"): 2,
-        ("vamos", "linear"): 2,
+    """Default field of the one characteristic the class's bundled codes
+    are claimed for (GF(2) when every one of them works in any)."""
+    chars = {
+        spec.characteristic
+        for spec in codes_mod.builtin_code_specs(network)
+        if cls in spec.region_classes
     }
-    if (network, cls) not in table:
+    if not chars:
         raise UsageError(f"no achieving codes bundled for {network} / {cls}")
-    return PrimeField(table[(network, cls)])
+    (char,) = chars - {"any"} or {"any"}
+    return codes_mod._DEFAULT_FIELD[char]
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +141,7 @@ def cmd_verify(args) -> tuple[int, dict, str]:
         else:
             rep = codes_mod.verify_solution(net, code)
             mode = "algebraic"
-    except codes_mod.GuardExceededError as exc:
+    except ValueError as exc:  # includes GuardExceededError and cyclic networks
         raise UsageError(str(exc)) from exc
     report = {
         "command": "verify",
@@ -515,25 +510,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_thread_cap() -> None:
-    raw = os.environ.get("NC_THREADS")
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"NC_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise UsageError("NC_THREADS must be at least 1")
-    # Computations are serial; any cap >= 1 is honored and the output
-    # never depends on it.
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_thread_cap()
         code, report, text = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,16 +7,20 @@ order) to n alphabet symbols.  Linear codes store a matrix per edge;
 table codes store a full lookup table per edge and work over arbitrary
 alphabets.
 
-Two independent verification routes exist on purpose:
+Both verifiers and :func:`evaluate_code` push values through the
+network by one shared walk, :func:`_propagate`; each supplies only what
+a message is, how an edge function applies and how input blocks join.
+The two verification routes stay independent in how they decide a
+demand:
 
-- :func:`verify_solution` is algebraic: it composes edge matrices into
-  global transfer matrices from the full message vector and asks a row
-  space question per demand.
-- :func:`verify_solution_exhaustive` is operational: it enumerates every
-  message assignment, pushes symbols through the edge functions, and
-  checks each receiver's inputs determine its demands (or match its
-  decoder tables).  It is the brute-force oracle for the algebraic path
-  and the only route for nonlinear table codes.
+- :func:`verify_solution` is algebraic: the walk composes edge matrices
+  into global transfer matrices from the full message vector, and each
+  demand is a row space question.
+- :func:`verify_solution_exhaustive` is operational: the walk pushes
+  every message assignment at once through the edge functions, and each
+  receiver's inputs must determine its demands (or match its decoder
+  tables).  It is the brute-force oracle for the algebraic path and the
+  only route for nonlinear table codes.
 
 Bundled with the four networks is the catalog of achieving codes for
 the cataloged regions, each tagged with the field characteristic class
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import product
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
@@ -167,14 +172,14 @@ def node_symbols(net: Network, node: str) -> list[tuple[str, str]]:
     return syms
 
 
-def _symbol_width(net: Network, rates: RateSpec, kind: str, name: str) -> int:
+def _symbol_width(rates: RateSpec, kind: str, name: str) -> int:
     if kind == "m":
         return rates.message_dims[name]
     return rates.edge_dim
 
 
 def node_input_width(net: Network, rates: RateSpec, node: str) -> int:
-    return sum(_symbol_width(net, rates, k, n) for k, n in node_symbols(net, node))
+    return sum(_symbol_width(rates, k, n) for k, n in node_symbols(net, node))
 
 
 def _message_offsets(net: Network, rates: RateSpec) -> dict[str, int]:
@@ -194,6 +199,50 @@ def _edges_in_evaluation_order(net: Network):
     return [edge for _, edge in indexed]
 
 
+def _propagate(net: Network, message_value, apply_edge, concat):
+    """Push values through the network once, in evaluation order.
+
+    A node's inputs are ``concat`` of its blocks in :func:`node_symbols`
+    order, ``message_value(name)`` for a message and the edge's value
+    for an in-edge.  A coded edge carries ``apply_edge(label, inputs)``
+    of its tail's inputs; a copy edge carries its feeder's value.
+    Returns the value on every edge (by id) and ``gather(node)``, which
+    joins any node's inputs.
+    """
+    values = {}
+
+    def gather(node: str):
+        return concat(
+            [message_value(name) if kind == "m" else values[name]
+             for kind, name in node_symbols(net, node)]
+        )
+
+    for edge in _edges_in_evaluation_order(net):
+        if edge.coded:
+            values[edge.id] = apply_edge(edge.label, gather(edge.tail))
+        else:
+            values[edge.id] = values[net.in_edges(edge.tail)[0].id]
+    return values, gather
+
+
+def _functions(code: Code) -> tuple[dict, dict]:
+    """The edge functions and the decoders of a linear or table code."""
+    if isinstance(code, LinearCode):
+        return code.edge_functions, code.decoders
+    return code.edge_tables, code.decoder_tables
+
+
+def _function_slots(net: Network, code: Code):
+    """(description, function, input node, output width) of every edge
+    function and decoder of a code."""
+    functions, decoders = _functions(code)
+    for label, fn in functions.items():
+        edge = net.edge_by_id(net.named_edges.get(label, label))
+        yield f"edge {label!r}", fn, edge.tail, code.rates.edge_dim
+    for (node, msg), fn in decoders.items():
+        yield f"decoder {node}/{msg}", fn, node, code.rates.message_dims[msg]
+
+
 def _selector(fld: PrimeField, total: int, offset: int, width: int) -> PrimeFieldMatrix:
     rows = [[1 if j == offset + i else 0 for j in range(total)] for i in range(width)]
     return mat(fld, rows, cols=total)
@@ -204,8 +253,8 @@ def validate_code(net: Network, code: Code) -> None:
         raise ValueError(f"code is for network {code.network!r}, not {net.name!r}")
     if set(code.rates.message_dims) != set(net.messages):
         raise ValueError("rate spec does not cover the network messages")
-    n = code.rates.edge_dim
-    functions = code.edge_functions if isinstance(code, LinearCode) else code.edge_tables
+    linear = isinstance(code, LinearCode)
+    functions, decoders = _functions(code)
     for label in net.coded_labels():
         if label not in functions:
             raise ValueError(f"no function for coded edge {label!r}")
@@ -214,64 +263,50 @@ def validate_code(net: Network, code: Code) -> None:
             tail_syms = node_symbols(net, edge.tail)
             if len(tail_syms) != 1 or tail_syms[0][0] != "e":
                 raise ValueError(f"copy edge {edge.id} tail is not a pure relay node")
-    for label, fn in functions.items():
-        edge = net.edge_by_id(net.named_edges.get(label, label))
-        width = node_input_width(net, code.rates, edge.tail)
-        if isinstance(code, LinearCode):
-            if fn.rows != n or fn.cols != width:
+    for node, msg in decoders:
+        if (node, msg) not in net.demands:
+            raise ValueError(f"decoder {node}/{msg} is not a demand of the network")
+    for what, fn, node, out_width in _function_slots(net, code):
+        width = node_input_width(net, code.rates, node)
+        if linear:
+            if fn.rows != out_width or fn.cols != width:
                 raise ValueError(
-                    f"edge {label!r} matrix is {fn.rows}x{fn.cols}, expected {n}x{width}"
+                    f"{what} matrix is {fn.rows}x{fn.cols}, expected {out_width}x{width}"
                 )
             if fn.field != code.field:
-                raise ValueError(f"edge {label!r} matrix is over the wrong field")
+                raise ValueError(f"{what} matrix is over the wrong field")
         else:
             if len(fn) != code.alphabet**width:
-                raise ValueError(f"edge {label!r} table has wrong domain size")
-            if any(len(out) != n for out in fn):
-                raise ValueError(f"edge {label!r} table has wrong output width")
+                raise ValueError(f"{what} table has wrong domain size")
+            outputs = set(fn)
+            if any(len(out) != out_width for out in outputs):
+                raise ValueError(f"{what} table has wrong output width")
+            if any(not 0 <= s < code.alphabet for out in outputs for s in out):
+                raise ValueError(f"{what} table has a symbol outside the alphabet")
 
 
 # ---------------------------------------------------------------------------
 # algebraic verification
 
 
-def _global_edge_matrices(net: Network, code: LinearCode) -> dict[str, PrimeFieldMatrix]:
-    """Matrix from the full message vector to each edge's symbols."""
+def _transfer(net: Network, code: LinearCode):
+    """``gather(node)``: the matrix from the full message vector to a
+    node's inputs; ``select(msg)``: the selector of one message."""
     fld = code.field
     rates = code.rates
     total = rates.total_message_width
     offsets = _message_offsets(net, rates)
-    matrices: dict[str, PrimeFieldMatrix] = {}
-    for edge in _edges_in_evaluation_order(net):
-        if edge.coded:
-            blocks = []
-            for kind, name in node_symbols(net, edge.tail):
-                if kind == "m":
-                    blocks.append(_selector(fld, total, offsets[name], rates.message_dims[name]))
-                else:
-                    blocks.append(matrices[name])
-            inputs = mat_stack(*blocks) if blocks else mat_zeros(fld, 0, total)
-            matrices[edge.id] = mat_mul(code.edge_functions[edge.label], inputs)
-        else:
-            feeder = net.in_edges(edge.tail)[0]
-            matrices[edge.id] = matrices[feeder.id]
-    return matrices
 
+    def select(msg: str) -> PrimeFieldMatrix:
+        return _selector(fld, total, offsets[msg], rates.message_dims[msg])
 
-def _receiver_matrix(
-    net: Network, code: LinearCode, node: str, edge_mats: dict[str, PrimeFieldMatrix]
-) -> PrimeFieldMatrix:
-    fld = code.field
-    rates = code.rates
-    total = rates.total_message_width
-    offsets = _message_offsets(net, rates)
-    blocks = []
-    for kind, name in node_symbols(net, node):
-        if kind == "m":
-            blocks.append(_selector(fld, total, offsets[name], rates.message_dims[name]))
-        else:
-            blocks.append(edge_mats[name])
-    return mat_stack(*blocks) if blocks else mat_zeros(fld, 0, total)
+    _, gather = _propagate(
+        net,
+        select,
+        lambda label, inputs: mat_mul(code.edge_functions[label], inputs),
+        lambda blocks: mat_stack(*blocks) if blocks else mat_zeros(fld, 0, total),
+    )
+    return gather, select
 
 
 def _split_assignment(net: Network, rates: RateSpec, vector: Sequence[int]) -> dict[str, tuple[int, ...]]:
@@ -324,15 +359,13 @@ def verify_solution(net: Network, code: LinearCode) -> VerificationReport:
     if not isinstance(code, LinearCode):
         raise TypeError("verify_solution handles linear codes; use the exhaustive verifier")
     validate_code(net, code)
-    fld = code.field
     rates = code.rates
     total = rates.total_message_width
-    offsets = _message_offsets(net, rates)
-    edge_mats = _global_edge_matrices(net, code)
+    gather, select = _transfer(net, code)
     statuses = []
     for node, msg in net.demands:
-        t_matrix = _receiver_matrix(net, code, node, edge_mats)
-        sel = _selector(fld, total, offsets[msg], rates.message_dims[msg])
+        t_matrix = gather(node)
+        sel = select(msg)
         ok = rowspace_contains(t_matrix, sel)
         reason = None
         witness = None
@@ -385,41 +418,13 @@ def _enumerate_assignments(total: int, base: int) -> np.ndarray:
     return out
 
 
-def _edge_value_arrays(
-    net: Network, code: Code, assignments: np.ndarray, offsets: dict[str, int]
-) -> dict[str, np.ndarray]:
-    rates = code.rates
+def _apply_array(code: Code, fn, block: np.ndarray) -> np.ndarray:
+    """Apply an edge or decoder function to every row of ``block``."""
     base = _alphabet_size(code)
-    values: dict[str, np.ndarray] = {}
-
-    def input_block(node: str) -> np.ndarray:
-        blocks = []
-        for kind, name in node_symbols(net, node):
-            if kind == "m":
-                k = rates.message_dims[name]
-                blocks.append(assignments[:, offsets[name] : offsets[name] + k])
-            else:
-                blocks.append(values[name])
-        if not blocks:
-            return np.zeros((assignments.shape[0], 0), dtype=np.int16)
-        return np.hstack(blocks)
-
-    for edge in _edges_in_evaluation_order(net):
-        if not edge.coded:
-            feeder = net.in_edges(edge.tail)[0]
-            values[edge.id] = values[feeder.id]
-            continue
-        block = input_block(edge.tail)
-        if isinstance(code, LinearCode):
-            fn = code.edge_functions[edge.label]
-            weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
-            values[edge.id] = ((block.astype(np.int64) @ weights.T) % base).astype(np.int16)
-        else:
-            table = np.array(code.edge_tables[edge.label], dtype=np.int16).reshape(
-                base ** block.shape[1], rates.edge_dim
-            )
-            values[edge.id] = table[_radix_key(block, base)]
-    return values
+    if isinstance(code, LinearCode):
+        weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
+        return ((block.astype(np.int64) @ weights.T) % base).astype(np.int16)
+    return np.array(fn, dtype=np.int16)[_radix_key(block, base)]
 
 
 def verify_solution_exhaustive(
@@ -444,43 +449,28 @@ def verify_solution_exhaustive(
         )
     offsets = _message_offsets(net, rates)
     assignments = _enumerate_assignments(total, base)
-    edge_values = _edge_value_arrays(net, code, assignments, offsets)
 
-    decoders: dict[tuple[str, str], object] = {}
-    if isinstance(code, LinearCode):
-        decoders = dict(code.decoders)
-    else:
-        decoders = dict(code.decoder_tables)
+    def message_block(msg: str) -> np.ndarray:
+        return assignments[:, offsets[msg] : offsets[msg] + rates.message_dims[msg]]
+
+    functions, decoders = _functions(code)
+    _, gather = _propagate(
+        net,
+        message_block,
+        lambda label, block: _apply_array(code, functions[label], block),
+        lambda blocks: np.hstack(blocks) if blocks else np.zeros((count, 0), dtype=np.int16),
+    )
 
     statuses = []
     for node, msg in net.demands:
-        blocks = []
-        for kind, name in node_symbols(net, node):
-            if kind == "m":
-                k = rates.message_dims[name]
-                blocks.append(assignments[:, offsets[name] : offsets[name] + k])
-            else:
-                blocks.append(edge_values[name])
-        inputs = (
-            np.hstack(blocks)
-            if blocks
-            else np.zeros((count, 0), dtype=np.int16)
-        )
+        inputs = gather(node)
         k = rates.message_dims[msg]
-        msg_block = assignments[:, offsets[msg] : offsets[msg] + k]
+        msg_block = message_block(msg)
         fail_index: int | None = None
         reason = None
 
         if (node, msg) in decoders and k > 0:
-            dec = decoders[(node, msg)]
-            if isinstance(code, LinearCode):
-                weights = np.array(dec.entries, dtype=np.int64).reshape(dec.rows, dec.cols)
-                decoded = (inputs.astype(np.int64) @ weights.T) % base
-            else:
-                table = np.array(dec, dtype=np.int16).reshape(
-                    base ** inputs.shape[1], k
-                )
-                decoded = table[_radix_key(inputs, base)]
+            decoded = _apply_array(code, decoders[(node, msg)], inputs)
             bad = np.nonzero((decoded != msg_block).any(axis=1))[0]
             if bad.size:
                 fail_index = int(bad[0])
@@ -534,7 +524,7 @@ def evaluate_code(
     validate_code(net, code)
     rates = code.rates
     base = _alphabet_size(code)
-    values: dict[str, tuple[int, ...]] = {}
+    linear = isinstance(code, LinearCode)
 
     normalized: dict[str, tuple[int, ...]] = {}
     for m in net.messages:
@@ -544,47 +534,32 @@ def evaluate_code(
             raise ValueError(f"message {m} needs {k} symbols, got {len(vec)}")
         normalized[m] = vec
 
-    def node_vector(node: str) -> tuple[int, ...]:
-        out: list[int] = []
-        for kind, name in node_symbols(net, node):
-            out.extend(normalized[name] if kind == "m" else values[name])
-        return tuple(out)
+    def apply(fn, vec: tuple[int, ...]) -> tuple[int, ...]:
+        if linear:
+            return mat_vec(fn, vec)
+        index = 0
+        for s in vec:
+            index = index * base + s
+        return fn[index]
 
-    for edge in _edges_in_evaluation_order(net):
-        if not edge.coded:
-            values[edge.id] = values[net.in_edges(edge.tail)[0].id]
-            continue
-        vec = node_vector(edge.tail)
-        if isinstance(code, LinearCode):
-            values[edge.id] = mat_vec(code.edge_functions[edge.label], vec)
-        else:
-            index = 0
-            for s in vec:
-                index = index * base + s
-            values[edge.id] = code.edge_tables[edge.label][index]
+    functions, decoders = _functions(code)
+    values, gather = _propagate(
+        net,
+        normalized.__getitem__,
+        lambda label, vec: apply(functions[label], vec),
+        lambda blocks: tuple(x for block in blocks for x in block),
+    )
 
     decoded: dict[tuple[str, str], tuple[int, ...]] = {}
-    if isinstance(code, LinearCode):
-        edge_mats = _global_edge_matrices(net, code)
-        offsets = _message_offsets(net, rates)
-        total = rates.total_message_width
-        for node, msg in net.demands:
-            vec = node_vector(node)
-            if (node, msg) in code.decoders:
-                decoded[(node, msg)] = mat_vec(code.decoders[(node, msg)], vec)
-                continue
-            t_matrix = _receiver_matrix(net, code, node, edge_mats)
-            sel = _selector(code.field, total, offsets[msg], rates.message_dims[msg])
-            dec = synthesize_decoder(t_matrix, sel)
+    if linear:
+        transfer, select = _transfer(net, code)
+    for node, msg in net.demands:
+        if (node, msg) in decoders:
+            decoded[(node, msg)] = apply(decoders[(node, msg)], gather(node))
+        elif linear:
+            dec = synthesize_decoder(transfer(node), select(msg))
             if dec is not None:
-                decoded[(node, msg)] = mat_vec(dec, vec)
-    else:
-        for (node, msg), table in code.decoder_tables.items():
-            vec = node_vector(node)
-            index = 0
-            for s in vec:
-                index = index * base + s
-            decoded[(node, msg)] = table[index]
+                decoded[(node, msg)] = apply(dec, gather(node))
 
     edge_out = {
         e.label: values[e.id] for e in net.edges if e.coded
@@ -606,13 +581,7 @@ def _is_routing_matrix(m: PrimeFieldMatrix) -> bool:
 
 def _is_routing_table(table, in_width: int, out_width: int, base: int) -> bool:
     candidates: list[set] = [set(range(in_width)) | {"zero"} for _ in range(out_width)]
-    for index, out in enumerate(table):
-        digits = []
-        rem = index
-        for _ in range(in_width):
-            digits.append(rem % base)
-            rem //= base
-        digits.reverse()
+    for digits, out in zip(product(range(base), repeat=in_width), table):
         for j in range(out_width):
             keep = set()
             for c in candidates[j]:
@@ -634,17 +603,10 @@ def is_routing(code: Code, net: Network | None = None) -> bool:
         functions = list(code.edge_functions.values()) + list(code.decoders.values())
         return all(_is_routing_matrix(m) for m in functions)
     net = net or builtin_network(code.network)
-    base = code.alphabet
-    for label, table in code.edge_tables.items():
-        edge = net.edge_by_id(net.named_edges.get(label, label))
-        width = node_input_width(net, code.rates, edge.tail)
-        if not _is_routing_table(table, width, code.rates.edge_dim, base):
-            return False
-    for (node, msg), table in code.decoder_tables.items():
-        width = node_input_width(net, code.rates, node)
-        if not _is_routing_table(table, width, code.rates.message_dims[msg], base):
-            return False
-    return True
+    return all(
+        _is_routing_table(table, node_input_width(net, code.rates, node), out_width, code.alphabet)
+        for _, table, node, out_width in _function_slots(net, code)
+    )
 
 
 def rate_vector(code: Code) -> dict[str, Fraction]:
@@ -679,14 +641,8 @@ def concatenate_codes(
     total_n = sum(c.rates.edge_dim for c in codes)
     combined_rates = rate_spec(net, total_dims, total_n)
 
-    def combined_width(kind: str, name: str) -> int:
-        return total_dims[name] if kind == "m" else total_n
-
-    def component_width(code: LinearCode, kind: str, name: str) -> int:
-        return code.rates.message_dims[name] if kind == "m" else code.rates.edge_dim
-
     def combine(symbols, matrices, out_rows_per_code) -> PrimeFieldMatrix:
-        total_cols = sum(combined_width(k, n) for k, n in symbols)
+        total_cols = sum(_symbol_width(combined_rates, k, n) for k, n in symbols)
         total_rows = sum(out_rows_per_code)
         grid = [[0] * total_cols for _ in range(total_rows)]
         row_base = 0
@@ -695,13 +651,13 @@ def concatenate_codes(
             col_base = 0
             local = 0
             for kind, name in symbols:
-                pre = sum(component_width(codes[jj], kind, name) for jj in range(j))
-                w = component_width(code, kind, name)
+                pre = sum(_symbol_width(codes[jj].rates, kind, name) for jj in range(j))
+                w = _symbol_width(code.rates, kind, name)
                 for r in range(out_rows_per_code[j]):
                     for cc in range(w):
                         grid[row_base + r][col_base + pre + cc] = m.entries[r][local + cc]
                 local += w
-                col_base += combined_width(kind, name)
+                col_base += _symbol_width(combined_rates, kind, name)
             row_base += out_rows_per_code[j]
         return mat(fld, grid, cols=total_cols)
 
@@ -752,7 +708,7 @@ def zero_fix(net: Network, code: LinearCode, zero_messages: Iterable[str]) -> Li
         cols = []
         pos = 0
         for kind, name in node_symbols(net, node):
-            width = _symbol_width(net, rates, kind, name)
+            width = _symbol_width(rates, kind, name)
             if not (kind == "m" and name in zero):
                 cols.extend(range(pos, pos + width))
             pos += width
@@ -780,17 +736,10 @@ def to_table_code(net: Network, code: LinearCode) -> TableCode:
     rates = code.rates
 
     def tabulate(matrix: PrimeFieldMatrix) -> tuple[tuple[int, ...], ...]:
-        width = matrix.cols
-        rows = []
-        for index in range(base**width):
-            digits = []
-            rem = index
-            for _ in range(width):
-                digits.append(rem % base)
-                rem //= base
-            digits.reverse()
-            rows.append(mat_vec(matrix, digits))
-        return tuple(rows)
+        # product() runs over input tuples in table index order
+        return tuple(
+            mat_vec(matrix, digits) for digits in product(range(base), repeat=matrix.cols)
+        )
 
     edge_tables = {label: tabulate(m) for label, m in code.edge_functions.items()}
     decoder_tables = {key: tabulate(m) for key, m in code.decoders.items()}
@@ -1104,10 +1053,6 @@ def builtin_codes(net_id: str, fld: PrimeField | None = None) -> list[BuiltinCod
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
-def _structural_inputs(net: Network, rates: RateSpec, node: str) -> list[tuple[str, int]]:
-    return _tail_symbol_layout(net, rates, node)
-
-
 def code_to_json(net: Network, code: Code) -> dict:
     validate_code(net, code)
     rates = code.rates
@@ -1118,42 +1063,24 @@ def code_to_json(net: Network, code: Code) -> dict:
     }
     if isinstance(code, LinearCode):
         doc["field"] = {"modulus": code.field.p}
-        edges = {}
-        for label, m in code.edge_functions.items():
-            edge = net.edge_by_id(net.named_edges[label])
-            layout = _structural_inputs(net, rates, edge.tail)
-            edges[label] = {
-                "inputs": [name for name, _ in layout],
-                "matrix": [list(row) for row in m.entries],
-            }
-        doc["edges"] = edges
-        if code.decoders:
-            doc["decoders"] = {
-                f"{node}/{msg}": {
-                    "inputs": [name for name, _ in _structural_inputs(net, rates, node)],
-                    "matrix": [list(row) for row in m.entries],
-                }
-                for (node, msg), m in code.decoders.items()
-            }
+        kind, dump = "matrix", lambda m: [list(row) for row in m.entries]
     else:
         doc["alphabet"] = code.alphabet
-        edges = {}
-        for label, table in code.edge_tables.items():
-            edge = net.edge_by_id(net.named_edges[label])
-            layout = _structural_inputs(net, rates, edge.tail)
-            edges[label] = {
-                "inputs": [name for name, _ in layout],
-                "table": ["".join(_DIGITS[s] for s in out) for out in table],
-            }
-        doc["edges"] = edges
-        if code.decoder_tables:
-            doc["decoders"] = {
-                f"{node}/{msg}": {
-                    "inputs": [name for name, _ in _structural_inputs(net, rates, node)],
-                    "table": ["".join(_DIGITS[s] for s in out) for out in table],
-                }
-                for (node, msg), table in code.decoder_tables.items()
-            }
+        kind, dump = "table", lambda t: ["".join(_DIGITS[s] for s in out) for out in t]
+
+    def entry(node: str, fn) -> dict:
+        layout = _tail_symbol_layout(net, rates, node)
+        return {"inputs": [name for name, _ in layout], kind: dump(fn)}
+
+    functions, decoders = _functions(code)
+    doc["edges"] = {
+        label: entry(net.edge_by_id(net.named_edges[label]).tail, fn)
+        for label, fn in functions.items()
+    }
+    if decoders:
+        doc["decoders"] = {
+            f"{node}/{msg}": entry(node, fn) for (node, msg), fn in decoders.items()
+        }
     return doc
 
 
@@ -1188,6 +1115,8 @@ def code_from_json(
     doc: dict, net: Network | None = None, base_dir: str | Path | None = None
 ) -> tuple[Network, Code]:
     """Materialize a code (and its network) from the JSON document."""
+    if not isinstance(doc, dict):
+        raise ValueError("a code file must hold a JSON object")
     if net is None:
         if "network_file" in doc:
             from .netmodel import parse_network
@@ -1218,55 +1147,38 @@ def code_from_json(
             fld = GF2 if fspec["characteristic"] == "even" else GF3
         else:
             raise ValueError("field must give a modulus or a characteristic")
-        functions = {}
-        for label, entry in doc["edges"].items():
-            if label not in net.named_edges:
-                raise ValueError(f"unknown edge label {label!r}")
-            edge = net.edge_by_id(net.named_edges[label])
-            structural = _structural_inputs(net, rates, edge.tail)
-            listed = layout_from_names(entry["inputs"])
-            rows = _permute_columns(
-                [list(r) for r in entry["matrix"]], listed, structural
-            )
-            functions[label] = mat(fld, rows, cols=sum(w for _, w in structural))
-        decoders = {}
-        for key, entry in (doc.get("decoders") or {}).items():
-            node, _, msg = key.partition("/")
-            structural = _structural_inputs(net, rates, node)
-            listed = layout_from_names(entry["inputs"])
-            rows = _permute_columns(
-                [list(r) for r in entry["matrix"]], listed, structural
-            )
-            decoders[(node, msg)] = mat(fld, rows, cols=sum(w for _, w in structural))
-        code: Code = LinearCode(net.name, fld, rates, functions, decoders)
     else:
         alphabet = int(doc["alphabet"])
 
-        def parse_table(entry, structural):
-            # Table domains cannot be column-permuted after the fact, so
-            # the listed inputs must already be in structural order.
-            if list(entry["inputs"]) != [name for name, _ in structural]:
-                raise ValueError(
-                    f"table inputs {entry['inputs']} must be listed in the node's "
-                    f"input order {[name for name, _ in structural]}"
-                )
-            return tuple(
-                tuple(_DIGITS.index(ch) for ch in line) for line in entry["table"]
+    def parse(entry: dict, node: str):
+        structural = _tail_symbol_layout(net, rates, node)
+        if is_linear:
+            listed = layout_from_names(entry["inputs"])
+            rows = _permute_columns([list(r) for r in entry["matrix"]], listed, structural)
+            return mat(fld, rows, cols=sum(w for _, w in structural))
+        # Table domains cannot be column-permuted after the fact, so
+        # the listed inputs must already be in structural order.
+        if list(entry["inputs"]) != [name for name, _ in structural]:
+            raise ValueError(
+                f"table inputs {entry['inputs']} must be listed in the node's "
+                f"input order {[name for name, _ in structural]}"
             )
+        return tuple(tuple(_DIGITS.index(ch) for ch in line) for line in entry["table"])
 
-        tables = {}
-        for label, entry in doc["edges"].items():
-            if label not in net.named_edges:
-                raise ValueError(f"unknown edge label {label!r}")
-            edge = net.edge_by_id(net.named_edges[label])
-            tables[label] = parse_table(entry, _structural_inputs(net, rates, edge.tail))
-        decoder_tables = {}
-        for key, entry in (doc.get("decoders") or {}).items():
-            node, _, msg = key.partition("/")
-            decoder_tables[(node, msg)] = parse_table(
-                entry, _structural_inputs(net, rates, node)
-            )
-        code = TableCode(net.name, alphabet, rates, tables, decoder_tables)
+    functions = {}
+    for label, entry in doc["edges"].items():
+        if label not in net.named_edges:
+            raise ValueError(f"unknown edge label {label!r}")
+        functions[label] = parse(entry, net.edge_by_id(net.named_edges[label]).tail)
+    decoders = {}
+    for key, entry in (doc.get("decoders") or {}).items():
+        node, _, msg = key.partition("/")
+        decoders[(node, msg)] = parse(entry, node)
+    code: Code = (
+        LinearCode(net.name, fld, rates, functions, decoders)
+        if is_linear
+        else TableCode(net.name, alphabet, rates, functions, decoders)
+    )
     validate_code(net, code)
     return net, code
 

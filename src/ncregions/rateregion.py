@@ -89,53 +89,18 @@ def vrep(points: Iterable[Sequence]) -> VRep:
 # exact rational Gaussian elimination helpers
 
 
-def _solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Unique solution of a square system, or None when singular."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
+def _frac_rref(rows: Iterable[Sequence[Fraction]], ncols: int):
+    """Gauss-Jordan elimination pivoting only in the first ``ncols``
+    columns (any later columns ride along, as an augmented block).
 
-
-def _frac_rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    work = [list(r) for r in rows]
-    rank = 0
-    if not work:
-        return 0
-    ncols = len(work[0])
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
-def _frac_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Basis of {v : rows . v = 0} over the rationals."""
+    Returns the reduced rows and the pivot column of each leading row.
+    """
     work = [list(r) for r in rows]
     pivots: list[int] = []
-    r = 0
     for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
         pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
         if pivot is None:
             continue
@@ -147,9 +112,26 @@ def _frac_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
                 f = work[i][col]
                 work[i] = [x - f * y for x, y in zip(work[i], work[r])]
         pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
+    return work, pivots
+
+
+def _solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
+    """Unique solution of a square system, or None when singular."""
+    n = len(rows)
+    work, pivots = _frac_rref([(*row, b) for row, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(row[n] for row in work)
+
+
+def _frac_rank(rows: Iterable[Sequence[Fraction]]) -> int:
+    rows = list(rows)
+    return len(_frac_rref(rows, len(rows[0]))[1]) if rows else 0
+
+
+def _frac_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
+    """Basis of {v : rows . v = 0} over the rationals."""
+    work, pivots = _frac_rref(rows, ncols)
     basis = []
     pivot_set = set(pivots)
     for fc in range(ncols):

@@ -102,29 +102,71 @@ def test_verify_missing_file(capsys):
     assert code == 2
 
 
+def _assert_one_error_line(err):
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_cyclic_network_file_exits_two(tmp_path, capsys):
+    (tmp_path / "loop.net").write_text(
+        "message a@src\nedge e1 src x\nedge e2 x y\nedge e3 y x\ndemand y a\n"
+    )
+    doc = {
+        "network": "loop",
+        "network_file": "loop.net",
+        "field": {"modulus": 2},
+        "message_dims": {"a": 1},
+        "edge_dim": 1,
+        "edges": {
+            "e1": {"inputs": ["a"], "matrix": [[1]]},
+            "e2": {"inputs": ["e1", "e3"], "matrix": [[1, 0]]},
+            "e3": {"inputs": ["e2"], "matrix": [[1]]},
+        },
+    }
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--exhaustive",)):
+        code, _, err = run(capsys, "verify", str(path), *extra)
+        assert code == 2
+        _assert_one_error_line(err)
+        assert "cycle" in err
+
+
+def test_verify_non_object_document_exits_two(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2
+    _assert_one_error_line(err)
+
+
 # ---------------------------------------------------------------------------
 # achieve
 
 
 @pytest.mark.parametrize(
-    "network,cls",
+    "network,cls,p",
     [
-        ("gbutterfly", "coding"),
-        ("gbutterfly", "routing"),
-        ("fano", "coding"),
-        ("fano", "linear-odd"),
-        ("fano", "routing"),
-        ("nonfano", "coding"),
-        ("nonfano", "linear-even"),
-        ("nonfano", "routing"),
-        ("vamos", "linear"),
-        ("vamos", "routing"),
+        pytest.param(network, cls, p, id=f"{network}-{cls}")
+        for network, cls, p in [
+            ("gbutterfly", "coding", 2),
+            ("gbutterfly", "routing", 2),
+            ("fano", "coding", 2),
+            ("fano", "linear-odd", 3),
+            ("fano", "routing", 2),
+            ("nonfano", "coding", 3),
+            ("nonfano", "linear-even", 2),
+            ("nonfano", "routing", 2),
+            ("vamos", "linear", 2),
+            ("vamos", "routing", 2),
+        ]
     ],
 )
-def test_achieve_all_classes(capsys, network, cls):
+def test_achieve_all_classes(capsys, network, cls, p):
     code, out, _ = run(capsys, "achieve", network, "--class", cls)
     assert code == 0
     assert "result: ok" in out
+    assert f"\nfield: GF({p})\n" in out
 
 
 def test_achieve_routing_reports_routing_flags(capsys):
@@ -349,14 +391,3 @@ def test_determinism_across_runs(capsys):
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
 
-
-def test_nc_threads_validation(capsys, monkeypatch):
-    monkeypatch.setenv("NC_THREADS", "4")
-    code, out, _ = run(capsys, "capacity", "fano", "--class", "coding", "--kind", "uniform")
-    assert code == 0
-    monkeypatch.setenv("NC_THREADS", "zero")
-    code, _, err = run(capsys, "capacity", "fano", "--class", "coding", "--kind", "uniform")
-    assert code == 2
-    monkeypatch.setenv("NC_THREADS", "0")
-    code, _, err = run(capsys, "capacity", "fano", "--class", "coding", "--kind", "uniform")
-    assert code == 2

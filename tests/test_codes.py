@@ -22,7 +22,7 @@ from ncregions.codes import (
     write_code_file,
     zero_fix,
 )
-from ncregions.ff import GF2, GF3, GF5
+from ncregions.ff import GF2, GF3, GF5, mat
 from ncregions.netmodel import NETWORK_IDS, builtin_network
 from ncregions.rateregion import builtin_region, contains
 
@@ -516,6 +516,11 @@ def test_bundled_code_files_load(tmp_path):
         lambda d: d["edges"]["w"].update(matrix=[[1]]),  # wrong width
         lambda d: d.update(field={"characteristic": "prime"}),
         lambda d: d["edges"]["w"].update(inputs=["a", "c"]),  # not w's inputs
+        # R12 demands c from (a, x); a valid decoder is [[1, 1]]
+        lambda d: d.update(decoders={"R12/a": {"inputs": ["a", "x"], "matrix": [[1, 1]]}}),
+        lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "matrix": [[1, 1], [1, 1]]}}),
+        lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "matrix": [[1]]}}),
+        lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "matrix": []}}),
     ],
 )
 def test_code_file_rejects_malformed_documents(tmp_path, mutate):
@@ -527,6 +532,46 @@ def test_code_file_rejects_malformed_documents(tmp_path, mutate):
     path.write_text(json.dumps(doc))
     with pytest.raises((ValueError, KeyError)):
         read_code_file(path)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # w = a + b over GF(2) tabulates as ["0", "1", "1", "0"]
+        lambda d: d["edges"]["w"].update(table=["0", "z", "3", "0"]),
+        lambda d: d["edges"]["w"].update(table=["0", "1", "1", "2"]),
+        lambda d: d["edges"]["w"].update(table=["0", "1", "1"]),
+        lambda d: d["edges"]["w"].update(table=["00", "1", "1", "0"]),
+        lambda d: d.update(decoders={"R12/a": {"inputs": ["a", "x"], "table": ["0", "1", "1", "0"]}}),
+        lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["0", "1", "1"]}}),
+        lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["00", "11", "11", "00"]}}),
+        lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["0", "1", "1", "2"]}}),
+    ],
+)
+def test_table_code_file_rejects_malformed_tables(tmp_path, mutate):
+    net, code = _builtin("fano", "(1,1,1)", GF2)
+    path = tmp_path / "t.json"
+    write_code_file(path, net, to_table_code(net, code))
+    doc = json.loads(path.read_text())
+    assert doc["edges"]["w"]["table"] == ["0", "1", "1", "0"]
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError):
+        read_code_file(path)
+
+
+def test_mis_shaped_decoder_is_rejected_by_both_verifiers():
+    # a 2-row decoder for a 1-symbol demand used to pass the exhaustive
+    # verifier (numpy broadcast the comparison) while failing the algebraic one
+    net, code = _builtin("fano", "(1,1,1)", GF2)
+    bad = LinearCode(
+        code.network, code.field, code.rates, code.edge_functions,
+        {("R12", "c"): mat(GF2, [[1, 1], [1, 1]], cols=2)},
+    )
+    with pytest.raises(ValueError):
+        verify_solution(net, bad)
+    with pytest.raises(ValueError):
+        verify_solution_exhaustive(net, bad)
 
 
 def test_rate_spec_validation():
