@@ -1111,23 +1111,50 @@ def _permute_columns(
     return out
 
 
+_JSON_TYPE_NAMES = {
+    dict: "an object", list: "a list", str: "a string", int: "an integer",
+    float: "a number", bool: "a boolean", type(None): "null",
+}
+
+
+def _json_typed(value, kind: type, what: str):
+    """``value`` if it has the JSON type ``kind`` (booleans are not
+    integers), else a ValueError naming ``what``."""
+    if type(value) is not kind:
+        raise ValueError(
+            f"{what} must be {_JSON_TYPE_NAMES[kind]}, "
+            f"not {_JSON_TYPE_NAMES.get(type(value), type(value).__name__)}"
+        )
+    return value
+
+
+def _json_list(value, kind: type, what: str) -> list:
+    """A JSON list whose items all have the JSON type ``kind``."""
+    for item in _json_typed(value, list, what):
+        _json_typed(item, kind, f"an entry of {what}")
+    return value
+
+
 def code_from_json(
     doc: dict, net: Network | None = None, base_dir: str | Path | None = None
 ) -> tuple[Network, Code]:
     """Materialize a code (and its network) from the JSON document."""
-    if not isinstance(doc, dict):
-        raise ValueError("a code file must hold a JSON object")
+    _json_typed(doc, dict, "a code file")
     if net is None:
         if "network_file" in doc:
             from .netmodel import parse_network
 
-            net_path = Path(doc["network_file"])
+            net_path = Path(_json_typed(doc["network_file"], str, "network_file"))
             if base_dir is not None and not net_path.is_absolute():
                 net_path = Path(base_dir) / net_path
-            net = parse_network(net_path.read_text(), name=doc.get("network", "custom"))
+            name = _json_typed(doc.get("network", "custom"), str, "network")
+            net = parse_network(net_path.read_text(), name=name)
         else:
-            net = builtin_network(doc["network"])
-    rates = rate_spec(net, doc["message_dims"], doc["edge_dim"])
+            net = builtin_network(_json_typed(doc["network"], str, "network"))
+    dims = _json_typed(doc["message_dims"], dict, "message_dims")
+    for name, k in dims.items():
+        _json_typed(k, int, f"message_dims[{name!r}]")
+    rates = rate_spec(net, dims, _json_typed(doc["edge_dim"], int, "edge_dim"))
     n = rates.edge_dim
 
     def width_of(name: str) -> int:
@@ -1140,40 +1167,45 @@ def code_from_json(
 
     is_linear = "field" in doc
     if is_linear:
-        fspec = doc["field"]
+        fspec = _json_typed(doc["field"], dict, "field")
         if "modulus" in fspec:
-            fld = PrimeField(int(fspec["modulus"]))
+            fld = PrimeField(_json_typed(fspec["modulus"], int, "field modulus"))
         elif fspec.get("characteristic") in ("even", "odd"):
             fld = GF2 if fspec["characteristic"] == "even" else GF3
         else:
             raise ValueError("field must give a modulus or a characteristic")
     else:
-        alphabet = int(doc["alphabet"])
+        alphabet = _json_typed(doc["alphabet"], int, "alphabet")
 
-    def parse(entry: dict, node: str):
+    def parse(entry: dict, node: str, what: str):
+        _json_typed(entry, dict, what)
+        inputs = _json_list(entry["inputs"], str, f"{what} inputs")
         structural = _tail_symbol_layout(net, rates, node)
         if is_linear:
-            listed = layout_from_names(entry["inputs"])
-            rows = _permute_columns([list(r) for r in entry["matrix"]], listed, structural)
+            rows = _json_list(entry["matrix"], list, f"{what} matrix")
+            for row in rows:
+                _json_list(row, int, f"{what} matrix row")
+            rows = _permute_columns(rows, layout_from_names(inputs), structural)
             return mat(fld, rows, cols=sum(w for _, w in structural))
         # Table domains cannot be column-permuted after the fact, so
         # the listed inputs must already be in structural order.
-        if list(entry["inputs"]) != [name for name, _ in structural]:
+        if inputs != [name for name, _ in structural]:
             raise ValueError(
-                f"table inputs {entry['inputs']} must be listed in the node's "
+                f"table inputs {inputs} must be listed in the node's "
                 f"input order {[name for name, _ in structural]}"
             )
-        return tuple(tuple(_DIGITS.index(ch) for ch in line) for line in entry["table"])
+        table = _json_list(entry["table"], str, f"{what} table")
+        return tuple(tuple(_DIGITS.index(ch) for ch in line) for line in table)
 
     functions = {}
-    for label, entry in doc["edges"].items():
+    for label, entry in _json_typed(doc["edges"], dict, "edges").items():
         if label not in net.named_edges:
             raise ValueError(f"unknown edge label {label!r}")
-        functions[label] = parse(entry, net.edge_by_id(net.named_edges[label]).tail)
+        functions[label] = parse(entry, net.edge_by_id(net.named_edges[label]).tail, f"edge {label!r}")
     decoders = {}
-    for key, entry in (doc.get("decoders") or {}).items():
+    for key, entry in _json_typed(doc.get("decoders") or {}, dict, "decoders").items():
         node, _, msg = key.partition("/")
-        decoders[(node, msg)] = parse(entry, node)
+        decoders[(node, msg)] = parse(entry, node, f"decoder {key!r}")
     code: Code = (
         LinearCode(net.name, fld, rates, functions, decoders)
         if is_linear

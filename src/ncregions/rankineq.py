@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -361,19 +362,92 @@ def _integer_plan(expr: EntropyExpression, variables: Sequence[str]):
     return plan, denom
 
 
-def _slack_block(plan, lat: SubspaceLattice, index_columns: list[np.ndarray]):
-    """Vector of slack values (scaled by the plan's denominator) for a
-    block of assignments."""
-    jt = lat.join_table
-    dims = lat.dims
-    n = index_columns[0].shape[0] if index_columns else 1
-    slack = np.zeros(n, dtype=np.int64)
-    for weight, positions in plan:
-        acc = index_columns[positions[0]]
-        for p in positions[1:]:
-            acc = jt[acc, index_columns[p]]
-        slack += weight * dims[acc]
+def _slack_block(plan, lat: SubspaceLattice, idx: np.ndarray) -> np.ndarray:
+    """Slack values (scaled by the plan's denominator) for a block of
+    assignments, one row of subspace indices per assignment.
+
+    Terms are taken in sorted position order, so the terms sharing a
+    leading run of positions are adjacent and each distinct join prefix
+    is gathered once, then dropped when no later term extends it.
+    """
+    jt = lat.join_table.ravel()
+    size = len(lat)
+    slack = np.zeros(len(idx), dtype=np.int64)
+    prefix: tuple[int, ...] = ()
+    joins: list[np.ndarray] = []  # joins[k]: join of the first k + 1 prefix positions
+    for weight, positions in sorted(plan, key=lambda term: term[1]):
+        keep = 0
+        while keep < min(len(prefix), len(positions)) and prefix[keep] == positions[keep]:
+            keep += 1
+        del joins[keep:]
+        for p in positions[keep:]:
+            joins.append(jt.take(joins[-1] * size + idx[:, p]) if joins else idx[:, p])
+        prefix = positions
+        slack += weight * lat.dims.take(joins[-1])
     return slack
+
+
+def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
+    """Slack of every assignment in lexicographic order, one slab at a time.
+
+    A slab is the ``size**inner`` assignments that share the indices of
+    the ``nvars - inner`` outermost variables, ``inner`` being as large
+    as ``chunk`` allows.  A term of at most ``chunk`` entries is
+    tabulated once over its own variables, summed into the table of an
+    earlier (larger) term whose variables contain its own, and reaches a
+    slab as a view indexed by the slab's outer indices.  A larger term
+    joins its outer subspaces once per slab and gathers over the inner
+    ones.  No array holds more than ``chunk`` entries.  Yields the flat
+    index of each slab's first assignment and the slab's flat slack
+    values, in one buffer reused from slab to slab.
+    """
+    size = len(lat)
+    jt, dims = lat.join_table, lat.dims
+    inner = 0
+    while inner < nvars and size ** (inner + 1) <= chunk:
+        inner += 1
+    outer = nvars - inner
+
+    joined = [np.zeros((), dtype=np.int32)]  # joined[k]: join index of k variables, (size,)*k
+
+    def joins_of(k: int) -> np.ndarray:
+        while len(joined) <= k:
+            joined.append(jt[joined[-1]])
+        return joined[k]
+
+    tables: dict[tuple[int, ...], np.ndarray] = {}
+    large = []
+    for weight, positions in sorted(plan, key=lambda term: -len(term[1])):
+        if size ** len(positions) > chunk:
+            outer_pos = [p for p in positions if p < outer]
+            shape = [size if k in positions else 1 for k in range(outer, nvars)]
+            inner_joins = joins_of(len(positions) - len(outer_pos))
+            large.append((weight, outer_pos, inner_joins, shape))
+            continue
+        host = next((t for t in tables if set(positions) <= set(t)), positions)
+        term = weight * dims[joins_of(len(positions))]
+        if host in tables:
+            tables[host] += term.reshape([size if p in positions else 1 for p in host])
+        else:
+            tables[host] = term
+    # each table spread over all nvars axes (length 1 off its variables),
+    # with the outer axes it is indexed by
+    spread = [
+        (table.reshape([size if k in host else 1 for k in range(nvars)]),
+         [k in host for k in range(outer)])
+        for host, table in tables.items()
+    ]
+
+    slab = np.empty((size,) * inner, dtype=np.int64)
+    flat = slab.reshape(-1)
+    for k, at in enumerate(product(range(size), repeat=outer)):
+        slab.fill(0)
+        for table, used in spread:
+            slab += table[tuple(a if u else 0 for a, u in zip(at, used))]
+        for weight, outer_pos, inner_joins, shape in large:
+            s = lat.join_indices(at[p] for p in outer_pos)
+            slab += (weight * dims[jt[s][inner_joins]]).reshape(shape)
+        yield k * flat.size, flat
 
 
 def _assignment_from_indices(
@@ -400,13 +474,18 @@ def search_violation_detailed(
     deterministic subspace enumeration, and returns the first (hence
     lexicographically smallest) violator.  Sample mode draws variable
     indices from the splitmix sequence: trial t (0-based) uses calls
-    t*nvars+1 .. t*nvars+nvars, in sorted variable order.
+    t*nvars+1 .. t*nvars+nvars, in sorted variable order.  In both modes
+    ``min_slack`` is the least slack over consecutive blocks of
+    ``chunk`` assignments (``chunk // nvars`` trials, at least one),
+    through the block that holds the witness.
     """
     if mode not in ("catalog", "exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}; expected catalog, exhaustive or sample")
     for name, value in (("dimension", d), ("samples", samples), ("budget", budget)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
+    if chunk < 1:
+        raise ValueError(f"chunk must be positive, got {chunk}")
     variables = sorted(expr.variables())
     if mode == "catalog":
         best: Fraction | None = None
@@ -433,40 +512,35 @@ def search_violation_detailed(
 
     if mode == "exhaustive":
         min_slack: int | None = None
-        start = 0
-        while start < total:
-            stop = min(start + chunk, total)
-            block = np.arange(start, stop, dtype=np.int64)
-            cols = [
-                ((block // (size ** (nvars - 1 - k))) % size).astype(np.int64)
-                for k in range(nvars)
-            ]
-            slack = _slack_block(plan, lat, cols)
-            block_min = int(slack.min()) if slack.size else 0
-            min_slack = block_min if min_slack is None else min(min_slack, block_min)
-            bad = np.nonzero(slack < 0)[0]
-            if bad.size:
-                g = start + int(bad[0])
+        slabs = _slack_slabs(plan, lat, nvars, chunk)
+        for start, slack in slabs:
+            low = int(slack.min())
+            if low < 0:
+                g = start + int(np.argmax(slack < 0))
+                # min_slack covers whole chunks, through the witness's chunk
+                end = min((g // chunk + 1) * chunk, total)
+                low = int(slack[: end - start].min())
+                for start, slack in slabs:
+                    if start >= end:
+                        break
+                    low = min(low, int(slack[: end - start].min()))
                 indices = [(g // (size ** (nvars - 1 - k))) % size for k in range(nvars)]
                 return SearchOutcome(
                     _assignment_from_indices(lat, variables, indices),
                     g + 1,
-                    Fraction(min_slack, denom),
+                    Fraction(low if min_slack is None else min(min_slack, low), denom),
                 )
-            start = stop
-        return SearchOutcome(
-            None, total, None if min_slack is None else Fraction(min_slack, denom)
-        )
+            min_slack = low if min_slack is None else min(min_slack, low)
+        return SearchOutcome(None, total, Fraction(min_slack, denom))
 
     min_slack = None
     done = 0
     while done < samples:
-        count = min(chunk // max(nvars, 1), samples - done)
+        count = min(max(chunk // max(nvars, 1), 1), samples - done)
         raw = _splitmix_block(seed, done * nvars + 1, count * nvars)
         idx = (raw % np.uint64(size)).astype(np.int64).reshape(count, nvars)
-        cols = [idx[:, k] for k in range(nvars)]
-        slack = _slack_block(plan, lat, cols)
-        block_min = int(slack.min()) if slack.size else 0
+        slack = _slack_block(plan, lat, idx)
+        block_min = int(slack.min())
         min_slack = block_min if min_slack is None else min(min_slack, block_min)
         bad = np.nonzero(slack < 0)[0]
         if bad.size:

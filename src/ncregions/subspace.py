@@ -13,7 +13,8 @@ algebra per query.  The table is built without pairwise linear algebra:
 each subspace is stored as a bitmask of its member vectors and gets one
 orthogonal complement, and A + B = (A^perp & B^perp)^perp becomes an
 AND of two masks plus a dict lookup.  Building is refused up front when
-the table would exceed ``LATTICE_TABLE_GUARD`` entries.
+the table would exceed ``LATTICE_TABLE_GUARD`` entries or the mask work
+``LATTICE_MASK_GUARD``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ from .ff import (
 ENUMERATION_GUARD = 2**20
 # Bound on count_subspaces(q, d)^2, the entries of a lattice's join table.
 LATTICE_TABLE_GUARD = 2**24
+# Bound on count_subspaces(q, d)^2 * q^d, twice the mask bits ANDed while
+# filling the table: GF(7)^4 (3.2e10) builds in ~2 s, GF(43)^3 (1.1e12) in ~41 s.
+LATTICE_MASK_GUARD = 2**36
 _BITMAP_BYTES = 1 << 22
 
 
@@ -289,6 +293,11 @@ class SubspaceLattice:
             raise ValueError(
                 f"GF({q})^{d} has {size} subspaces; its {size}^2-entry join table "
                 f"exceeds the guard {LATTICE_TABLE_GUARD}"
+            )
+        if size * size * q**d > LATTICE_MASK_GUARD:
+            raise ValueError(
+                f"GF({q})^{d} has {size} subspaces of {q}^{d}-bit masks; "
+                f"{size}^2 * {q}^{d} exceeds the mask guard {LATTICE_MASK_GUARD}"
             )
         self.q = q
         self.d = d

@@ -221,6 +221,34 @@ def test_rank_mismatch_exits_one(capsys):
     assert "outcome matches claim: NO" in out
 
 
+def test_rank_exhaustive_witness_scan_output(capsys):
+    # the first oddLRI violator over GF(2)^3 in lexicographic order
+    code, out, _ = run(
+        capsys,
+        "rank", "oddLRI", "--field", "2", "--dim", "3",
+        "--mode", "exhaustive", "--budget", "300000000",
+    )
+    assert code == 0
+    assert out == (
+        "inequality: oddLRI\n"
+        "field: GF(2)  dim: 3  mode: exhaustive\n"
+        "assignments checked: 19101029\n"
+        "min slack seen: -1\n"
+        "expected violation: yes\n"
+        "violation found: yes\n"
+        "witness:\n"
+        "  ambient GF(2)^3\n"
+        "  A = span (1,0,0)\n"
+        "  B = span (1,0,1)\n"
+        "  C = span (1,1,0)\n"
+        "  W = span (0,0,1)\n"
+        "  X = span (0,1,0)\n"
+        "  Y = span (0,1,1)\n"
+        "  Z = span (1,1,1)\n"
+        "outcome matches claim: yes\n"
+    )
+
+
 def test_rank_budget_exceeded(capsys):
     code, _, err = run(
         capsys,
@@ -237,13 +265,15 @@ def test_rank_rejects_composite_field(capsys):
 
 
 def test_rank_lattice_guard_exits_two_quickly(capsys):
-    start = time.perf_counter()
-    code, out, err = run(
-        capsys, "rank", "ingleton", "--field", "2", "--dim", "7", "--mode", "sample"
-    )
-    assert time.perf_counter() - start < 1.0
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "guard" in err and err.count("\n") == 1
+    # GF(2)^7 exceeds the table guard, GF(43)^3 the mask guard
+    for field, dim in (("2", "7"), ("43", "3")):
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "rank", "ingleton", "--field", field, "--dim", dim, "--mode", "sample"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "guard" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -521,6 +521,10 @@ def test_bundled_code_files_load(tmp_path):
         lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "matrix": [[1, 1], [1, 1]]}}),
         lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "matrix": [[1]]}}),
         lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "matrix": []}}),
+        # wrongly typed JSON fields
+        lambda d: d.update(edges=[]),
+        lambda d: d.update(edge_dim=None),
+        lambda d: d["edges"]["w"].update(matrix="11"),
     ],
 )
 def test_code_file_rejects_malformed_documents(tmp_path, mutate):

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ncregions import subspace as subspace_mod
 from ncregions.ff import GF3, GF5, mat, mat_identity, mat_zeros
 from ncregions.rankineq import (
     DEFAULT_BUDGET,
+    INEQUALITY_IDS,
     HAtom,
     IAtom,
     RankLemmaInstance,
@@ -27,7 +29,14 @@ from ncregions.rankineq import (
     search_violation,
     search_violation_detailed,
 )
-from ncregions.subspace import assignment, enumerate_subspaces, subspace_span
+from ncregions.rankineq import _integer_plan, _slack_block
+from ncregions.subspace import (
+    assignment,
+    count_subspaces,
+    enumerate_subspaces,
+    lattice,
+    subspace_span,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +200,105 @@ def test_exhaustive_returns_lexicographically_smallest_violator():
     assert out.witness.spaces["A"] == spaces[0]
     assert out.witness.spaces["B"] == spaces[1]
     assert out.checked == 2  # (0,0) then (0,1)
+
+
+def _reference_exhaustive(expr, q, d, chunk):
+    """The chunked per-term gather loop that exhaustive mode used to run:
+    decode each chunk of flat indices, walk the join table per term, and
+    stop at the first chunk holding a negative slack."""
+    variables = sorted(expr.variables())
+    lat = lattice(q, d)
+    plan, denom = _integer_plan(expr, variables)
+    size, nvars = len(lat), len(variables)
+    total = size**nvars
+    min_slack = None
+    start = 0
+    while start < total:
+        stop = min(start + chunk, total)
+        block = np.arange(start, stop, dtype=np.int64)
+        cols = [(block // size ** (nvars - 1 - k)) % size for k in range(nvars)]
+        slack = np.zeros(stop - start, dtype=np.int64)
+        for weight, positions in plan:
+            acc = cols[positions[0]]
+            for p in positions[1:]:
+                acc = lat.join_table[acc, cols[p]]
+            slack += weight * lat.dims[acc]
+        block_min = int(slack.min())
+        min_slack = block_min if min_slack is None else min(min_slack, block_min)
+        bad = np.nonzero(slack < 0)[0]
+        if bad.size:
+            g = start + int(bad[0])
+            indices = [(g // size ** (nvars - 1 - k)) % size for k in range(nvars)]
+            witness = {v: lat.spaces[j] for v, j in zip(variables, indices)}
+            return witness, g + 1, Fraction(min_slack, denom)
+        start = stop
+    return None, total, Fraction(min_slack, denom)
+
+
+_DIFFERENTIAL_EXPRESSIONS = {
+    **{name: builtin_inequality(name) for name in INEQUALITY_IDS},
+    # violated at (A, B) = (0, first line): the second assignment
+    "h(A)-h(B)": expression([h(1, "A"), h(-1, "B")]),
+    # violated first at A = a line, B = C = 0: flat index size**2, so the
+    # witness lies past the first chunk for small chunks and inside a
+    # slab-splitting chunk of size**2 + 3
+    "h(B|C)+h(C)/2-h(A)": expression([h(1, "B", given=["C"]), h(Fraction(1, 2), "C"), h(-1, "A")]),
+    # violated at the second assignment, but lowest where A is largest:
+    # the witness's chunk reaches slabs with a lower minimum than its own
+    "-h(C|B)-2h(A)": expression([h(-1, "C", given=["B"]), h(-2, "A")]),
+}
+
+
+def _differential_cases():
+    for name, expr in _DIFFERENTIAL_EXPRESSIONS.items():
+        nvars = len(expr.variables())
+        for q, d in [(2, 2), (3, 2), (2, 3)]:
+            size = count_subspaces(q, d)
+            if size**nvars > 300_000:
+                continue  # 16^7 is too many for the reference; test_cli pins oddLRI's witness scan
+            for chunk in sorted({1, 7, 64, size**2 + 3, 1 << 21}):
+                # the reference loop runs once per chunk: keep it to 2,000
+                if size**nvars <= 2_000 * chunk:
+                    yield pytest.param(name, q, d, chunk, id=f"{name}-GF({q})^{d}-chunk{chunk}")
+
+
+@pytest.mark.parametrize("name,q,d,chunk", _differential_cases())
+def test_exhaustive_scan_matches_the_chunk_loop(name, q, d, chunk):
+    expr = _DIFFERENTIAL_EXPRESSIONS[name]
+    out = search_violation_detailed(expr, q, d, "exhaustive", chunk=chunk)
+    witness, checked, min_slack = _reference_exhaustive(expr, q, d, chunk)
+    assert (out.witness.spaces if out.witness else None) == witness
+    assert out.checked == checked
+    assert out.min_slack == min_slack
+
+
+@pytest.mark.parametrize("ineq", sorted(INEQUALITY_IDS))
+def test_slack_block_matches_evaluate(ineq):
+    expr = builtin_inequality(ineq)
+    variables = sorted(expr.variables())
+    plan, denom = _integer_plan(expr, variables)
+    lat = lattice(3, 3)
+    rng = np.random.default_rng(5)
+    idx = rng.integers(0, len(lat), size=(300, len(variables)))
+    slack = _slack_block(plan, lat, idx)
+    for row, value in zip(idx, slack):
+        spaces = {v: lat.spaces[j] for v, j in zip(variables, row)}
+        assert Fraction(int(value), denom) == evaluate(expr, assignment(3, 3, spaces))
+
+
+def test_sample_mode_with_chunk_below_the_variable_count():
+    # chunk // nvars is 0 here: each block must still draw one trial
+    odd = builtin_inequality("oddLRI")
+    small = search_violation_detailed(odd, 3, 3, "sample", seed=4, samples=300, chunk=3)
+    whole = search_violation_detailed(odd, 3, 3, "sample", seed=4, samples=300)
+    assert small.witness is None and small.checked == 300
+    assert small == whole  # no witness: min_slack is the minimum over every trial
+    expr = expression([h(1, "A", given="BCWXY"), h(1, "W"), h(1, "X"), h(-1, "Z")])
+    small = search_violation_detailed(expr, 2, 3, "sample", seed=0, samples=300, chunk=3)
+    whole = search_violation_detailed(expr, 2, 3, "sample", seed=0, samples=300)
+    assert small.witness is not None and small.witness == whole.witness
+    assert small.checked == whole.checked == 17
+    assert small.min_slack == evaluate(expr, small.witness)
 
 
 def test_sample_mode_is_deterministic_and_seed_sensitive():

@@ -140,8 +140,15 @@ def test_lattice_table_guard_runs_before_enumeration(monkeypatch):
         assert count_subspaces(q, d) ** 2 > subspace_mod.LATTICE_TABLE_GUARD
         with pytest.raises(ValueError, match="guard"):
             subspace_mod.SubspaceLattice(q, d)
-    for q, d in [(2, 6), (3, 5), (7, 4)]:
+    # GF(43)^3 has a small enough table but ANDs 79,507-bit masks
+    for q, d in [(43, 3), (37, 3)]:
         assert count_subspaces(q, d) ** 2 <= subspace_mod.LATTICE_TABLE_GUARD
+        with pytest.raises(ValueError, match="mask guard"):
+            subspace_mod.SubspaceLattice(q, d)
+    # the spaces the tests, the README and the benchmark use stay admitted
+    for q, d in [(2, 6), (3, 5), (7, 4), (2, 5), (3, 4), (11, 3), (13, 3), (5, 3)]:
+        assert count_subspaces(q, d) ** 2 <= subspace_mod.LATTICE_TABLE_GUARD
+        assert count_subspaces(q, d) ** 2 * q**d <= subspace_mod.LATTICE_MASK_GUARD
 
 
 def test_join_meet_algebra():
