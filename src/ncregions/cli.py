@@ -415,6 +415,8 @@ def cmd_polytope(args) -> tuple[int, dict, str]:
                 "error": f"unbounded: {exc}",
             }
             return EXIT_FAILURE, report, f"unbounded polyhedron: {exc}\n"
+        except ValueError as exc:  # the vertex-subset guard
+            raise UsageError(str(exc)) from exc
         report = {
             "command": "polytope",
             "action": "vertices",

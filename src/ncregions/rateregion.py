@@ -3,24 +3,27 @@ capacities, the bundled region catalog, and the four-variable transfer
 operation that turns information/rank inequalities into rate bounds for
 the vamos network.
 
-All arithmetic uses :class:`fractions.Fraction`; no floating point ever
-enters a region computation, so enumerated vertex sets can be compared
-for exact equality against the cataloged expectations.
+All arithmetic is exact (Fractions and Python integers); no floating
+point ever enters a region computation, so enumerated vertex sets can be
+compared for exact equality against the cataloged expectations.
 
-Vertex enumeration solves every m-subset of the inequality system
-exactly and keeps the feasible solutions.  With at most 13 inequalities
-in dimension at most 4 that is a few hundred small linear solves, which
-beats fancier incremental methods on simplicity and determinism.
+Vertex enumeration walks the subset tree of integer-scaled rows depth
+first, extending a fraction-free Gauss-Jordan basis one row per level and
+pruning dependent prefixes: each (m-1)-row line decides boundedness, and
+each further row cuts it in one candidate vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
 Rat = Fraction
+
+# Most m-subsets vertex enumeration takes on, checked before any elimination.
+VERTEX_SUBSET_GUARD = 2**20
 
 
 class UnboundedPolyhedronError(ValueError):
@@ -115,34 +118,9 @@ def _frac_rref(rows: Iterable[Sequence[Fraction]], ncols: int):
     return work, pivots
 
 
-def _solve_square(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Unique solution of a square system, or None when singular."""
-    n = len(rows)
-    work, pivots = _frac_rref([(*row, b) for row, b in zip(rows, rhs)], n)
-    if len(pivots) < n:
-        return None
-    return tuple(row[n] for row in work)
-
-
 def _frac_rank(rows: Iterable[Sequence[Fraction]]) -> int:
     rows = list(rows)
     return len(_frac_rref(rows, len(rows[0]))[1]) if rows else 0
-
-
-def _frac_nullspace(rows: Sequence[Sequence[Fraction]], ncols: int):
-    """Basis of {v : rows . v = 0} over the rationals."""
-    work, pivots = _frac_rref(rows, ncols)
-    basis = []
-    pivot_set = set(pivots)
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -work[i][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +137,96 @@ def contains(h: HRep, point: Sequence) -> bool:
     )
 
 
+def _cancel(row: list[int], b: list[int], col: int) -> list[int]:
+    """``row`` with column ``col`` cancelled against ``b``, over its gcd."""
+    f, p = row[col], b[col]
+    row = [p * x - f * y for x, y in zip(row, b)]
+    g = gcd(*row) or 1
+    return [x // g for x in row]
+
+
+def _extend(basis: list, row: list[int], m: int) -> list | None:
+    """The integer Gauss-Jordan basis ``[(pivot column, row), ...]`` with
+    ``row`` added (each row zero in the others' pivot columns), or None
+    when ``row`` depends on the basis in its first ``m`` columns."""
+    for col, b in basis:
+        if row[col]:
+            row = _cancel(row, b, col)
+    col = next((j for j in range(m) if row[j]), None)
+    if col is None:
+        return None
+    return [(c, _cancel(b, row, col) if b[col] else b) for c, b in basis] + [(col, row)]
+
+
+def _walk(h: HRep, vertices: bool) -> set:
+    """Depth-first walk of the row subsets of ``h`` in lexicographic order.
+
+    Rows are ``[a, b]``, each halfspace scaled by the positive lcm of its
+    denominators.  m-1 independent rows leave the line ``(n0 + t n) /
+    scale``; it is unbounded if ``+n`` or then ``-n`` (last nonzero entry
+    positive) has ``a . d <= 0`` on every row.  With ``vertices``, each
+    later row fixes t, and ``N / L`` (gcd-normalised, L > 0) is kept when
+    ``a . N <= b L`` on every row.
+    """
+    m, total = h.dim, len(h.halfspaces)
+    if comb(total, m) > VERTEX_SUBSET_GUARD:
+        raise ValueError(
+            f"vertex enumeration over C({total}, {m}) = {comb(total, m)} subsets "
+            f"exceeds the guard of {VERTEX_SUBSET_GUARD}"
+        )
+    if m == 0:
+        return {((), 1)}
+    rows = []
+    for hs in h.halfspaces:
+        scale = lcm(hs.bound.denominator, *(c.denominator for c in hs.coeffs))
+        rows.append([int(x * scale) for x in (*hs.coeffs, hs.bound)])
+    basis: list = []
+    for row in rows:
+        basis = _extend(basis, row, m) or basis
+    if len(basis) < m:
+        raise UnboundedPolyhedronError("constraint matrix is rank deficient")
+    found: set = set()
+
+    def line(basis: list, last: int) -> None:
+        (free,) = set(range(m)).difference(c for c, _ in basis)
+        scale = lcm(*(abs(b[c]) for c, b in basis))
+        n, n0 = [0] * m, [0] * m
+        n[free] = scale
+        for c, b in basis:
+            n[c] = -b[free] * scale // b[c]
+            n0[c] = b[m] * scale // b[c]
+        lead = next(x for x in reversed(n) if x)
+        g = gcd(*n) if lead > 0 else -gcd(*n)
+        n = [x // g for x in n]
+        dn = [sum(a * x for a, x in zip(r, n)) for r in rows]
+        for sign in (1, -1):
+            if all(sign * v <= 0 for v in dn):
+                direction = tuple(str(Fraction(sign * x, lead // g)) for x in n)
+                raise UnboundedPolyhedronError(f"unbounded along direction {direction}")
+        if not vertices:
+            return
+        slack = [r[m] * scale - sum(a * x for a, x in zip(r, n0)) for r in rows]
+        for j in range(last + 1, total):
+            den, t = dn[j], slack[j]
+            if den < 0:
+                den, t = -den, -t
+            if den and all(v * t <= den * s for v, s in zip(dn, slack)):
+                num = [den * x + t * y for x, y in zip(n0, n)]
+                g = gcd(*num, den * scale)
+                found.add((tuple(x // g for x in num), den * scale // g))
+
+    def visit(basis: list, last: int) -> None:
+        if len(basis) == m - 1:
+            return line(basis, last)
+        for j in range(last + 1, total - (m - 2 - len(basis))):
+            grown = _extend(basis, rows[j], m)
+            if grown is not None:
+                visit(grown, j)
+
+    visit([], -1)
+    return found
+
+
 def ensure_bounded(h: HRep) -> None:
     """Raise UnboundedPolyhedronError unless the recession cone is {0}.
 
@@ -166,49 +234,22 @@ def ensure_bounded(h: HRep) -> None:
     (it then contains a line) or some rank-(m-1) subset of rows leaves a
     one-dimensional nullspace whose direction satisfies all inequalities;
     checking those finitely many candidate extreme rays is complete.
+    This is the walk of :func:`enumerate_vertices` stopped at m-1 rows.
     """
-    m = h.dim
-    if m == 0:
-        return
-    rows = [hs.coeffs for hs in h.halfspaces]
-    if _frac_rank(rows) < m:
-        raise UnboundedPolyhedronError("constraint matrix is rank deficient")
-    for subset in combinations(range(len(rows)), m - 1):
-        sub = [rows[i] for i in subset]
-        if _frac_rank(sub) != m - 1:
-            continue
-        null = _frac_nullspace(sub, m)
-        if len(null) != 1:
-            continue
-        d = null[0]
-        for direction in (d, tuple(-x for x in d)):
-            if all(sum(c * x for c, x in zip(r, direction)) <= 0 for r in rows):
-                raise UnboundedPolyhedronError(
-                    f"unbounded along direction {tuple(map(str, direction))}"
-                )
+    _walk(h, vertices=False)
 
 
 def enumerate_vertices(h: HRep) -> VRep:
     """All extreme points of a bounded H-representation.
 
     Every m-subset of inequalities with an invertible coefficient matrix
-    is solved exactly; solutions satisfying the full system are kept,
-    deduplicated and sorted.  An empty polytope yields an empty VRep; an
-    unbounded system raises.
+    gives one candidate point; candidates satisfying the full system are
+    kept, deduplicated and sorted.  An empty polytope yields an empty
+    VRep; an unbounded system raises, and a system of more than
+    ``VERTEX_SUBSET_GUARD`` m-subsets raises ValueError before any work.
     """
-    ensure_bounded(h)
-    m = h.dim
-    hs = h.halfspaces
-    found: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(len(hs)), m):
-        sol = _solve_square([hs[i].coeffs for i in subset], [hs[i].bound for i in subset])
-        if sol is None:
-            continue
-        if sol in found:
-            continue
-        if contains(h, sol):
-            found.add(sol)
-    return VRep(tuple(sorted(found)))
+    found = _walk(h, vertices=True)
+    return VRep(tuple(sorted(tuple(Fraction(x, den) for x in num) for num, den in found)))
 
 
 def tight_constraints(h: HRep, point: Sequence) -> list[int]:

@@ -34,9 +34,52 @@ def test_regions_fano_linear_odd(capsys):
 
 
 def test_regions_zy_outer_has_no_expectation(capsys):
+    # no cataloged vertex list checks this region, so its output is pinned
     code, out, _ = run(capsys, "regions", "vamos", "--class", "zy-outer")
     assert code == 0
-    assert "none cataloged" in out
+    assert out == (
+        "network: vamos\n"
+        "class: zy-outer\n"
+        "planes (13):\n"
+        "  -1 0 0 0 <= 0\n"
+        "  0 -1 0 0 <= 0\n"
+        "  0 0 -1 0 <= 0\n"
+        "  0 0 0 -1 <= 0\n"
+        "  1 0 0 0 <= 1\n"
+        "  0 0 0 1 <= 1\n"
+        "  0 1 1 0 <= 2\n"
+        "  1 1 0 0 <= 2\n"
+        "  0 0 1 1 <= 2\n"
+        "  4 4 2 1 <= 10\n"
+        "  2 2 4 4 <= 11\n"
+        "  1 2 4 5 <= 11\n"
+        "  5 6 6 5 <= 20\n"
+        "vertices (23):\n"
+        "  0 0 0 0\n"
+        "  0 0 0 1\n"
+        "  0 0 1 1\n"
+        "  0 0 2 0\n"
+        "  0 1 1 1\n"
+        "  0 2 0 0\n"
+        "  0 2 0 1\n"
+        "  1/2 3/2 1/2 1\n"
+        "  3/5 13/10 7/10 1\n"
+        "  3/4 3/4 5/4 3/4\n"
+        "  4/5 9/10 11/10 4/5\n"
+        "  1 0 0 0\n"
+        "  1 0 0 1\n"
+        "  1 0 1 1\n"
+        "  1 0 2 0\n"
+        "  1 1/2 1 1\n"
+        "  1 1/2 3/2 1/2\n"
+        "  1 7/10 13/10 3/5\n"
+        "  1 5/6 5/6 1\n"
+        "  1 1 0 0\n"
+        "  1 1 0 1\n"
+        "  1 1 1/2 1\n"
+        "  1 1 1 0\n"
+        "expected vertices: none cataloged\n"
+    )
 
 
 def test_regions_unknown_pair(capsys):
@@ -369,10 +412,44 @@ def test_polytope_contains(capsys):
     assert code == 0 and out.strip() == "true"
 
 
-def test_polytope_unbounded_is_failure(capsys):
-    code, out, _ = run(capsys, "polytope", "--hrep", QUADRANT_HREP, "vertices")
-    assert code == 1
-    assert "unbounded" in out
+def test_polytope_unbounded_is_failure(tmp_path, capsys):
+    ray = tmp_path / "ray.hrep"
+    ray.write_text("-1 0 0 <= 0\n0 -1 0 <= 0\n1 -3 1 <= 1\n3 0 -1 <= 5\n")
+    strip = tmp_path / "strip.hrep"
+    strip.write_text("1 1 <= 1\n-1 -1 <= 0\n")
+    cases = [
+        (QUADRANT_HREP, "unbounded along direction ('0', '1')"),
+        (str(ray), "unbounded along direction ('0', '1/3', '1')"),
+        (str(strip), "constraint matrix is rank deficient"),
+    ]
+    for path, reason in cases:
+        code, out, _ = run(capsys, "polytope", "--hrep", path, "vertices")
+        assert (code, out) == (1, f"unbounded polyhedron: {reason}\n")
+        code, out, _ = run(capsys, "polytope", "--hrep", path, "vertices", "--format", "json")
+        assert code == 1
+        assert out == (
+            "{\n"
+            '  "action": "vertices",\n'
+            '  "command": "polytope",\n'
+            f'  "error": "unbounded: {reason}",\n'
+            f'  "file": "{path}"\n'
+            "}\n"
+        )
+
+
+def test_polytope_vertex_guard_exits_two_quickly(tmp_path, capsys):
+    # 40 rows in dimension 10: C(40, 10) = 847,660,528 subsets; the rows
+    # repeat with period 5, so only a guard ahead of the rank check sees them
+    big = tmp_path / "big.hrep"
+    big.write_text("".join(
+        " ".join(str((i * 7 + j * 3) % 5 - 2) for j in range(10)) + " <= 5\n"
+        for i in range(40)
+    ))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "polytope", "--hrep", str(big), "vertices")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "guard" in err and err.count("\n") == 1
 
 
 def test_polytope_parse_error(tmp_path, capsys):

@@ -3,15 +3,18 @@ from itertools import combinations
 
 import pytest
 
+from ncregions import rateregion
 from ncregions.rateregion import (
     INGLETON_COEFFS,
     ZHANG_YEUNG_COEFFS,
     ZHANG_YEUNG_SWAPPED_COEFFS,
     UnboundedPolyhedronError,
+    VRep,
     average_capacity,
     builtin_region,
     canonical_class,
     contains,
+    ensure_bounded,
     enumerate_vertices,
     frac_str,
     halfspace,
@@ -28,6 +31,7 @@ from ncregions.rateregion import (
     vrep,
     vrep_to_text,
     _frac_rank,
+    _frac_rref,
 )
 
 REGION_SIZES = {
@@ -155,6 +159,153 @@ def test_unbounded_raises():
 def test_empty_polytope_enumerates_empty():
     empty = hrep(2, [((1, 0), -1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)])
     assert enumerate_vertices(empty).vertices == ()
+
+
+# ---------------------------------------------------------------------------
+# the subset loops vertex enumeration used before the integer walk, kept as
+# the reference for the differential tests below
+
+
+def _ref_solve_square(rows, rhs):
+    n = len(rows)
+    work, pivots = _frac_rref([(*row, b) for row, b in zip(rows, rhs)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(row[n] for row in work)
+
+
+def _ref_nullspace(rows, ncols):
+    work, pivots = _frac_rref(rows, ncols)
+    basis = []
+    pivot_set = set(pivots)
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -work[i][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def _reference_vertices(h):
+    m = h.dim
+    rows = [hs.coeffs for hs in h.halfspaces]
+    if m:
+        if _frac_rank(rows) < m:
+            raise UnboundedPolyhedronError("constraint matrix is rank deficient")
+        for subset in combinations(range(len(rows)), m - 1):
+            sub = [rows[i] for i in subset]
+            if _frac_rank(sub) != m - 1:
+                continue
+            null = _ref_nullspace(sub, m)
+            if len(null) != 1:
+                continue
+            d = null[0]
+            for direction in (d, tuple(-x for x in d)):
+                if all(sum(c * x for c, x in zip(r, direction)) <= 0 for r in rows):
+                    raise UnboundedPolyhedronError(
+                        f"unbounded along direction {tuple(map(str, direction))}"
+                    )
+    hs = h.halfspaces
+    found = set()
+    for subset in combinations(range(len(hs)), m):
+        sol = _ref_solve_square([hs[i].coeffs for i in subset], [hs[i].bound for i in subset])
+        if sol is None or sol in found:
+            continue
+        if contains(h, sol):
+            found.add(sol)
+    return VRep(tuple(sorted(found)))
+
+
+def _outcome(enumerate_, h):
+    try:
+        return enumerate_(h)
+    except UnboundedPolyhedronError as exc:
+        return str(exc)
+
+
+KINDS = ("bounded", "empty", "degenerate", "fractional", "rank-deficient", "random")
+
+
+def _random_hrep(rng, dim, kind):
+    """A small H-rep of one kind plus a few random rows."""
+    unit = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    rows = []
+    if kind in ("bounded", "empty", "degenerate", "fractional"):
+        rows += [(tuple(-x for x in e), 0) for e in unit]
+    if kind in ("bounded", "empty", "fractional"):
+        rows.append((tuple(rng.randint(1, 3) for _ in unit), rng.randint(dim, 3 * dim)))
+    if kind == "empty":
+        rows.append(((1,) * dim, -1))
+    if kind == "degenerate":
+        # a simplex cut through two of its vertices, a repeated and a scaled row
+        rows += [((1,) * dim, 1), (tuple(int(j < 2) for j in range(dim)), 1)]
+        rows += [rows[-1], (tuple(2 * c for c in rows[0][0]), 0)]
+    size = (dim if kind == "random" else len(rows)) + rng.randint(1, 3)
+    while len(rows) < size:
+        if kind == "fractional":
+            coeffs = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+            bound = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+        else:
+            coeffs = tuple(rng.randint(-3, 3) for _ in range(dim))
+            bound = rng.randint(-1, 6)
+        if kind == "rank-deficient":
+            coeffs = coeffs[:-1] + (0,)
+        if any(coeffs) or bound >= 0:  # zero rows only as tautologies
+            rows.append((coeffs, bound))
+    rng.shuffle(rows)
+    return hrep(dim, rows)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+def test_vertices_match_the_subset_loops(dim):
+    import random
+
+    rng = random.Random(dim)
+    seen = set()
+    for trial in range(36):
+        kind = KINDS[trial % len(KINDS)]
+        h = _random_hrep(rng, dim, kind)
+        want = _outcome(_reference_vertices, h)
+        assert _outcome(enumerate_vertices, h) == want, (kind, hrep_to_text(h))
+        unbounded = isinstance(want, str)
+        assert _outcome(ensure_bounded, h) == (want if unbounded else None)
+        if unbounded:
+            seen.add(want.split(" along")[0])
+        else:
+            seen.add("vertices" if len(want) else "empty")
+            if any(len(tight_constraints(h, v)) > dim for v in want):
+                seen.add("degenerate")
+    expected = {"vertices", "empty", "unbounded", "constraint matrix is rank deficient"}
+    assert expected | ({"degenerate"} if dim > 1 else set()) <= seen
+
+
+def test_vertices_match_the_subset_loops_on_the_catalog():
+    for network in ("gbutterfly", "fano", "nonfano", "vamos"):
+        for cls in region_classes(network):
+            h, _ = builtin_region(network, cls)
+            assert enumerate_vertices(h) == _reference_vertices(h), (network, cls)
+
+
+def test_dimension_zero_has_the_empty_vertex():
+    h = hrep(0, [((), 0), ((), 3)])
+    assert enumerate_vertices(h) == _reference_vertices(h) == VRep(((),))
+
+
+def test_vertex_subset_guard_comes_before_any_elimination(monkeypatch):
+    # rank deficient (the last coordinate is free), so elimination would
+    # raise UnboundedPolyhedronError; the guard must speak first
+    h = hrep(3, [((1, i, 0), 1) for i in range(6)])
+    monkeypatch.setattr(rateregion, "VERTEX_SUBSET_GUARD", 19)  # C(6, 3) = 20
+    for call in (enumerate_vertices, ensure_bounded):
+        with pytest.raises(ValueError, match="guard") as info:
+            call(h)
+        assert not isinstance(info.value, UnboundedPolyhedronError)
+    monkeypatch.setattr(rateregion, "VERTEX_SUBSET_GUARD", 20)
+    with pytest.raises(UnboundedPolyhedronError, match="rank deficient"):
+        enumerate_vertices(h)
 
 
 def test_uniform_capacity_requires_origin():
