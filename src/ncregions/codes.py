@@ -19,8 +19,12 @@ demand:
 - :func:`verify_solution_exhaustive` is operational: the walk pushes
   every message assignment at once through the edge functions, and each
   receiver's inputs must determine its demands (or match its decoder
-  tables).  It is the brute-force oracle for the algebraic path and the
-  only route for nonlinear table codes.
+  tables).  Every value is one int64 radix key per assignment; each
+  edge function and decoder is tabulated once over its input keys and
+  gathered, and receivers group equal input keys by a first-occurrence
+  table (or a stable sort when the table would outgrow the scan).  It
+  uses no linear algebra, so it is the brute-force oracle for the
+  algebraic path, and it is the only route for nonlinear table codes.
 
 Bundled with the four networks is the catalog of achieving codes for
 the cataloged regions, each tagged with the field characteristic class
@@ -399,32 +403,43 @@ def _alphabet_size(code: Code) -> int:
     return code.field.p if isinstance(code, LinearCode) else code.alphabet
 
 
-def _radix_key(block: np.ndarray, base: int) -> np.ndarray:
-    n_rows, width = block.shape
-    if width == 0:
-        return np.zeros(n_rows, dtype=np.int64)
-    if base**width >= 2**62:
-        raise GuardExceededError("input block too wide for exhaustive keying")
-    radix = np.array([base ** (width - 1 - i) for i in range(width)], dtype=np.int64)
-    return block.astype(np.int64) @ radix
+def _symbols_key(symbols: Iterable[int], base: int) -> int:
+    """Radix-``base`` key of a symbol tuple, first symbol most significant."""
+    key = 0
+    for s in symbols:
+        key = key * base + s
+    return key
 
 
-def _enumerate_assignments(total: int, base: int) -> np.ndarray:
-    count = base**total
-    idx = np.arange(count, dtype=np.int64)
-    out = np.empty((count, total), dtype=np.int16)
-    for j in range(total):
-        out[:, j] = (idx // base ** (total - 1 - j)) % base
-    return out
+def _forms(keys: np.ndarray, weights: np.ndarray, base: int) -> np.ndarray:
+    """``weights @ digits`` of each radix key, before reduction mod base."""
+    width = weights.shape[1]
+    return keys[:, None] // base ** np.arange(width - 1, -1, -1) % base @ weights.T
 
 
-def _apply_array(code: Code, fn, block: np.ndarray) -> np.ndarray:
-    """Apply an edge or decoder function to every row of ``block``."""
+def _apply_keys(code: Code, fn, keys: np.ndarray, width: int) -> np.ndarray:
+    """Output key of an edge function or decoder on each input key.
+
+    The function is tabulated once over its ``base^width`` input keys
+    and gathered: a table code's stored table (one key per distinct
+    output), or a linear function's forms on the high and low halves of
+    the input digits, outer-summed.  A linear function whose table would
+    be longer than ``keys`` is applied to the digits of each key instead.
+    """
     base = _alphabet_size(code)
-    if isinstance(code, LinearCode):
-        weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
-        return ((block.astype(np.int64) @ weights.T) % base).astype(np.int16)
-    return np.array(fn, dtype=np.int16)[_radix_key(block, base)]
+    if isinstance(code, TableCode):
+        distinct = {out: _symbols_key(out, base) for out in set(fn)}
+        table = np.fromiter(map(distinct.__getitem__, fn), dtype=np.int64, count=len(fn))
+        return table[keys]
+    weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
+    radix = base ** np.arange(fn.rows - 1, -1, -1)
+    if base**width > len(keys):
+        return _forms(keys, weights, base) % base @ radix
+    half = width // 2
+    high = _forms(np.arange(base ** (width - half)), weights[:, : width - half], base)
+    low = _forms(np.arange(base**half), weights[:, width - half :], base)
+    table = (high[:, None] + low).reshape(-1, fn.rows) % base @ radix
+    return table[keys]
 
 
 def verify_solution_exhaustive(
@@ -437,6 +452,10 @@ def verify_solution_exhaustive(
     decoders, the decoder output must equal the message everywhere.  On
     failure the witness is the lexicographically smallest assignment
     that conflicts with an earlier one (or fails its decoder).
+
+    Assignment ``a`` is the radix-``|A|`` number of its symbols, and
+    every value (a message, an edge's symbols, a node's joined inputs)
+    is held as one int64 radix key per assignment.
     """
     validate_code(net, code)
     rates = code.rates
@@ -447,56 +466,70 @@ def verify_solution_exhaustive(
         raise GuardExceededError(
             f"{base}^{total} assignments exceed the enumeration guard {guard}"
         )
-    offsets = _message_offsets(net, rates)
-    assignments = _enumerate_assignments(total, base)
+    keyed = dict.fromkeys(
+        [e.tail for e in net.edges if e.coded] + [node for node, _ in net.demands]
+    )
+    for node in keyed:
+        width = node_input_width(net, rates, node)
+        if base**width >= 2**62:
+            raise GuardExceededError(
+                f"inputs of node {node} ({base}^{width} values) are too wide "
+                "for exhaustive keying"
+            )
+    index = np.arange(count, dtype=np.int64)
+    message_keys = {}
+    for msg, offset in _message_offsets(net, rates).items():
+        # index // shift % base^k: each key repeats ``shift`` times, in
+        # base^offset cycles
+        k = rates.message_dims[msg]
+        shift = base ** (total - offset - k)
+        message_keys[msg] = (np.tile(np.repeat(np.arange(base**k), shift), base**offset), k)
 
-    def message_block(msg: str) -> np.ndarray:
-        return assignments[:, offsets[msg] : offsets[msg] + rates.message_dims[msg]]
+    def concat(blocks):
+        if not blocks:
+            return np.zeros(count, dtype=np.int64), 0
+        key, width = blocks[0]
+        for block_key, block_width in blocks[1:]:
+            key, width = key * base**block_width + block_key, width + block_width
+        return key, width
 
     functions, decoders = _functions(code)
     _, gather = _propagate(
         net,
-        message_block,
-        lambda label, block: _apply_array(code, functions[label], block),
-        lambda blocks: np.hstack(blocks) if blocks else np.zeros((count, 0), dtype=np.int16),
+        message_keys.__getitem__,
+        lambda label, inputs: (_apply_keys(code, functions[label], *inputs), rates.edge_dim),
+        concat,
     )
 
     statuses = []
     for node, msg in net.demands:
-        inputs = gather(node)
-        k = rates.message_dims[msg]
-        msg_block = message_block(msg)
-        fail_index: int | None = None
-        reason = None
-
-        if (node, msg) in decoders and k > 0:
-            decoded = _apply_array(code, decoders[(node, msg)], inputs)
-            bad = np.nonzero((decoded != msg_block).any(axis=1))[0]
-            if bad.size:
-                fail_index = int(bad[0])
-                reason = "decoder output differs from the message"
-        elif k > 0:
-            key = _radix_key(inputs, base)
-            mkey = _radix_key(msg_block, base)
-            order = np.argsort(key, kind="stable")
-            sorted_key = key[order]
-            group_start = np.empty(count, dtype=bool)
-            group_start[0] = True
-            group_start[1:] = sorted_key[1:] != sorted_key[:-1]
-            group_id = np.cumsum(group_start) - 1
-            first_of_group = order[np.flatnonzero(group_start)]
-            reference = mkey[first_of_group][group_id]
-            mismatch = mkey[order] != reference
-            if mismatch.any():
-                fail_index = int(order[mismatch].min())
-                reason = "two assignments share receiver inputs but differ in the demand"
-
-        if fail_index is None:
+        mkey, k = message_keys[msg]
+        if k == 0:
+            statuses.append(DemandStatus(node, msg, True))
+            continue
+        if (node, msg) in decoders:
+            reason = "decoder output differs from the message"
+            bad = _apply_keys(code, decoders[(node, msg)], *gather(node)) != mkey
+        else:
+            # Each assignment is compared with the first one that gives
+            # the receiver the same inputs.
+            reason = "two assignments share receiver inputs but differ in the demand"
+            key, width = gather(node)
+            if base**width <= count:
+                first = np.full(base**width, count, dtype=np.int64)
+                np.minimum.at(first, key, index)
+                first_of = first[key]
+            else:  # with return_index, unique sorts stably: first is the smallest index
+                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+                first_of = first[inverse.ravel()]
+            bad = mkey != mkey[first_of]
+        fails = np.flatnonzero(bad)
+        if fails.size == 0:
             statuses.append(DemandStatus(node, msg, True))
         else:
-            witness = _split_assignment(
-                net, rates, [int(x) for x in assignments[fail_index]]
-            )
+            a = int(fails[0])
+            digits = [a // base ** (total - 1 - j) % base for j in range(total)]
+            witness = _split_assignment(net, rates, digits)
             statuses.append(DemandStatus(node, msg, False, reason, witness))
 
     return VerificationReport(
@@ -537,10 +570,7 @@ def evaluate_code(
     def apply(fn, vec: tuple[int, ...]) -> tuple[int, ...]:
         if linear:
             return mat_vec(fn, vec)
-        index = 0
-        for s in vec:
-            index = index * base + s
-        return fn[index]
+        return fn[_symbols_key(vec, base)]
 
     functions, decoders = _functions(code)
     values, gather = _propagate(
@@ -1195,7 +1225,12 @@ def code_from_json(
                 f"input order {[name for name, _ in structural]}"
             )
         table = _json_list(entry["table"], str, f"{what} table")
-        return tuple(tuple(_DIGITS.index(ch) for ch in line) for line in table)
+        decoded = {}
+        for line in set(table):
+            if not set(line).issubset(_DIGITS):
+                raise ValueError(f"{what} table line {line!r} is not digits and lowercase letters")
+            decoded[line] = tuple(map(_DIGITS.index, line))
+        return tuple(map(decoded.__getitem__, table))
 
     functions = {}
     for label, entry in _json_typed(doc["edges"], dict, "edges").items():

@@ -22,8 +22,11 @@ from typing import Iterable, Sequence
 
 Rat = Fraction
 
-# Most m-subsets vertex enumeration takes on, checked before any elimination.
-VERTEX_SUBSET_GUARD = 2**20
+# Most work vertex enumeration takes on, checked before any elimination.
+# n rows in dimension m cost C(n, m-1) * n * (m + 3) units of about
+# 0.5 us: each line from m-1 rows takes two length-m dot products per
+# row, then a feasibility test per later row that usually stops early.
+VERTEX_WORK_GUARD = 2**24
 
 
 class UnboundedPolyhedronError(ValueError):
@@ -169,13 +172,14 @@ def _walk(h: HRep, vertices: bool) -> set:
     ``a . N <= b L`` on every row.
     """
     m, total = h.dim, len(h.halfspaces)
-    if comb(total, m) > VERTEX_SUBSET_GUARD:
-        raise ValueError(
-            f"vertex enumeration over C({total}, {m}) = {comb(total, m)} subsets "
-            f"exceeds the guard of {VERTEX_SUBSET_GUARD}"
-        )
     if m == 0:
         return {((), 1)}
+    work = comb(total, m - 1) * total * (m + 3)
+    if work > VERTEX_WORK_GUARD:
+        raise ValueError(
+            f"vertex enumeration over C({total}, {m - 1}) * {total} * ({m} + 3) = "
+            f"{work} units of work exceeds the guard of {VERTEX_WORK_GUARD}"
+        )
     rows = []
     for hs in h.halfspaces:
         scale = lcm(hs.bound.denominator, *(c.denominator for c in hs.coeffs))
@@ -245,8 +249,9 @@ def enumerate_vertices(h: HRep) -> VRep:
     Every m-subset of inequalities with an invertible coefficient matrix
     gives one candidate point; candidates satisfying the full system are
     kept, deduplicated and sorted.  An empty polytope yields an empty
-    VRep; an unbounded system raises, and a system of more than
-    ``VERTEX_SUBSET_GUARD`` m-subsets raises ValueError before any work.
+    VRep; an unbounded system raises, and a system of n rows in
+    dimension m with C(n, m-1) * n * (m + 3) above ``VERTEX_WORK_GUARD``
+    raises ValueError before any work.
     """
     found = _walk(h, vertices=True)
     return VRep(tuple(sorted(tuple(Fraction(x, den) for x in num) for num, den in found)))

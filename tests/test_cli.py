@@ -183,6 +183,44 @@ def test_verify_non_object_document_exits_two(tmp_path, capsys):
     _assert_one_error_line(err)
 
 
+def test_verify_input_keys_too_wide_exits_two_quickly(tmp_path, capsys):
+    # 2 assignments, but the receiver joins two 31-symbol edges: 2^62 keys
+    (tmp_path / "wide.net").write_text("message a@s\nedge e1 s r\nedge e2 s r\ndemand r a\n")
+    doc = {
+        "network": "wide",
+        "network_file": "wide.net",
+        "field": {"modulus": 2},
+        "message_dims": {"a": 1},
+        "edge_dim": 31,
+        "edges": {e: {"inputs": ["a"], "matrix": [[1]] * 31} for e in ("e1", "e2")},
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path), "--exhaustive")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    _assert_one_error_line(err)
+    assert "too wide" in err
+
+
+@pytest.mark.parametrize("line", ["Z", "-", " ", "3"])
+def test_verify_table_symbol_outside_digits_or_alphabet_exits_two(tmp_path, capsys, line):
+    # "Z", "-" and " " are no symbol at all; "3" is outside the alphabet {0, 1}
+    from ncregions.codes import read_code_file, to_table_code, write_code_file
+
+    net, code = read_code_file(DATA_DIR / "codes" / "fano_111_gf2.json")
+    path = tmp_path / "t.json"
+    write_code_file(path, net, to_table_code(net, code))
+    doc = json.loads(path.read_text())
+    doc["edges"]["w"]["table"][1] = line
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    _assert_one_error_line(err)
+    assert ("alphabet" if line == "3" else "not digits") in err
+
+
 # ---------------------------------------------------------------------------
 # achieve
 
@@ -438,7 +476,7 @@ def test_polytope_unbounded_is_failure(tmp_path, capsys):
 
 
 def test_polytope_vertex_guard_exits_two_quickly(tmp_path, capsys):
-    # 40 rows in dimension 10: C(40, 10) = 847,660,528 subsets; the rows
+    # 40 rows in dimension 10: C(40, 9) * 40 * 13 = 142,188,217,600 units; the rows
     # repeat with period 5, so only a guard ahead of the rank check sees them
     big = tmp_path / "big.hrep"
     big.write_text("".join(

@@ -1,29 +1,46 @@
 import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import ncregions.codes as codes_module
 from ncregions.codes import (
+    DEFAULT_ENUMERATION_GUARD,
+    DemandStatus,
     GuardExceededError,
     LinearCode,
     TableCode,
+    VerificationReport,
+    _alphabet_size,
+    _functions,
+    _message_offsets,
+    _propagate,
+    _split_assignment,
+    _transfer,
     builtin_code_specs,
     builtin_codes,
     concatenate_codes,
     evaluate_code,
     instantiate_builtin,
     is_routing,
+    node_input_width,
     rate_spec,
     rate_vector,
     read_code_file,
+    synthesize_decoder,
     to_table_code,
+    validate_code,
     verify_solution,
     verify_solution_exhaustive,
     write_code_file,
     zero_fix,
 )
-from ncregions.ff import GF2, GF3, GF5, mat
-from ncregions.netmodel import NETWORK_IDS, builtin_network
+from ncregions.ff import GF2, GF3, GF5, PrimeField, mat
+from ncregions.netmodel import NETWORK_IDS, builtin_network, parse_network
 from ncregions.rateregion import builtin_region, contains
 
 from conftest import DATA_DIR
@@ -327,6 +344,309 @@ def test_corrupted_decoder_table_is_caught_with_witness():
 
 
 # ---------------------------------------------------------------------------
+# differential checks of the exhaustive verifier
+
+
+def _ref_radix_key(block, base):
+    n_rows, width = block.shape
+    if width == 0:
+        return np.zeros(n_rows, dtype=np.int64)
+    if base**width >= 2**62:
+        raise GuardExceededError("input block too wide for exhaustive keying")
+    radix = np.array([base ** (width - 1 - i) for i in range(width)], dtype=np.int64)
+    return block.astype(np.int64) @ radix
+
+
+def _ref_enumerate_assignments(total, base):
+    count = base**total
+    idx = np.arange(count, dtype=np.int64)
+    out = np.empty((count, total), dtype=np.int16)
+    for j in range(total):
+        out[:, j] = (idx // base ** (total - 1 - j)) % base
+    return out
+
+
+def _ref_apply_array(code, fn, block):
+    base = _alphabet_size(code)
+    if isinstance(code, LinearCode):
+        weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
+        return ((block.astype(np.int64) @ weights.T) % base).astype(np.int16)
+    return np.array(fn, dtype=np.int16)[_ref_radix_key(block, base)]
+
+
+def _reference_exhaustive(net, code, guard=DEFAULT_ENUMERATION_GUARD):
+    """The row-block exhaustive verifier (one int16 row of symbols per
+    assignment) that the keyed verifier replaced, kept as its oracle."""
+    validate_code(net, code)
+    rates = code.rates
+    base = _alphabet_size(code)
+    total = rates.total_message_width
+    count = base**total
+    if count > guard:
+        raise GuardExceededError(
+            f"{base}^{total} assignments exceed the enumeration guard {guard}"
+        )
+    offsets = _message_offsets(net, rates)
+    assignments = _ref_enumerate_assignments(total, base)
+
+    def message_block(msg):
+        return assignments[:, offsets[msg] : offsets[msg] + rates.message_dims[msg]]
+
+    functions, decoders = _functions(code)
+    _, gather = _propagate(
+        net,
+        message_block,
+        lambda label, block: _ref_apply_array(code, functions[label], block),
+        lambda blocks: np.hstack(blocks) if blocks else np.zeros((count, 0), dtype=np.int16),
+    )
+
+    statuses = []
+    for node, msg in net.demands:
+        inputs = gather(node)
+        k = rates.message_dims[msg]
+        msg_block = message_block(msg)
+        fail_index = None
+        reason = None
+
+        if (node, msg) in decoders and k > 0:
+            decoded = _ref_apply_array(code, decoders[(node, msg)], inputs)
+            bad = np.nonzero((decoded != msg_block).any(axis=1))[0]
+            if bad.size:
+                fail_index = int(bad[0])
+                reason = "decoder output differs from the message"
+        elif k > 0:
+            key = _ref_radix_key(inputs, base)
+            mkey = _ref_radix_key(msg_block, base)
+            order = np.argsort(key, kind="stable")
+            sorted_key = key[order]
+            group_start = np.empty(count, dtype=bool)
+            group_start[0] = True
+            group_start[1:] = sorted_key[1:] != sorted_key[:-1]
+            group_id = np.cumsum(group_start) - 1
+            first_of_group = order[np.flatnonzero(group_start)]
+            reference = mkey[first_of_group][group_id]
+            mismatch = mkey[order] != reference
+            if mismatch.any():
+                fail_index = int(order[mismatch].min())
+                reason = "two assignments share receiver inputs but differ in the demand"
+
+        if fail_index is None:
+            statuses.append(DemandStatus(node, msg, True))
+        else:
+            witness = _split_assignment(
+                net, rates, [int(x) for x in assignments[fail_index]]
+            )
+            statuses.append(DemandStatus(node, msg, False, reason, witness))
+
+    return VerificationReport(
+        valid=all(s.ok for s in statuses),
+        statuses=tuple(statuses),
+        rate_vector=rate_vector(code),
+        assignments_checked=count,
+    )
+
+
+def _paths(net, code):
+    """Which ways the keyed verifier takes on a code: ``dense`` or
+    ``sort`` grouping of a receiver without a decoder, ``wide`` for a
+    linear function applied to digits instead of its table."""
+    base = _alphabet_size(code)
+    count = base**code.rates.total_message_width
+    _, decoders = _functions(code)
+    wide = lambda node: base ** node_input_width(net, code.rates, node) > count
+    paths = set()
+    for node, msg in net.demands:
+        if (node, msg) not in decoders and code.rates.message_dims[msg] > 0:
+            paths.add("sort" if wide(node) else "dense")
+    linear = isinstance(code, LinearCode)
+    nodes = [e.tail for e in net.edges if e.coded] + [node for node, _ in decoders]
+    if linear and any(wide(node) for node in nodes):
+        paths.add("wide")
+    return paths
+
+
+def _random_linear_code(net, fld, dims, n, rng):
+    rates = rate_spec(net, dims, n)
+    functions = {}
+    for label in net.coded_labels():
+        width = node_input_width(net, rates, net.edge_by_id(net.named_edges[label]).tail)
+        functions[label] = mat(
+            fld, [[rng.randrange(fld.p) for _ in range(width)] for _ in range(n)], cols=width
+        )
+    return LinearCode(net.name, fld, rates, functions)
+
+
+def test_exhaustive_matches_the_reference_on_bundled_and_catalog_codes():
+    cases = [read_code_file(path) for path in sorted((DATA_DIR / "codes").glob("*.json"))]
+    for net_id in NETWORK_IDS:
+        net = builtin_network(net_id)
+        for bc in builtin_codes(net_id):
+            if all(bc.code != code for _, code in cases):  # fano_45_odd is both
+                cases.append((net, bc.code))
+    assert len(cases) > 20
+    for net, code in cases:
+        for variant in (code, to_table_code(net, code)):
+            assert verify_solution_exhaustive(net, variant) == _reference_exhaustive(net, variant)
+
+
+# (network, p) -> (message dim, edge dim): the random codes the catalog
+# benchmark verifies, then shapes whose edges are wider than the scan
+_BENCH_SHAPES = {
+    ("gbutterfly", 2): (3, 4), ("gbutterfly", 3): (2, 3), ("gbutterfly", 5): (1, 2),
+    ("fano", 2): (4, 5), ("fano", 3): (3, 4), ("fano", 5): (2, 3),
+    ("nonfano", 2): (4, 5), ("nonfano", 3): (3, 4), ("nonfano", 5): (2, 3),
+    ("vamos", 2): (3, 4), ("vamos", 3): (2, 3), ("vamos", 5): (1, 2),
+}
+_WIDE_SHAPES = {("gbutterfly", 2): (1, 3), ("fano", 3): (1, 2), ("nonfano", 2): (1, 2)}
+
+
+def test_exhaustive_matches_the_reference_on_benchmark_shaped_codes():
+    rng = random.Random(20240601)
+    paths = set()
+    for shapes in (_BENCH_SHAPES, _WIDE_SHAPES):
+        for (net_id, p), (k, n) in shapes.items():
+            net = builtin_network(net_id)
+            for _ in range(2):
+                code = _random_linear_code(net, PrimeField(p), dict.fromkeys(net.messages, k), n, rng)
+                paths |= _paths(net, code)
+                report = verify_solution_exhaustive(net, code)
+                assert report == _reference_exhaustive(net, code), (net_id, p)
+                assert [s.ok for s in report.statuses] == [
+                    s.ok for s in verify_solution(net, code).statuses
+                ]
+    assert paths == {"dense", "sort", "wide"}
+
+
+def test_exhaustive_matches_the_reference_on_wrong_decoders():
+    net, code = _builtin("nonfano", "(1,1,1)", GF3)
+    table = to_table_code(net, code)
+    key = ("R15", "c")
+    rows = list(table.decoder_tables[key])
+    rows[5] = ((rows[5][0] + 1) % 3,)
+    corrupted_table = TableCode(
+        table.network, table.alphabet, table.rates, table.edge_tables,
+        {**table.decoder_tables, key: tuple(rows)},
+    )
+    corrupted_linear = LinearCode(
+        code.network, code.field, code.rates, code.edge_functions,
+        {**code.decoders, ("R14", "a"): mat(GF3, [[1, 1]])},
+    )
+    for broken in (corrupted_table, corrupted_linear):
+        report = verify_solution_exhaustive(net, broken)
+        assert not report.valid
+        assert report.first_failure().reason == "decoder output differs from the message"
+        assert report == _reference_exhaustive(net, broken)
+
+
+def test_exhaustive_never_tabulates_inputs_wider_than_the_scan():
+    # 2 assignments; m joins two 20-symbol edges (2^40 input keys) and
+    # feeds e3, so a table or first-occurrence array over m's keys
+    # could not be allocated
+    net = parse_network(
+        "message a@s\nedge e1 s m\nedge e2 s m\nedge e3 m r\ndemand m a\ndemand r a\n",
+        name="wide",
+    )
+    rng = random.Random(7)
+    for _ in range(5):
+        code = _random_linear_code(net, GF2, {"a": 1}, 20, rng)
+        assert _paths(net, code) == {"sort", "wide"}
+        assert verify_solution_exhaustive(net, code) == _reference_exhaustive(net, code)
+
+
+def test_exhaustive_guard_on_input_keys_comes_before_any_array(monkeypatch):
+    # 2 assignments, but the receiver joins two 31-symbol edges: 2^62 keys
+    net = parse_network("message a@s\nedge e1 s r\nedge e2 s r\ndemand r a\n", name="wide")
+    code = _random_linear_code(net, GF2, {"a": 1}, 31, random.Random(1))
+    monkeypatch.setattr(codes_module, "np", None)  # any numpy call would fail
+    with pytest.raises(GuardExceededError, match="too wide"):
+        verify_solution_exhaustive(net, code)
+
+
+@st.composite
+def _fuzz_networks(draw):
+    """A builtin network (these have copy edges) or a small random DAG."""
+    if draw(st.booleans()):
+        return builtin_network(draw(st.sampled_from(NETWORK_IDS)))
+    size = draw(st.integers(2, 5))
+    messages = "abc"[: draw(st.integers(1, 3))]
+    lines = [f"message {m}@v{draw(st.integers(0, size - 2))}" for m in messages]
+    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+    for e, (i, j) in enumerate(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5))):
+        lines.append(f"edge e{e} v{i} v{j}")
+    for _ in range(draw(st.integers(1, 3))):
+        lines.append(f"demand v{draw(st.integers(1, size - 1))} {draw(st.sampled_from(messages))}")
+    return parse_network("\n".join(lines) + "\n", name="fuzz")
+
+
+def _random_decoders(net, code, rng):
+    """Decoders for some demands: synthesized when the demand is
+    decodable, sometimes with one entry changed, else random."""
+    transfer, select = _transfer(net, code)
+    decoders = {}
+    for node, msg in net.demands:
+        k = code.rates.message_dims[msg]
+        if rng.random() < 0.5:
+            continue
+        dec = synthesize_decoder(transfer(node), select(msg))
+        width = node_input_width(net, code.rates, node)
+        rows = [list(r) for r in dec.entries] if dec is not None else [
+            [rng.randrange(code.field.p) for _ in range(width)] for _ in range(k)
+        ]
+        if rows and width and rng.random() < 0.3:
+            rows[rng.randrange(k)][rng.randrange(width)] += 1
+        decoders[(node, msg)] = mat(code.field, rows, cols=width)
+    return decoders
+
+
+def _redrawn(fn, p, rng, share):
+    """A table with one output, and each other one with probability
+    ``share``, drawn again at random."""
+    rows = list(fn)
+    for i in {rng.randrange(len(rows))} | {i for i in range(len(rows)) if rng.random() < share}:
+        rows[i] = tuple(rng.randrange(p) for _ in rows[i])
+    return tuple(rows)
+
+
+@given(net=_fuzz_networks(), data=st.data())
+def test_fuzz_exhaustive_against_algebraic_and_reference(net, data):
+    table = data.draw(st.booleans(), label="table")
+    p = data.draw(st.sampled_from((2, 3) if table else (2, 3, 5)), label="p")
+    dims = {m: data.draw(st.integers(0, 2), label=f"k_{m}") for m in net.messages}
+    n = data.draw(st.integers(1, 2), label="n")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    # keep the scan, and for table codes every table, small
+    limit = 4096
+    while True:
+        rates = rate_spec(net, dims, n)
+        widths = [node_input_width(net, rates, node) for node in net.nodes]
+        if p ** rates.total_message_width <= limit and (not table or p ** max(widths) <= limit):
+            break
+        if n > 1:
+            n -= 1
+        else:
+            big = max(dims, key=dims.get)
+            dims[big] -= 1
+    code = _random_linear_code(net, PrimeField(p), dims, n, rng)
+    if data.draw(st.booleans(), label="decoders"):
+        code = LinearCode(code.network, code.field, code.rates, code.edge_functions,
+                          _random_decoders(net, code, rng))
+    if table:
+        code = to_table_code(net, code)
+        share = rng.choice((None, 0.0, 1.0))  # linear, one output changed, or random
+        if share is not None:
+            code = TableCode(code.network, p, code.rates, *(
+                {key: _redrawn(fn, p, rng, share) for key, fn in functions.items()}
+                for functions in (code.edge_tables, code.decoder_tables)
+            ))
+    report = verify_solution_exhaustive(net, code)
+    assert report == _reference_exhaustive(net, code)
+    if not table:
+        assert [s.ok for s in report.statuses] == [
+            s.ok for s in verify_solution(net, code).statuses
+        ]
+
+
+# ---------------------------------------------------------------------------
 # routing detection
 
 
@@ -458,13 +778,17 @@ def test_code_file_round_trip(tmp_path):
 
 
 def test_table_code_file_round_trip(tmp_path):
-    net, code = _builtin("nonfano", "(1,1,1)", GF3)
-    table = to_table_code(net, code)
-    path = tmp_path / "table.json"
-    write_code_file(path, net, table)
-    _, loaded = read_code_file(path)
-    assert loaded == table
-    assert verify_solution_exhaustive(net, loaded).valid
+    # one-symbol outputs over GF(3), then multi-symbol lines over GF(2)
+    for net, code in (
+        _builtin("nonfano", "(1,1,1)", GF3),
+        _builtin("gbutterfly", "(2/3,2/3,2/3,2/3)", GF2),
+    ):
+        table = to_table_code(net, code)
+        path = tmp_path / "table.json"
+        write_code_file(path, net, table)
+        _, loaded = read_code_file(path)
+        assert loaded == table
+        assert verify_solution_exhaustive(net, loaded).valid
 
 
 def test_code_file_permutes_listed_inputs(tmp_path):

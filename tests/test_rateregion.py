@@ -298,12 +298,12 @@ def test_vertex_subset_guard_comes_before_any_elimination(monkeypatch):
     # rank deficient (the last coordinate is free), so elimination would
     # raise UnboundedPolyhedronError; the guard must speak first
     h = hrep(3, [((1, i, 0), 1) for i in range(6)])
-    monkeypatch.setattr(rateregion, "VERTEX_SUBSET_GUARD", 19)  # C(6, 3) = 20
+    monkeypatch.setattr(rateregion, "VERTEX_WORK_GUARD", 539)  # C(6, 2) * 6 * (3 + 3) = 540
     for call in (enumerate_vertices, ensure_bounded):
         with pytest.raises(ValueError, match="guard") as info:
             call(h)
         assert not isinstance(info.value, UnboundedPolyhedronError)
-    monkeypatch.setattr(rateregion, "VERTEX_SUBSET_GUARD", 20)
+    monkeypatch.setattr(rateregion, "VERTEX_WORK_GUARD", 540)
     with pytest.raises(UnboundedPolyhedronError, match="rank deficient"):
         enumerate_vertices(h)
 
