@@ -221,9 +221,14 @@ def _propagate(net: Network, message_value, apply_edge, concat):
              for kind, name in node_symbols(net, node)]
         )
 
+    # a tail's out-edges are adjacent in evaluation order: join its inputs once
+    tail = inputs = None
     for edge in _edges_in_evaluation_order(net):
         if edge.coded:
-            values[edge.id] = apply_edge(edge.label, gather(edge.tail))
+            if edge.tail != tail:
+                inputs = None  # drop the previous tail's inputs before joining these
+                tail, inputs = edge.tail, gather(edge.tail)
+            values[edge.id] = apply_edge(edge.label, inputs)
         else:
             values[edge.id] = values[net.in_edges(edge.tail)[0].id]
     return values, gather
@@ -502,26 +507,33 @@ def verify_solution_exhaustive(
     )
 
     statuses = []
+    # the last receiver's joined inputs and first-occurrence table: a
+    # receiver's demands are adjacent in every bundled network
+    receiver = inputs = first_of = None
     for node, msg in net.demands:
         mkey, k = message_keys[msg]
         if k == 0:
             statuses.append(DemandStatus(node, msg, True))
             continue
+        if node != receiver:
+            inputs = first_of = None  # drop the previous receiver's arrays first
+            receiver, inputs = node, gather(node)
         if (node, msg) in decoders:
             reason = "decoder output differs from the message"
-            bad = _apply_keys(code, decoders[(node, msg)], *gather(node)) != mkey
+            bad = _apply_keys(code, decoders[(node, msg)], *inputs) != mkey
         else:
             # Each assignment is compared with the first one that gives
             # the receiver the same inputs.
             reason = "two assignments share receiver inputs but differ in the demand"
-            key, width = gather(node)
-            if base**width <= count:
-                first = np.full(base**width, count, dtype=np.int64)
-                np.minimum.at(first, key, index)
-                first_of = first[key]
-            else:  # with return_index, unique sorts stably: first is the smallest index
-                _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-                first_of = first[inverse.ravel()]
+            if first_of is None:
+                key, width = inputs
+                if base**width <= count:
+                    first = np.full(base**width, count, dtype=np.int64)
+                    np.minimum.at(first, key, index)
+                    first_of = first[key]
+                else:  # with return_index, unique sorts stably: first is the smallest index
+                    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+                    first_of = first[inverse.ravel()]
             bad = mkey != mkey[first_of]
         fails = np.flatnonzero(bad)
         if fails.size == 0:

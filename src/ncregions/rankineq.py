@@ -19,6 +19,14 @@ even characteristic).  Violation search supports three modes:
 - ``sample``: seeded uniform sampling with a reproducible generator
   (see :class:`SplitMix64`; the i-th draw depends only on seed and i,
   so runs are reproducible across implementations and chunk sizes).
+
+Both search modes weigh joint entropies by integers.  Each term small
+enough is tabulated once per search over its own variables
+(:func:`_term_tables`): up to ``chunk`` entries when exhaustive, up to
+one block's trials when sampling.  A table is read by one gather per
+assignment, and larger terms walk the join table from shared prefixes.
+Sample mode draws and evaluates its blocks in cache-sized tiles, one
+index column per variable; the draw protocol is the same either way.
 """
 
 from __future__ import annotations
@@ -45,6 +53,10 @@ DEFAULT_BUDGET = 2_000_000
 DEFAULT_SAMPLES = 100_000
 
 INEQUALITY_IDS = ("ingleton", "zhang-yeung", "oddLRI", "evenLRI")
+
+# Sample mode draws and evaluates a block in tiles of this many trials,
+# so that a tile's index columns, scratch and slack stay in cache.
+_SAMPLE_TILE = 1 << 13
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +342,26 @@ class SplitMix64:
         return self.next_uint64() % bound
 
 
-def _splitmix_block(seed: int, start_call: int, count: int) -> np.ndarray:
-    """Outputs for call numbers start_call .. start_call+count-1."""
-    calls = np.arange(start_call, start_call + count, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + calls * np.uint64(_GAMMA)).astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _splitmix_block(seed: int, start_call: int, count: int, width: int = 1) -> np.ndarray:
+    """Outputs for call numbers start_call .. start_call+count*width-1, as a
+    (count, width) array filled row by row and stored column by column.
+
+    Call ``start_call + t*width + p`` has state ``seed + (start_call + p)
+    * gamma + t * (width * gamma)``, so the states are one arange scaled
+    and shifted per column; they are then mixed in place with one
+    scratch buffer.
+    """
+    steps = np.arange(count, dtype=np.uint64)
+    steps *= np.uint64(width * _GAMMA & MASK64)
+    starts = [(seed + (start_call + p) * _GAMMA) & MASK64 for p in range(width)]
+    z = np.add(np.array(starts, dtype=np.uint64)[:, None], steps)
+    scratch = np.empty_like(z)
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        np.right_shift(z, np.uint64(shift), out=scratch)
+        z ^= scratch
+        if mix is not None:
+            z *= np.uint64(mix)
+    return z.T
 
 
 # ---------------------------------------------------------------------------
@@ -362,20 +387,58 @@ def _integer_plan(expr: EntropyExpression, variables: Sequence[str]):
     return plan, denom
 
 
-def _slack_block(plan, lat: SubspaceLattice, idx: np.ndarray) -> np.ndarray:
-    """Slack values (scaled by the plan's denominator) for a block of
+def _term_tables(plan, lat: SubspaceLattice, limit: int):
+    """Tabulate every term of at most ``limit`` entries over its own variables.
+
+    Terms are taken largest first; each tabulated term is summed into
+    the table of an earlier term whose variables contain its own (its
+    host), or starts a table of its own.  Returns the tables, each
+    ``weight * dims[k-fold join]`` summed over its terms and keyed by
+    the host's sorted variable positions (one axis per position), and
+    the ``(weight, positions)`` terms too large to tabulate.
+    """
+    size = len(lat)
+    jt, dims = lat.join_table, lat.dims
+    joined = [np.zeros((), dtype=np.int32)]  # joined[k]: join index of k variables, (size,)*k
+    tables: dict[tuple[int, ...], np.ndarray] = {}
+    large = []
+    for weight, positions in sorted(plan, key=lambda term: -len(term[1])):
+        if size ** len(positions) > limit:
+            large.append((weight, positions))
+            continue
+        while len(joined) <= len(positions):
+            joined.append(jt[joined[-1]])
+        host = next((t for t in tables if set(positions) <= set(t)), positions)
+        term = weight * dims[joined[len(positions)]]
+        if host in tables:
+            tables[host] += term.reshape([size if p in positions else 1 for p in host])
+        else:
+            tables[host] = term
+    return tables, large
+
+
+def _slack_block(tables, large, lat: SubspaceLattice, idx: np.ndarray) -> np.ndarray:
+    """Slack values (scaled by the plan's denominator) for a tile of
     assignments, one row of subspace indices per assignment.
 
-    Terms are taken in sorted position order, so the terms sharing a
-    leading run of positions are adjacent and each distinct join prefix
-    is gathered once, then dropped when no later term extends it.
+    Each table of :func:`_term_tables` is read by one gather at the flat
+    index of its variables.  The large terms are taken in sorted
+    position order, so the terms sharing a leading run of positions are
+    adjacent and each distinct join prefix is gathered once, then
+    dropped when no later term extends it.
     """
-    jt = lat.join_table.ravel()
     size = len(lat)
     slack = np.zeros(len(idx), dtype=np.int64)
+    for host, table in tables.items():
+        flat = idx[:, host[0]]
+        for p in host[1:]:
+            flat = flat * size
+            flat += idx[:, p]
+        slack += table.take(flat)
+    jt = lat.join_table.ravel()
     prefix: tuple[int, ...] = ()
     joins: list[np.ndarray] = []  # joins[k]: join of the first k + 1 prefix positions
-    for weight, positions in sorted(plan, key=lambda term: term[1]):
+    for weight, positions in sorted(large, key=lambda term: term[1]):
         keep = 0
         while keep < min(len(prefix), len(positions)) and prefix[keep] == positions[keep]:
             keep += 1
@@ -392,14 +455,13 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
 
     A slab is the ``size**inner`` assignments that share the indices of
     the ``nvars - inner`` outermost variables, ``inner`` being as large
-    as ``chunk`` allows.  A term of at most ``chunk`` entries is
-    tabulated once over its own variables, summed into the table of an
-    earlier (larger) term whose variables contain its own, and reaches a
-    slab as a view indexed by the slab's outer indices.  A larger term
-    joins its outer subspaces once per slab and gathers over the inner
-    ones.  No array holds more than ``chunk`` entries.  Yields the flat
-    index of each slab's first assignment and the slab's flat slack
-    values, in one buffer reused from slab to slab.
+    as ``chunk`` allows.  The terms of at most ``chunk`` entries come
+    tabulated from :func:`_term_tables` and reach a slab as views
+    indexed by the slab's outer indices.  A larger term joins its outer
+    subspaces once per slab and gathers over the inner ones.  No array
+    holds more than ``chunk`` entries.  Yields the flat index of each
+    slab's first assignment and the slab's flat slack values, in one
+    buffer reused from slab to slab.
     """
     size = len(lat)
     jt, dims = lat.join_table, lat.dims
@@ -408,28 +470,15 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
         inner += 1
     outer = nvars - inner
 
-    joined = [np.zeros((), dtype=np.int32)]  # joined[k]: join index of k variables, (size,)*k
-
-    def joins_of(k: int) -> np.ndarray:
-        while len(joined) <= k:
-            joined.append(jt[joined[-1]])
-        return joined[k]
-
-    tables: dict[tuple[int, ...], np.ndarray] = {}
+    tables, large_terms = _term_tables(plan, lat, chunk)
     large = []
-    for weight, positions in sorted(plan, key=lambda term: -len(term[1])):
-        if size ** len(positions) > chunk:
-            outer_pos = [p for p in positions if p < outer]
-            shape = [size if k in positions else 1 for k in range(outer, nvars)]
-            inner_joins = joins_of(len(positions) - len(outer_pos))
-            large.append((weight, outer_pos, inner_joins, shape))
-            continue
-        host = next((t for t in tables if set(positions) <= set(t)), positions)
-        term = weight * dims[joins_of(len(positions))]
-        if host in tables:
-            tables[host] += term.reshape([size if p in positions else 1 for p in host])
-        else:
-            tables[host] = term
+    for weight, positions in large_terms:
+        outer_pos = [p for p in positions if p < outer]
+        shape = [size if k in positions else 1 for k in range(outer, nvars)]
+        inner_joins = np.zeros((), dtype=np.int32)
+        for _ in range(len(positions) - len(outer_pos)):
+            inner_joins = jt[inner_joins]
+        large.append((weight, outer_pos, inner_joins, shape))
     # each table spread over all nvars axes (length 1 off its variables),
     # with the outer axes it is indexed by
     spread = [
@@ -533,24 +582,38 @@ def search_violation_detailed(
             min_slack = low if min_slack is None else min(min_slack, low)
         return SearchOutcome(None, total, Fraction(min_slack, denom))
 
+    block = max(chunk // max(nvars, 1), 1)
+    # a table larger than one block's trials would cost more to build than it saves
+    tables, large = _term_tables(plan, lat, min(block, samples))
     min_slack = None
-    done = 0
-    while done < samples:
-        count = min(max(chunk // max(nvars, 1), 1), samples - done)
-        raw = _splitmix_block(seed, done * nvars + 1, count * nvars)
-        idx = (raw % np.uint64(size)).astype(np.int64).reshape(count, nvars)
-        slack = _slack_block(plan, lat, idx)
-        block_min = int(slack.min())
-        min_slack = block_min if min_slack is None else min(min_slack, block_min)
-        bad = np.nonzero(slack < 0)[0]
-        if bad.size:
-            t = int(bad[0])
-            return SearchOutcome(
-                _assignment_from_indices(lat, variables, idx[t]),
-                done + t + 1,
-                Fraction(min_slack, denom),
-            )
+    witness = None
+    done, end = 0, samples
+    while done < end:
+        # tiles never straddle a block, and after a witness the scan
+        # finishes its block for min_slack
+        count = min(_SAMPLE_TILE, block - done % block, end - done)
+        raw = _splitmix_block(seed, done * nvars + 1, count, nvars)
+        # raw % size, as raw - raw // size * size: numpy's floor division
+        # by a scalar is about three times faster than its remainder
+        quot = raw // np.uint64(size)
+        quot *= np.uint64(size)
+        raw -= quot
+        idx = raw.view(np.int64)
+        slack = _slack_block(tables, large, lat, idx)
+        low = int(slack.min())
+        min_slack = low if min_slack is None else min(min_slack, low)
+        if witness is None and low < 0:
+            t = int(np.argmax(slack < 0))
+            witness = (done + t, idx[t].tolist())
+            end = min((done + t) // block * block + block, samples)
         done += count
+    if witness is not None:
+        t, indices = witness
+        return SearchOutcome(
+            _assignment_from_indices(lat, variables, indices),
+            t + 1,
+            Fraction(min_slack, denom),
+        )
     return SearchOutcome(
         None, samples, None if min_slack is None else Fraction(min_slack, denom)
     )

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ncregions.cli import main
 
@@ -536,3 +540,72 @@ def test_determinism_across_runs(capsys):
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
 
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed or unusual input exits 0, 1 or 2, never with a traceback
+
+
+def _main_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+    return code, err.getvalue()
+
+
+@st.composite
+def _rank_argv(draw):
+    # one choice in ten is an unknown inequality or mode, half the fields are not prime
+    argv = ["rank", draw(st.sampled_from(("ingleton", "zhang-yeung", "oddLRI", "evenLRI") * 2 + ("frankl",)))]
+    if draw(st.booleans()):
+        argv += ["--field", str(draw(st.sampled_from((2, 3, 5, 7, 13))))]
+    else:
+        argv += ["--field", str(draw(st.sampled_from((-3, 0, 1, 4, 6, 9, 15))))]
+    argv += ["--dim", str(draw(st.integers(-2, 3)))]
+    argv += ["--mode", draw(st.sampled_from(("catalog", "exhaustive", "sample") * 3 + ("montecarlo",)))]
+    argv += ["--samples", str(draw(st.integers(-3, 2_000)))]
+    argv += ["--budget", str(draw(st.integers(-3, 100_000)))]
+    argv += ["--seed", str(draw(st.integers(-(2**65), 2**65)))]
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    return argv
+
+
+@given(argv=_rank_argv())
+def test_fuzz_rank_exit_codes(argv):
+    code, err = _main_exit(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+
+
+_HREP_TEXTS = [
+    (DATA_DIR / "hreps" / name).read_text()
+    for name in ("cube3.hrep", "gbutterfly_coding.hrep", "quadrant2.hrep")
+]
+
+
+@st.composite
+def _mutated_hrep(draw):
+    text = draw(st.sampled_from(_HREP_TEXTS))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 4))
+        insert = draw(st.text(alphabet="0123456789-/ <=#\n.e", max_size=3))
+        text = text[:at] + insert + text[at + cut:]
+    return text
+
+
+@given(
+    text=_mutated_hrep(),
+    point=st.lists(st.sampled_from(("0", "1", "1/2", "-3", "x", "1/0")), max_size=5),
+)
+def test_fuzz_polytope_exit_codes(tmp_path_factory, text, point):
+    path = tmp_path_factory.mktemp("hrep") / "fuzz.hrep"
+    path.write_text(text)
+    for action in (["vertices"], ["contains", *point]):
+        code, err = _main_exit(["polytope", "--hrep", str(path), *action])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err

@@ -29,7 +29,8 @@ from ncregions.rankineq import (
     search_violation,
     search_violation_detailed,
 )
-from ncregions.rankineq import _integer_plan, _slack_block
+from ncregions import rankineq as rankineq_mod
+from ncregions.rankineq import _integer_plan, _slack_block, _splitmix_block, _term_tables
 from ncregions.subspace import (
     assignment,
     count_subspaces,
@@ -280,10 +281,117 @@ def test_slack_block_matches_evaluate(ineq):
     lat = lattice(3, 3)
     rng = np.random.default_rng(5)
     idx = rng.integers(0, len(lat), size=(300, len(variables)))
-    slack = _slack_block(plan, lat, idx)
-    for row, value in zip(idx, slack):
-        spaces = {v: lat.spaces[j] for v, j in zip(variables, row)}
-        assert Fraction(int(value), denom) == evaluate(expr, assignment(3, 3, spaces))
+    values = [
+        evaluate(expr, assignment(3, 3, {v: lat.spaces[j] for v, j in zip(variables, row)}))
+        for row in idx
+    ]
+    # every term joined, the terms of up to two variables tabulated, every term tabulated
+    for limit in (0, 28**2, 28**4):
+        tables, large = _term_tables(plan, lat, limit)
+        slack = _slack_block(tables, large, lat, idx)
+        assert [Fraction(int(x), denom) for x in slack] == values
+
+
+def _reference_splitmix_block(seed, start_call, count):
+    calls = np.arange(start_call, start_call + count, dtype=np.uint64)
+    z = (np.uint64(seed % 2**64) + calls * np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _reference_slack_block(plan, lat, idx):
+    """Every term walked from its own join prefix, shared prefixes once."""
+    jt = lat.join_table.ravel()
+    size = len(lat)
+    slack = np.zeros(len(idx), dtype=np.int64)
+    prefix = ()
+    joins = []
+    for weight, positions in sorted(plan, key=lambda term: term[1]):
+        keep = 0
+        while keep < min(len(prefix), len(positions)) and prefix[keep] == positions[keep]:
+            keep += 1
+        del joins[keep:]
+        for p in positions[keep:]:
+            joins.append(jt.take(joins[-1] * size + idx[:, p]) if joins else idx[:, p])
+        prefix = positions
+        slack += weight * lat.dims.take(joins[-1])
+    return slack
+
+
+def _reference_sample(expr, q, d, seed, samples, chunk):
+    """The block loop that sample mode used to run: draw a whole block of
+    ``chunk // nvars`` trials, walk every term's joins, and stop at the
+    first block holding a negative slack."""
+    variables = sorted(expr.variables())
+    lat = lattice(q, d)
+    plan, denom = _integer_plan(expr, variables)
+    size, nvars = len(lat), len(variables)
+    min_slack = None
+    done = 0
+    while done < samples:
+        count = min(max(chunk // max(nvars, 1), 1), samples - done)
+        raw = _reference_splitmix_block(seed, done * nvars + 1, count * nvars)
+        idx = (raw % np.uint64(size)).astype(np.int64).reshape(count, nvars)
+        slack = _reference_slack_block(plan, lat, idx)
+        block_min = int(slack.min())
+        min_slack = block_min if min_slack is None else min(min_slack, block_min)
+        bad = np.nonzero(slack < 0)[0]
+        if bad.size:
+            t = int(bad[0])
+            witness = {v: lat.spaces[j] for v, j in zip(variables, idx[t])}
+            return witness, done + t + 1, Fraction(min_slack, denom)
+        done += count
+    return None, samples, None if min_slack is None else Fraction(min_slack, denom)
+
+
+def _sample_cases():
+    seed = 0
+    for name in _DIFFERENTIAL_EXPRESSIONS:
+        for q, d in [(2, 2), (3, 3), (5, 3)]:  # GF(5)^3 has 64 subspaces: 64^2 > 3,000 samples
+            size = count_subspaces(q, d)
+            tabulated = size ** 2 if size ** 2 <= 1_000 else size
+            for chunk in (3, 64, 1 << 21):
+                if chunk == 3:
+                    runs = [(200, None)]  # one trial per block
+                elif chunk == 64:
+                    runs = [(500, None), (500, 5)]  # blocks of 9 to 32 trials, in tiles of 5
+                else:  # the tabulation limit is the sample count: each side of it
+                    runs = [(tabulated - 1, None), (tabulated, None), (3_000, 97)]
+                for samples, tile in runs:
+                    seed += 1
+                    yield pytest.param(
+                        name, q, d, chunk, samples, tile, seed,
+                        id=f"{name}-GF({q})^{d}-chunk{chunk}-samples{samples}-tile{tile}",
+                    )
+
+
+@pytest.mark.parametrize("name,q,d,chunk,samples,tile,seed", _sample_cases())
+def test_sample_mode_matches_the_block_loop(name, q, d, chunk, samples, tile, seed, monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(rankineq_mod, "_SAMPLE_TILE", tile)
+    expr = _DIFFERENTIAL_EXPRESSIONS[name]
+    out = search_violation_detailed(expr, q, d, "sample", seed=seed, samples=samples, chunk=chunk)
+    witness, checked, min_slack = _reference_sample(expr, q, d, seed, samples, chunk)
+    assert (out.witness.spaces if out.witness else None) == witness
+    assert out.checked == checked
+    assert out.min_slack == min_slack
+
+
+@pytest.mark.parametrize("chunk", [3 * 250, 1 << 21], ids=["blocks-of-250", "one-block"])
+def test_sample_witness_in_the_middle_of_a_tiled_block(chunk, monkeypatch):
+    # violated only where B = C = 0 and A != 0, about 1 trial in 800 over
+    # GF(3)^3: with tiles of 100, seed 27 first violates at trial 414, past
+    # the first tile and inside its block (the second block of 250 when
+    # there are several), and a lower slack follows later in that block
+    monkeypatch.setattr(rankineq_mod, "_SAMPLE_TILE", 100)
+    expr = expression([h(3, "B"), h(3, "C"), h(-1, "A")])
+    out = search_violation_detailed(expr, 3, 3, "sample", seed=27, samples=5_000, chunk=chunk)
+    witness, checked, min_slack = _reference_sample(expr, 3, 3, 27, 5_000, chunk)
+    assert out.witness is not None and out.witness.spaces == witness
+    assert (out.checked, out.min_slack) == (checked, min_slack)
+    assert out.checked > 100 and out.checked % 100 and out.checked % (chunk // 3)
+    assert min_slack < evaluate(expr, out.witness)
 
 
 def test_sample_mode_with_chunk_below_the_variable_count():
@@ -357,6 +465,19 @@ def test_splitmix_reference_values():
     assert gen.next_uint64() == 0xE220A8397B1DCDAF
     assert gen.next_uint64() == 0x6E789E6AA1B965F4
     assert gen.next_uint64() == 0x06C45D188009454F
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_splitmix_block_continues_the_sequence(seed):
+    gen = SplitMix64(seed)
+    for _ in range(4):
+        gen.next_uint64()
+    expected = [gen.next_uint64() for _ in range(30)]
+    assert _splitmix_block(seed, 5, 30).ravel().tolist() == expected
+    # the trial layout: row t holds calls 5 + 3t .. 7 + 3t, each column contiguous
+    rows = _splitmix_block(seed, 5, 10, 3)
+    assert rows.shape == (10, 3) and rows.flags.f_contiguous
+    assert rows.ravel().tolist() == expected
 
 
 # ---------------------------------------------------------------------------
