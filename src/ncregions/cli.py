@@ -14,6 +14,7 @@ errors (including exceeded enumeration budgets).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -446,7 +447,13 @@ def cmd_polytope(args) -> tuple[int, dict, str]:
 # argument parsing
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every call.
+
+    Building it costs more than most commands, and parsing leaves no state
+    in it; callers must not add arguments or defaults to the shared object.
+    """
     parser = argparse.ArgumentParser(
         prog="ncregions",
         description="Exact rate regions, codes and rank inequalities for the bundled networks.",

@@ -8,9 +8,11 @@ point ever enters a region computation, so enumerated vertex sets can be
 compared for exact equality against the cataloged expectations.
 
 Vertex enumeration walks the subset tree of integer-scaled rows depth
-first, extending a fraction-free Gauss-Jordan basis one row per level and
-pruning dependent prefixes: each (m-1)-row line decides boundedness, and
-each further row cuts it in one candidate vertex.
+first on one integer tableau of every row, taking one fraction-free
+(Edmonds / Bareiss) Gauss-Jordan step per level and pruning dependent
+prefixes: each (m-1)-row line decides boundedness, and one ratio test
+over the other rows gives the two ends of its feasible segment, the only
+vertices it can hold.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from typing import Iterable, Sequence
 
 Rat = Fraction
 
-# Most work vertex enumeration takes on, checked before any elimination.
-# n rows in dimension m cost C(n, m-1) * n * (m + 3) units of about
-# 0.5 us: each line from m-1 rows takes two length-m dot products per
-# row, then a feasibility test per later row that usually stops early.
+# Most work vertex enumeration takes on, checked before any elimination:
+# n rows in dimension m cost C(n, m-1) * n * (m + 3) units.  Each line from
+# m-1 rows costs one fused pivot and one ratio test per row; a unit takes
+# 0.04 us in dimension 2 and 0.16 us in dimension 10.
 VERTEX_WORK_GUARD = 2**24
 
 
@@ -92,41 +94,6 @@ def vrep(points: Iterable[Sequence]) -> VRep:
 
 
 # ---------------------------------------------------------------------------
-# exact rational Gaussian elimination helpers
-
-
-def _frac_rref(rows: Iterable[Sequence[Fraction]], ncols: int):
-    """Gauss-Jordan elimination pivoting only in the first ``ncols``
-    columns (any later columns ride along, as an augmented block).
-
-    Returns the reduced rows and the pivot column of each leading row.
-    """
-    work = [list(r) for r in rows]
-    pivots: list[int] = []
-    for col in range(ncols):
-        r = len(pivots)
-        if r == len(work):
-            break
-        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][col]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-    return work, pivots
-
-
-def _frac_rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    rows = list(rows)
-    return len(_frac_rref(rows, len(rows[0]))[1]) if rows else 0
-
-
-# ---------------------------------------------------------------------------
 # core polytope operations
 
 
@@ -140,36 +107,56 @@ def contains(h: HRep, point: Sequence) -> bool:
     )
 
 
-def _cancel(row: list[int], b: list[int], col: int) -> list[int]:
-    """``row`` with column ``col`` cancelled against ``b``, over its gcd."""
-    f, p = row[col], b[col]
-    row = [p * x - f * y for x, y in zip(row, b)]
-    g = gcd(*row) or 1
-    return [x // g for x in row]
+def _integer_row(hs: HalfSpace) -> list[int]:
+    """``[a, b]``: the halfspace scaled by the positive lcm of its denominators."""
+    scale = lcm(hs.bound.denominator, *(c.denominator for c in hs.coeffs))
+    return [int(x * scale) for x in (*hs.coeffs, hs.bound)]
 
 
-def _extend(basis: list, row: list[int], m: int) -> list | None:
-    """The integer Gauss-Jordan basis ``[(pivot column, row), ...]`` with
-    ``row`` added (each row zero in the others' pivot columns), or None
-    when ``row`` depends on the basis in its first ``m`` columns."""
-    for col, b in basis:
-        if row[col]:
-            row = _cancel(row, b, col)
-    col = next((j for j in range(m) if row[j]), None)
-    if col is None:
-        return None
-    return [(c, _cancel(b, row, col) if b[col] else b) for c, b in basis] + [(col, row)]
+def _pivot(tab: list[list[int]], j: int, col: int, det: int) -> list[list[int]]:
+    """One fraction-free Gauss-Jordan step (Edmonds / Bareiss) on ``col``.
+
+    Row ``j``, negated if its entry is negative, becomes the pivot row;
+    every other row is cancelled against it and divided exactly by
+    ``det``, the previous (positive) pivot.  Each row that has not been a
+    pivot stays a positive multiple of its original row plus multiples of
+    the pivot rows, so it keeps its inequality sense.
+    """
+    piv = tab[j]
+    p = piv[col]
+    if p < 0:
+        piv, p = [-x for x in piv], -p
+    out = [
+        [(p * x - f * y) // det for x, y in zip(row, piv)] if (f := row[col])
+        else row if p == det else [p * x // det for x in row]
+        for row in tab
+    ]
+    out[j] = piv
+    return out
+
+
+def _rank(tab: list[list[int]], m: int) -> int:
+    """Rank of the integer rows ``tab`` in their first ``m`` columns."""
+    det, rank = 1, 0
+    for j in range(len(tab)):
+        col = next((c for c in range(m) if tab[j][c]), None)
+        if col is not None:
+            tab, det = _pivot(tab, j, col, det), abs(tab[j][col])
+            rank += 1
+    return rank
 
 
 def _walk(h: HRep, vertices: bool) -> set:
     """Depth-first walk of the row subsets of ``h`` in lexicographic order.
 
-    Rows are ``[a, b]``, each halfspace scaled by the positive lcm of its
-    denominators.  m-1 independent rows leave the line ``(n0 + t n) /
-    scale``; it is unbounded if ``+n`` or then ``-n`` (last nonzero entry
-    positive) has ``a . d <= 0`` on every row.  With ``vertices``, each
-    later row fixes t, and ``N / L`` (gcd-normalised, L > 0) is kept when
-    ``a . N <= b L`` on every row.
+    One integer tableau of every row ``[a, b]`` is kept reduced against
+    the current subset (:func:`_pivot`); a row depends on it when its
+    coefficients are all zero.  The last of m-1 rows is eliminated only as
+    far as their line, on which each other row reads ``f x_free <= g``.
+    The line is unbounded unless some ``f`` is positive and some negative;
+    otherwise a ratio pass gives its two ends, kept as gcd-normalised
+    ``(N, L)``, L > 0, for the point N / L, when every ``f = 0`` row has
+    ``g >= 0``.
     """
     m, total = h.dim, len(h.halfspaces)
     if m == 0:
@@ -180,54 +167,73 @@ def _walk(h: HRep, vertices: bool) -> set:
             f"vertex enumeration over C({total}, {m - 1}) * {total} * ({m} + 3) = "
             f"{work} units of work exceeds the guard of {VERTEX_WORK_GUARD}"
         )
-    rows = []
-    for hs in h.halfspaces:
-        scale = lcm(hs.bound.denominator, *(c.denominator for c in hs.coeffs))
-        rows.append([int(x * scale) for x in (*hs.coeffs, hs.bound)])
-    basis: list = []
-    for row in rows:
-        basis = _extend(basis, row, m) or basis
-    if len(basis) < m:
+    rows = [_integer_row(hs) for hs in h.halfspaces]
+    if _rank(rows, m) < m:
         raise UnboundedPolyhedronError("constraint matrix is rank deficient")
     found: set = set()
 
-    def line(basis: list, last: int) -> None:
-        (free,) = set(range(m)).difference(c for c, _ in basis)
-        scale = lcm(*(abs(b[c]) for c, b in basis))
-        n, n0 = [0] * m, [0] * m
-        n[free] = scale
-        for c, b in basis:
-            n[c] = -b[free] * scale // b[c]
-            n0[c] = b[m] * scale // b[c]
-        lead = next(x for x in reversed(n) if x)
-        g = gcd(*n) if lead > 0 else -gcd(*n)
-        n = [x // g for x in n]
-        dn = [sum(a * x for a, x in zip(r, n)) for r in rows]
-        for sign in (1, -1):
-            if all(sign * v <= 0 for v in dn):
-                direction = tuple(str(Fraction(sign * x, lead // g)) for x in n)
-                raise UnboundedPolyhedronError(f"unbounded along direction {direction}")
+    def line(fs: list, gs: list, basis: list, free: int, det: int) -> None:
+        # basis: (pivot column, f, g) per basis row, which reads
+        # det * x_col + f * x_free = g on the line; its own fs entry is 0
+        def point(g: int, f: int) -> list:  # det * f * x at x_free = g / f
+            num = [0] * m
+            num[free] = g * det
+            for c, fc, gc in basis:
+                num[c] = gc * f - fc * g
+            return num
+
+        lo, hi = min(fs), max(fs)
+        if lo >= 0 or hi <= 0:
+            d = point(1, 0)  # the direction of growing x_free
+            lead = next(x for x in reversed(d) if x)
+            if not (hi <= 0 if lead > 0 else lo >= 0):
+                lead = -lead
+            direction = tuple(str(Fraction(x, lead)) for x in d)
+            raise UnboundedPolyhedronError(f"unbounded along direction {direction}")
         if not vertices:
             return
-        slack = [r[m] * scale - sum(a * x for a, x in zip(r, n0)) for r in rows]
-        for j in range(last + 1, total):
-            den, t = dn[j], slack[j]
-            if den < 0:
-                den, t = -den, -t
-            if den and all(v * t <= den * s for v, s in zip(dn, slack)):
-                num = [den * x + t * y for x, y in zip(n0, n)]
-                g = gcd(*num, den * scale)
-                found.add((tuple(x // g for x in num), den * scale // g))
+        # x_free lies in [lo_g / lo_f, hi_g / hi_f]; each f >= 0, and the
+        # starting ends -1 / 0 and 1 / 0 stand for minus and plus infinity
+        lo_g, lo_f, hi_g, hi_f = -1, 0, 1, 0
+        for f, g in zip(fs, gs):
+            if f > 0 and g * hi_f < hi_g * f:
+                hi_g, hi_f = g, f
+            elif f < 0 and g * lo_f < lo_g * f:
+                lo_g, lo_f = -g, -f
+            elif not f and g < 0:
+                return
+        if lo_g * hi_f > hi_g * lo_f:
+            return
+        for g, f in {(lo_g, lo_f), (hi_g, hi_f)}:
+            num = point(g, f)
+            k = gcd(*num, det * f)
+            found.add((tuple(x // k for x in num), det * f // k))
 
-    def visit(basis: list, last: int) -> None:
-        if len(basis) == m - 1:
-            return line(basis, last)
+    def visit(tab: list, det: int, basis: list, last: int) -> None:
         for j in range(last + 1, total - (m - 2 - len(basis))):
-            grown = _extend(basis, rows[j], m)
-            if grown is not None:
-                visit(grown, j)
+            row = tab[j]
+            col = next((c for c in range(m) if row[c]), None)
+            if col is None:
+                continue
+            if len(basis) < m - 2:
+                visit(_pivot(tab, j, col, det), abs(row[col]), basis + [(j, col)], j)
+                continue
+            # fused last step: only the free column and the bound
+            free = (m - 1) * m // 2 - col - sum(c for _, c in basis)
+            p, a, b = row[col], row[free], row[m]
+            if p < 0:
+                p, a, b = -p, -a, -b
+            fs = [(p * r[free] - r[col] * a) // det for r in tab]
+            gs = [(p * r[m] - r[col] * b) // det for r in tab] if vertices else fs
+            pivots = [(c, fs[i], gs[i]) for i, c in basis] + [(col, a, b)]
+            for i, _ in basis:
+                fs[i] = gs[i] = 0
+            line(fs, gs, pivots, free, p)
 
-    visit([], -1)
+    if m == 1:
+        line([r[0] for r in rows], [r[1] for r in rows], [], 0, 1)
+    else:
+        visit(rows, 1, [], -1)
     return found
 
 
@@ -238,7 +244,7 @@ def ensure_bounded(h: HRep) -> None:
     (it then contains a line) or some rank-(m-1) subset of rows leaves a
     one-dimensional nullspace whose direction satisfies all inequalities;
     checking those finitely many candidate extreme rays is complete.
-    This is the walk of :func:`enumerate_vertices` stopped at m-1 rows.
+    This is the walk of :func:`enumerate_vertices` without the ratio pass.
     """
     _walk(h, vertices=False)
 
@@ -246,12 +252,12 @@ def ensure_bounded(h: HRep) -> None:
 def enumerate_vertices(h: HRep) -> VRep:
     """All extreme points of a bounded H-representation.
 
-    Every m-subset of inequalities with an invertible coefficient matrix
-    gives one candidate point; candidates satisfying the full system are
-    kept, deduplicated and sorted.  An empty polytope yields an empty
-    VRep; an unbounded system raises, and a system of n rows in
-    dimension m with C(n, m-1) * n * (m + 3) above ``VERTEX_WORK_GUARD``
-    raises ValueError before any work.
+    Every vertex is an end of the feasible segment on some line left by
+    m-1 independent inequalities; those ends are collected, deduplicated
+    and sorted.  An empty polytope yields an empty VRep; an unbounded
+    system raises, and a system of n rows in dimension m with
+    C(n, m-1) * n * (m + 3) above ``VERTEX_WORK_GUARD`` raises ValueError
+    before any work.
     """
     found = _walk(h, vertices=True)
     return VRep(tuple(sorted(tuple(Fraction(x, den) for x in num) for num, den in found)))
@@ -270,8 +276,8 @@ def is_extreme(h: HRep, point: Sequence) -> bool:
     """A feasible point is extreme iff its tight constraints have full rank."""
     if not contains(h, point):
         return False
-    tights = tight_constraints(h, point)
-    return _frac_rank([h.halfspaces[i].coeffs for i in tights]) == h.dim
+    tights = [_integer_row(h.halfspaces[i]) for i in tight_constraints(h, point)]
+    return _rank(tights, h.dim) == h.dim
 
 
 def uniform_capacity(h: HRep) -> Fraction:
@@ -299,8 +305,7 @@ def average_capacity(h: HRep) -> Fraction:
     verts = enumerate_vertices(h)
     if not len(verts):
         raise ValueError("empty polytope has no average capacity")
-    m = h.dim
-    return max(sum(v) / m for v in verts)
+    return max(sum(v) / h.dim for v in verts)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +322,8 @@ REGION_CLASSES = (
 )
 
 
-def _neg(m: int, i: int) -> tuple[int, ...]:
-    return tuple(-1 if j == i else 0 for j in range(m))
-
-
 def _nonneg(m: int) -> list[tuple[tuple[int, ...], int]]:
-    return [(_neg(m, i), 0) for i in range(m)]
+    return [(tuple(-1 if j == i else 0 for j in range(m)), 0) for i in range(m)]
 
 
 _GB_CODING_PLANES = _nonneg(4) + [
@@ -489,10 +490,7 @@ def builtin_region(network: str, region_class: str) -> tuple[HRep, VRep]:
     The expected VRep is empty for (vamos, zy-outer), where no reference
     vertex list is cataloged.
     """
-    key = (network, _ALIASES.get((network, region_class), region_class))
-    if key not in _CATALOG:
-        raise KeyError(f"no region cataloged for network={network!r} class={region_class!r}")
-    spec = _CATALOG[key]
+    spec = _CATALOG[network, canonical_class(network, region_class)]
     h = hrep(spec.dim, spec.planes)
     expected = vrep(spec.expected) if spec.expected is not None else VRep(())
     return h, expected

@@ -52,7 +52,6 @@ from ncregions.rateregion import (
     tight_constraints,
     transfer_vamos,
     uniform_capacity,
-    _frac_rank,
 )
 from ncregions.subspace import (
     LinearMapBetweenSubspaces,
@@ -63,6 +62,7 @@ from ncregions.subspace import (
     preimage,
     subspace_span,
 )
+from test_rateregion import _frac_rank  # the Fraction elimination, as a reference
 
 
 def _report(number: int, text: str) -> None:

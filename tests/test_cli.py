@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncregions.cli import main
+from ncregions.cli import build_parser, main
 
 from conftest import DATA_DIR
 
@@ -543,6 +543,48 @@ def test_determinism_across_runs(capsys):
 
 
 # ---------------------------------------------------------------------------
+# one parser per process: a call leaves nothing behind for the next one
+
+_SAMPLE = ["rank", "ingleton", "--field", "2", "--dim", "2", "--mode", "sample",
+           "--samples", "50", "--format", "json"]
+
+
+@pytest.mark.parametrize(
+    "calls,codes",
+    [
+        # argparse errors, each followed by a valid call of the same command
+        ([["rank", "ingleton", "--field", "2"], ["rank", "ingleton", "--field", "2", "--dim", "2"],
+          ["regions", "nosuch", "--class", "coding"], ["regions", "fano", "--class", "coding"]],
+         [2, 0, 2, 0]),
+        # an explicit --seed, then the default seed 0
+        ([[*_SAMPLE, "--seed", "5"], _SAMPLE], [0, 0]),
+        # the nested polytope subparsers, each action after the other
+        ([["polytope", "--hrep", CUBE_HREP, "vertices", "--format", "json"],
+          ["polytope", "--hrep", CUBE_HREP, "contains", "1", "1/2", "3/2"],
+          ["polytope", "--hrep", CUBE_HREP, "vertices"],
+          ["polytope", "--hrep", CUBE_HREP, "contains", "2", "0", "0", "--format", "json"]],
+         [0, 0, 0, 0]),
+    ],
+    ids=["usage-error", "seed-default", "polytope-actions"],
+)
+def test_reused_parser_matches_a_fresh_one(calls, codes):
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(_main_exit(argv))
+    build_parser.cache_clear()
+    reused = [_main_exit(argv) for argv in calls]
+    assert build_parser() is build_parser()
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == codes
+
+
+def test_reused_parser_restores_the_default_seed():
+    seeds = [json.loads(_main_exit(argv)[1])["seed"] for argv in ([*_SAMPLE, "--seed", "5"], _SAMPLE)]
+    assert seeds == [5, 0]
+
+
+# ---------------------------------------------------------------------------
 # fuzz: malformed or unusual input exits 0, 1 or 2, never with a traceback
 
 
@@ -553,7 +595,7 @@ def _main_exit(argv):
             code = main(argv)
         except SystemExit as exc:  # argparse rejects the arguments
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 @st.composite
@@ -576,7 +618,7 @@ def _rank_argv(draw):
 
 @given(argv=_rank_argv())
 def test_fuzz_rank_exit_codes(argv):
-    code, err = _main_exit(argv)
+    code, _, err = _main_exit(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err
 
@@ -606,6 +648,6 @@ def test_fuzz_polytope_exit_codes(tmp_path_factory, text, point):
     path = tmp_path_factory.mktemp("hrep") / "fuzz.hrep"
     path.write_text(text)
     for action in (["vertices"], ["contains", *point]):
-        code, err = _main_exit(["polytope", "--hrep", str(path), *action])
+        code, _, err = _main_exit(["polytope", "--hrep", str(path), *action])
         assert code in (0, 1, 2)
         assert "Traceback" not in err

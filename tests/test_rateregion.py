@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, Sequence
 
 import pytest
 
@@ -30,8 +32,6 @@ from ncregions.rateregion import (
     uniform_capacity,
     vrep,
     vrep_to_text,
-    _frac_rank,
-    _frac_rref,
 )
 
 REGION_SIZES = {
@@ -166,6 +166,37 @@ def test_empty_polytope_enumerates_empty():
 # the reference for the differential tests below
 
 
+def _frac_rref(rows: Iterable[Sequence[Fraction]], ncols: int):
+    """Gauss-Jordan elimination pivoting only in the first ``ncols``
+    columns (any later columns ride along, as an augmented block).
+
+    Returns the reduced rows and the pivot column of each leading row.
+    """
+    work = [list(r) for r in rows]
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(work):
+            break
+        pivot = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        pv = work[r][col]
+        work[r] = [x / pv for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        pivots.append(col)
+    return work, pivots
+
+
+def _frac_rank(rows: Iterable[Sequence[Fraction]]) -> int:
+    rows = list(rows)
+    return len(_frac_rref(rows, len(rows[0]))[1]) if rows else 0
+
+
 def _ref_solve_square(rows, rhs):
     n = len(rows)
     work, pivots = _frac_rref([(*row, b) for row, b in zip(rows, rhs)], n)
@@ -268,11 +299,8 @@ def test_vertices_match_the_subset_loops(dim):
     for trial in range(36):
         kind = KINDS[trial % len(KINDS)]
         h = _random_hrep(rng, dim, kind)
-        want = _outcome(_reference_vertices, h)
-        assert _outcome(enumerate_vertices, h) == want, (kind, hrep_to_text(h))
-        unbounded = isinstance(want, str)
-        assert _outcome(ensure_bounded, h) == (want if unbounded else None)
-        if unbounded:
+        want = _same_as_the_subset_loops(h)
+        if isinstance(want, str):
             seen.add(want.split(" along")[0])
         else:
             seen.add("vertices" if len(want) else "empty")
@@ -287,6 +315,117 @@ def test_vertices_match_the_subset_loops_on_the_catalog():
         for cls in region_classes(network):
             h, _ = builtin_region(network, cls)
             assert enumerate_vertices(h) == _reference_vertices(h), (network, cls)
+
+
+def _same_as_the_subset_loops(h):
+    """Both entry points of the walk agree with the reference; returns its outcome."""
+    want = _outcome(_reference_vertices, h)
+    assert _outcome(enumerate_vertices, h) == want, hrep_to_text(h)
+    assert _outcome(ensure_bounded, h) == (want if isinstance(want, str) else None)
+    return want
+
+
+def _unit(dim, i, sign=1):
+    return tuple(sign * int(j == i) for j in range(dim))
+
+
+def test_walk_on_multiword_rational_coefficients():
+    # every input entry already needs several machine words, and the
+    # exact divisions of the tableau run on far larger minors
+    rng = random.Random(101)
+    big = 10**25
+    outcomes = []
+    for dim in (2, 3, 4):
+        for _ in range(8):
+            rows = [(tuple(Fraction(-rng.randint(1, big), rng.randint(1, big)) * x
+                           for x in _unit(dim, i)), 0) for i in range(dim)]
+            if len(outcomes) % 2:  # a positive cap; without it most systems are unbounded
+                rows.append((tuple(Fraction(rng.randint(1, big), rng.randint(1, big)) for _ in range(dim)),
+                             Fraction(rng.randint(big, 10 * big), rng.randint(1, big))))
+            while len(rows) < dim + 4:
+                coeffs = tuple(Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(dim))
+                rows.append((coeffs, Fraction(rng.randint(-big, 10 * big), rng.randint(1, big))))
+            rng.shuffle(rows)
+            outcomes.append(_same_as_the_subset_loops(hrep(dim, rows)))
+    assert any(isinstance(w, VRep) and len(w) > dim for w in outcomes)
+    assert any(isinstance(w, str) and "along" in w for w in outcomes)
+
+
+def test_walk_on_negative_pivots_and_parallel_rows():
+    # rows lead with negative entries, and each system repeats a row,
+    # rescales one, flips one and adds a parallel row with another bound
+    rng = random.Random(202)
+    outcomes = []
+    for dim in (2, 3, 4):
+        for _ in range(10):
+            rows = [(_unit(dim, i, -1), 0) for i in range(dim)]
+            rows.append(((1,) * dim, rng.randint(1, 2 * dim)))
+            while len(rows) < dim + 3:
+                coeffs = (-rng.randint(1, 3),) + tuple(rng.randint(-3, 3) for _ in range(dim - 1))
+                rows.append((coeffs, rng.randint(-2, 6)))
+            (c1, b1), (c2, b2), (c3, b3) = rng.sample(rows, 3)
+            rows.append((c1, b1))
+            rows.append((tuple(3 * x for x in c2), 3 * b2))
+            rows.append((tuple(-x for x in c3), rng.randint(-2, 2) - b3))
+            rows.append((c3, b3 + rng.choice((-1, 1))))
+            rng.shuffle(rows)
+            outcomes.append(_same_as_the_subset_loops(hrep(dim, rows)))
+    assert any(isinstance(w, VRep) and len(w) for w in outcomes)
+    assert any(w == VRep(()) for w in outcomes)
+
+
+def test_walk_on_lines_whose_ends_coincide():
+    # single points, and supporting planes that touch a box in one vertex:
+    # the feasible segment of many lines is one point
+    cases = []
+    for dim in (1, 2, 3, 4):
+        point = [(_unit(dim, i), i + 1) for i in range(dim)]
+        point += [(_unit(dim, i, -1), -(i + 1)) for i in range(dim)]
+        cases.append((hrep(dim, point), 1))
+        box = [(_unit(dim, i, s), 1) for i in range(dim) for s in (1, -1)]
+        apex = [((1,) * dim, dim), ((-1,) + (1,) * (dim - 1), dim)]
+        cases.append((hrep(dim, box + apex), 2**dim))
+    for h, count in cases:
+        assert len(_same_as_the_subset_loops(h)) == count
+
+
+def test_walk_on_lines_cut_off_by_a_parallel_row():
+    # a tighter parallel row meets the line of a looser one in 0 <= negative
+    rng = random.Random(303)
+    for dim in (2, 3, 4):
+        for _ in range(6):
+            rows = [(_unit(dim, i, -1), 0) for i in range(dim)]
+            rows += [(_unit(dim, i), rng.randint(2, 4)) for i in range(dim)]
+            rows += [(_unit(dim, i), 1) for i in range(dim)]
+            rows.append(((1,) * dim, rng.randint(1, dim)))
+            rng.shuffle(rows)
+            want = _same_as_the_subset_loops(hrep(dim, rows))
+            assert len(want) > 1 and all(max(v) <= 1 for v in want)
+    empty = hrep(2, [((1, 0), 1), ((-1, 0), -2), ((0, 1), 1), ((0, -1), 0)])
+    assert _same_as_the_subset_loops(empty) == VRep(())
+
+
+@pytest.mark.parametrize("dim", [6, 7])
+def test_vertices_match_the_subset_loops_in_high_dimension(dim):
+    rng = random.Random(dim)
+    seen = set()
+    for trial in range(18):
+        h = _random_hrep(rng, dim, KINDS[trial % len(KINDS)])
+        if len(h.halfspaces) > dim + 3:  # the reference takes seconds on these
+            continue
+        want = _same_as_the_subset_loops(h)
+        seen.add(want.split(" along")[0] if isinstance(want, str) else bool(len(want)))
+    assert {True, False, "unbounded", "constraint matrix is rank deficient"} <= seen
+
+
+def test_integer_rank_matches_the_fraction_rank():
+    rng = random.Random(404)
+    for _ in range(200):
+        m, n = rng.randint(1, 6), rng.randint(0, 8)
+        span = rng.choice((2, 10**30))
+        basis = [[rng.randint(-span, span) for _ in range(m + 1)] for _ in range(rng.randint(1, m))]
+        rows = [[sum(rng.randint(-2, 2) * b[k] for b in basis) for k in range(m + 1)] for _ in range(n)]
+        assert rateregion._rank(rows, m) == _frac_rank([[Fraction(x) for x in r[:m]] for r in rows])
 
 
 def test_dimension_zero_has_the_empty_vertex():
