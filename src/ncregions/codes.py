@@ -1,11 +1,16 @@
 """Fractional codes on networks: representation, evaluation, verification.
 
 A (k_1,...,k_m, n) fractional code assigns every coded edge a function
-from its tail node's available symbols (attached messages first, in
-network message order, then in-edge symbol blocks, in network edge
-order) to n alphabet symbols.  Linear codes store a matrix per edge;
-table codes store a full lookup table per edge and work over arbitrary
-alphabets.
+from its tail node's input symbols to n alphabet symbols.  Linear codes
+store a matrix per edge; table codes store a full lookup table per edge
+and work over arbitrary alphabets.
+
+A node's inputs are its attached messages (network message order, k_m
+symbols each) then its in-edges (network edge order, n symbols each).
+:func:`_input_layout` lists these blocks as (name, width) pairs, a
+message by its name and an in-edge by its label, and :func:`_offsets`
+gives each block's (start, width): every column offset below comes from
+these two helpers.
 
 Both verifiers and :func:`evaluate_code` push values through the
 network by one shared walk, :func:`_propagate`; each supplies only what
@@ -39,7 +44,7 @@ from itertools import product
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -176,23 +181,47 @@ def node_symbols(net: Network, node: str) -> list[tuple[str, str]]:
     return syms
 
 
-def _symbol_width(rates: RateSpec, kind: str, name: str) -> int:
-    if kind == "m":
-        return rates.message_dims[name]
-    return rates.edge_dim
+def _input_layout(net: Network, rates: RateSpec, node: str) -> list[tuple[str, int]]:
+    """(name, width) of a node's input blocks, in :func:`node_symbols`
+    order: a message by its name, an in-edge by its label."""
+    return [(m, rates.message_dims[m]) for m in net.attached(node)] + [
+        (e.label, rates.edge_dim) for e in net.in_edges(node)
+    ]
+
+
+def _message_layout(net: Network, rates: RateSpec) -> list[tuple[str, int]]:
+    """The full message vector's blocks, in network message order."""
+    return [(m, rates.message_dims[m]) for m in net.messages]
+
+
+def _offsets(layout: Iterable[tuple[Hashable, int]]) -> dict[Hashable, tuple[int, int]]:
+    """(start, width) of each named block of a layout."""
+    offsets = {}
+    pos = 0
+    for name, width in layout:
+        if name in offsets:
+            raise ValueError(f"duplicate symbol {name!r} in layout")
+        offsets[name] = (pos, width)
+        pos += width
+    return offsets
+
+
+def _columns(offsets: Mapping[Hashable, tuple[int, int]], names: Iterable[Hashable]) -> list[int]:
+    """The columns of the named blocks, in the order named."""
+    cols = []
+    for name in names:
+        start, width = offsets[name]
+        cols += range(start, start + width)
+    return cols
+
+
+def _tail(net: Network, label: str) -> str:
+    """The node whose inputs a coded edge's function reads."""
+    return net.edge_by_id(net.named_edges[label]).tail
 
 
 def node_input_width(net: Network, rates: RateSpec, node: str) -> int:
-    return sum(_symbol_width(rates, k, n) for k, n in node_symbols(net, node))
-
-
-def _message_offsets(net: Network, rates: RateSpec) -> dict[str, int]:
-    offsets = {}
-    pos = 0
-    for m in net.messages:
-        offsets[m] = pos
-        pos += rates.message_dims[m]
-    return offsets
+    return sum(width for _, width in _input_layout(net, rates, node))
 
 
 def _edges_in_evaluation_order(net: Network):
@@ -246,15 +275,9 @@ def _function_slots(net: Network, code: Code):
     function and decoder of a code."""
     functions, decoders = _functions(code)
     for label, fn in functions.items():
-        edge = net.edge_by_id(net.named_edges.get(label, label))
-        yield f"edge {label!r}", fn, edge.tail, code.rates.edge_dim
+        yield f"edge {label!r}", fn, _tail(net, label), code.rates.edge_dim
     for (node, msg), fn in decoders.items():
         yield f"decoder {node}/{msg}", fn, node, code.rates.message_dims[msg]
-
-
-def _selector(fld: PrimeField, total: int, offset: int, width: int) -> PrimeFieldMatrix:
-    rows = [[1 if j == offset + i else 0 for j in range(total)] for i in range(width)]
-    return mat(fld, rows, cols=total)
 
 
 def validate_code(net: Network, code: Code) -> None:
@@ -304,10 +327,11 @@ def _transfer(net: Network, code: LinearCode):
     fld = code.field
     rates = code.rates
     total = rates.total_message_width
-    offsets = _message_offsets(net, rates)
+    offsets = _offsets(_message_layout(net, rates))
 
     def select(msg: str) -> PrimeFieldMatrix:
-        return _selector(fld, total, offsets[msg], rates.message_dims[msg])
+        start, width = offsets[msg]
+        return mat(fld, [[int(j == start + i) for j in range(total)] for i in range(width)], cols=total)
 
     _, gather = _propagate(
         net,
@@ -319,13 +343,10 @@ def _transfer(net: Network, code: LinearCode):
 
 
 def _split_assignment(net: Network, rates: RateSpec, vector: Sequence[int]) -> dict[str, tuple[int, ...]]:
-    out = {}
-    pos = 0
-    for m in net.messages:
-        k = rates.message_dims[m]
-        out[m] = tuple(vector[pos : pos + k])
-        pos += k
-    return out
+    return {
+        m: tuple(vector[start : start + k])
+        for m, (start, k) in _offsets(_message_layout(net, rates)).items()
+    }
 
 
 def _algebraic_witness(
@@ -483,10 +504,9 @@ def verify_solution_exhaustive(
             )
     index = np.arange(count, dtype=np.int64)
     message_keys = {}
-    for msg, offset in _message_offsets(net, rates).items():
+    for msg, (offset, k) in _offsets(_message_layout(net, rates)).items():
         # index // shift % base^k: each key repeats ``shift`` times, in
         # base^offset cycles
-        k = rates.message_dims[msg]
         shift = base ** (total - offset - k)
         message_keys[msg] = (np.tile(np.repeat(np.arange(base**k), shift), base**offset), k)
 
@@ -683,47 +703,33 @@ def concatenate_codes(
     total_n = sum(c.rates.edge_dim for c in codes)
     combined_rates = rate_spec(net, total_dims, total_n)
 
-    def combine(symbols, matrices, out_rows_per_code) -> PrimeFieldMatrix:
-        total_cols = sum(_symbol_width(combined_rates, k, n) for k, n in symbols)
-        total_rows = sum(out_rows_per_code)
-        grid = [[0] * total_cols for _ in range(total_rows)]
-        row_base = 0
-        for j, code in enumerate(codes):
-            m = matrices[j]
-            col_base = 0
-            local = 0
-            for kind, name in symbols:
-                pre = sum(_symbol_width(codes[jj].rates, kind, name) for jj in range(j))
-                w = _symbol_width(code.rates, kind, name)
-                for r in range(out_rows_per_code[j]):
-                    for cc in range(w):
-                        grid[row_base + r][col_base + pre + cc] = m.entries[r][local + cc]
-                local += w
-                col_base += _symbol_width(combined_rates, kind, name)
-            row_base += out_rows_per_code[j]
-        return mat(fld, grid, cols=total_cols)
-
-    edge_functions = {}
-    for label in net.coded_labels():
-        edge = net.edge_by_id(net.named_edges[label])
-        symbols = node_symbols(net, edge.tail)
-        edge_functions[label] = combine(
-            symbols,
-            [c.edge_functions[label] for c in codes],
-            [c.rates.edge_dim for c in codes],
+    def combine(node: str, matrices) -> PrimeFieldMatrix:
+        # each input block of the node splits into one sub-block per
+        # code, in code order; code j's rows fill its own sub-blocks
+        local = [_offsets(_input_layout(net, c.rates, node)) for c in codes]
+        blocks = _offsets(
+            ((name, j), offsets[name][1]) for name in local[0] for j, offsets in enumerate(local)
         )
+        width = node_input_width(net, combined_rates, node)
+        rows = []
+        for j, m in enumerate(matrices):
+            cols = _columns(blocks, [(name, j) for name in local[j]])
+            for entries in m.entries:
+                row = [0] * width
+                for col, x in zip(cols, entries):
+                    row[col] = x
+                rows.append(row)
+        return mat(fld, rows, cols=width)
 
-    decoders = {}
-    shared_keys = set(codes[0].decoders)
-    for c in codes[1:]:
-        shared_keys &= set(c.decoders)
-    for node, msg in shared_keys:
-        symbols = node_symbols(net, node)
-        decoders[(node, msg)] = combine(
-            symbols,
-            [c.decoders[(node, msg)] for c in codes],
-            [c.rates.message_dims[msg] for c in codes],
-        )
+    edge_functions = {
+        label: combine(_tail(net, label), [c.edge_functions[label] for c in codes])
+        for label in net.coded_labels()
+    }
+    decoders = {
+        key: combine(key[0], [c.decoders[key] for c in codes])
+        for key in codes[0].decoders
+        if all(key in c.decoders for c in codes)
+    }
 
     return LinearCode(first.network, fld, combined_rates, edge_functions, decoders)
 
@@ -747,19 +753,12 @@ def zero_fix(net: Network, code: LinearCode, zero_messages: Iterable[str]) -> Li
     )
 
     def surviving_columns(node: str) -> list[int]:
-        cols = []
-        pos = 0
-        for kind, name in node_symbols(net, node):
-            width = _symbol_width(rates, kind, name)
-            if not (kind == "m" and name in zero):
-                cols.extend(range(pos, pos + width))
-            pos += width
-        return cols
+        offsets = _offsets(_input_layout(net, rates, node))
+        return _columns(offsets, [name for name in offsets if name not in zero])
 
     edge_functions = {}
     for label, m in code.edge_functions.items():
-        edge = net.edge_by_id(net.named_edges[label])
-        cols = surviving_columns(edge.tail)
+        cols = surviving_columns(_tail(net, label))
         rows = [[r[c] for c in cols] for r in m.entries]
         edge_functions[label] = mat(code.field, rows, cols=len(cols))
     decoders = {}
@@ -831,16 +830,11 @@ def formulas_to_matrix(
     ``symbols`` lists (name, width) pairs in input-layout order; a bare
     name like ``c`` refers to the single component of a width-1 symbol.
     """
-    offsets = {}
-    pos = 0
-    for name, width in symbols:
-        if name in offsets:
-            raise ValueError(f"duplicate symbol {name!r} in layout")
-        offsets[name] = (pos, width)
-        pos += width
+    offsets = _offsets(symbols)
+    total = sum(width for _, width in offsets.values())
     rows = []
     for formula in formulas:
-        row = [0] * pos
+        row = [0] * total
         for value, name, comp in _parse_terms(formula):
             if name not in offsets:
                 raise ValueError(f"unknown symbol {name!r} in {formula!r}")
@@ -855,18 +849,7 @@ def formulas_to_matrix(
                 raise ValueError(f"component {name}{comp + 1} out of range in {formula!r}")
             row[start + comp] = (row[start + comp] + _coeff_in_field(fld, value)) % fld.p
         rows.append(row)
-    return mat(fld, rows, cols=pos)
-
-
-def _tail_symbol_layout(net: Network, rates: RateSpec, node: str) -> list[tuple[str, int]]:
-    layout = []
-    for kind, name in node_symbols(net, node):
-        if kind == "m":
-            layout.append((name, rates.message_dims[name]))
-        else:
-            label = net.edge_by_id(name).label
-            layout.append((label, rates.edge_dim))
-    return layout
+    return mat(fld, rows, cols=total)
 
 
 def build_code(
@@ -892,12 +875,11 @@ def build_code(
         formulas = list(edge_formulas[label])
         if len(formulas) != edge_dim:
             raise ValueError(f"edge {label!r} needs {edge_dim} output formulas")
-        edge = net.edge_by_id(net.named_edges[label])
-        layout = _tail_symbol_layout(net, rates, edge.tail)
+        layout = _input_layout(net, rates, _tail(net, label))
         functions[label] = formulas_to_matrix(fld, formulas, layout)
     decoders = {}
     for (node, msg), formulas in (decoder_formulas or {}).items():
-        layout = _tail_symbol_layout(net, rates, node)
+        layout = _input_layout(net, rates, node)
         try:
             decoders[(node, msg)] = formulas_to_matrix(fld, list(formulas), layout)
         except CoefficientUnavailableError:
@@ -928,62 +910,61 @@ class BuiltinCode:
     code: LinearCode
 
 
-def _spec(label, char, classes, dims, n, edges, decoders=()):
-    return BuiltinCodeSpec(
-        label,
-        char,
-        frozenset(classes),
-        tuple(dims.items()),
-        n,
-        tuple((k, tuple(v)) for k, v in edges.items()),
-        tuple((k, tuple(v)) for k, v in decoders),
+def _spec(char, classes, dims, n, edges, decoders=()):
+    """A bundled code, made once its network's messages are known: its
+    label is its rate vector, k_m/n for every message m."""
+    edges = tuple((k, tuple(v)) for k, v in edges.items())
+    decoders = tuple((k, tuple(v)) for k, v in decoders)
+    return lambda messages: BuiltinCodeSpec(
+        "(" + ",".join(str(Fraction(dims.get(m, 0), n)) for m in messages) + ")",
+        char, frozenset(classes), tuple(dims.items()), n, edges, decoders,
     )
 
 
 _GB = [
-    _spec("(2,0,0,1)", "any", {"coding", "routing"}, {"a": 2, "d": 1}, 1,
+    _spec("any", {"coding", "routing"}, {"a": 2, "d": 1}, 1,
           {"x": ["a1"], "u": ["a2"], "v": ["0"], "y": ["u1"], "z": ["d1"]}),
-    _spec("(1,0,0,2)", "any", {"coding", "routing"}, {"a": 1, "d": 2}, 1,
+    _spec("any", {"coding", "routing"}, {"a": 1, "d": 2}, 1,
           {"x": ["a1"], "u": ["0"], "v": ["d1"], "y": ["v1"], "z": ["d2"]}),
-    _spec("(1,0,1,1)", "any", {"coding", "routing"}, {"a": 1, "c": 1, "d": 1}, 1,
+    _spec("any", {"coding", "routing"}, {"a": 1, "c": 1, "d": 1}, 1,
           {"x": ["a1"], "u": ["0"], "v": ["c1"], "y": ["v1"], "z": ["d1"]}),
-    _spec("(1,1,0,1)", "any", {"coding", "routing"}, {"a": 1, "b": 1, "d": 1}, 1,
+    _spec("any", {"coding", "routing"}, {"a": 1, "b": 1, "d": 1}, 1,
           {"x": ["a1"], "u": ["b1"], "v": ["0"], "y": ["u1"], "z": ["d1"]}),
-    _spec("(0,1,1,0)", "any", {"coding"}, {"b": 1, "c": 1}, 1,
+    _spec("any", {"coding"}, {"b": 1, "c": 1}, 1,
           {"x": ["b1"], "u": ["b1"], "v": ["c1"], "y": ["u1+v1"], "z": ["c1"]},
           decoders=[(("R5", "c"), ["y1-x1"]), (("R6", "b"), ["y1-z1"])]),
-    _spec("(1/2,1/2,1/2,1/2)", "any", {"coding", "routing"},
+    _spec("any", {"coding", "routing"},
           {"a": 1, "b": 1, "c": 1, "d": 1}, 2,
           {"x": ["0", "a1"], "u": ["b1", "0"], "v": ["0", "c1"],
            "y": ["u1", "v2"], "z": ["d1", "0"]}),
-    _spec("(2/3,2/3,2/3,2/3)", "any", {"coding"},
+    _spec("any", {"coding"},
           {"a": 2, "b": 2, "c": 2, "d": 2}, 3,
           {"x": ["a1", "a2", "b2"], "u": ["b1", "b2", "0"], "v": ["c1", "c2", "0"],
            "y": ["v1", "u1", "u2+v2"], "z": ["d1", "d2", "c2"]}),
 ]
 
 _FANO = [
-    _spec("(0,1,1)", "any", {"coding", "linear-odd", "routing"}, {"b": 1, "c": 1}, 1,
+    _spec("any", {"coding", "linear-odd", "routing"}, {"b": 1, "c": 1}, 1,
           {"w": ["b1"], "y": ["c1"], "x": ["y1"], "z": ["w1"]}),
-    _spec("(1,0,1)", "any", {"coding", "linear-odd", "routing"}, {"a": 1, "c": 1}, 1,
+    _spec("any", {"coding", "linear-odd", "routing"}, {"a": 1, "c": 1}, 1,
           {"w": ["a1"], "y": ["c1"], "x": ["y1"], "z": ["w1"]}),
-    _spec("(1,1,0)", "any", {"coding", "linear-odd", "routing"}, {"a": 1, "b": 1}, 1,
+    _spec("any", {"coding", "linear-odd", "routing"}, {"a": 1, "b": 1}, 1,
           {"w": ["a1"], "y": ["b1"], "x": ["y1"], "z": ["w1"]}),
-    _spec("(0,2,0)", "any", {"coding", "linear-odd", "routing"}, {"b": 2}, 1,
+    _spec("any", {"coding", "linear-odd", "routing"}, {"b": 2}, 1,
           {"w": ["b2"], "y": ["b1"], "x": ["y1"], "z": ["w1"]}),
-    _spec("(1,1,1)", "even", {"coding"}, {"a": 1, "b": 1, "c": 1}, 1,
+    _spec("even", {"coding"}, {"a": 1, "b": 1, "c": 1}, 1,
           {"w": ["a1+b1"], "y": ["b1+c1"], "x": ["w1+y1"], "z": ["w1+c1"]}),
-    _spec("(1,2/3,2/3)", "odd", {"linear-odd"}, {"a": 3, "b": 2, "c": 2}, 3,
+    _spec("odd", {"linear-odd"}, {"a": 3, "b": 2, "c": 2}, 3,
           {"w": ["a1+b1", "a2+b2", "a3"],
            "y": ["b1+c1", "b2+c2", "b1"],
            "x": ["w1-y1", "w2-y2", "w2"],
            "z": ["w1-c1", "w2+c2", "w3"]}),
-    _spec("(2/3,2/3,1)", "odd", {"linear-odd"}, {"a": 2, "b": 2, "c": 3}, 3,
+    _spec("odd", {"linear-odd"}, {"a": 2, "b": 2, "c": 3}, 3,
           {"w": ["a1+b1", "a2+b2", "b2"],
            "y": ["b1+c1", "b2+c2", "c3"],
            "x": ["w1-y1", "w2-y2", "y3"],
            "z": ["w1-c1", "w2-2w3-c2", "c1"]}),
-    _spec("(4/5,4/5,4/5)", "odd", {"linear-odd"}, {"a": 4, "b": 4, "c": 4}, 5,
+    _spec("odd", {"linear-odd"}, {"a": 4, "b": 4, "c": 4}, 5,
           {"w": ["a1+b1", "a2+b2", "a3+b3", "a4+b4", "b1+b4"],
            "y": ["c1-b1", "c2-b2", "c3+b3", "c4+b4", "b2"],
            "x": ["w1+y1", "w2+y2", "y3-w3", "y4-w4", "w3"],
@@ -991,56 +972,56 @@ _FANO = [
 ]
 
 _NONFANO = [
-    _spec("(1,1,1)", "odd", {"coding"}, {"a": 1, "b": 1, "c": 1}, 1,
+    _spec("odd", {"coding"}, {"a": 1, "b": 1, "c": 1}, 1,
           {"w": ["a1+b1"], "x": ["a1+c1"], "y": ["b1+c1"], "z": ["a1+b1+c1"]},
           decoders=[(("R12", "c"), ["z1-w1"]),
                     (("R13", "b"), ["z1-x1"]),
                     (("R14", "a"), ["z1-y1"]),
                     (("R15", "c"), ["1/2*x1+1/2*y1-1/2*w1"])]),
-    _spec("(1,1,1/2)", "any", {"coding", "linear-even"}, {"a": 2, "b": 2, "c": 1}, 2,
+    _spec("any", {"coding", "linear-even"}, {"a": 2, "b": 2, "c": 1}, 2,
           {"w": ["a1", "b1"], "x": ["a1+c1", "a2"],
            "y": ["b1+c1", "b2"], "z": ["a1+b1+c1", "a2+b2"]}),
-    _spec("(1,1/2,1)", "any", {"coding", "linear-even"}, {"a": 2, "b": 1, "c": 2}, 2,
+    _spec("any", {"coding", "linear-even"}, {"a": 2, "b": 1, "c": 2}, 2,
           {"w": ["a1+b1", "a2"], "x": ["a1", "c1"],
            "y": ["b1+c1", "c2"], "z": ["a1+b1+c1", "a2+c2"]}),
-    _spec("(1/2,1,1)", "any", {"coding", "linear-even"}, {"a": 1, "b": 2, "c": 2}, 2,
+    _spec("any", {"coding", "linear-even"}, {"a": 1, "b": 2, "c": 2}, 2,
           {"w": ["a1+b1", "b2"], "x": ["a1+c1", "c2"],
            "y": ["c1", "b1"], "z": ["a1+b1+c1", "b2+c2"]}),
-    _spec("(0,0,1)", "any", {"coding", "linear-even", "routing"}, {"c": 1}, 1,
+    _spec("any", {"coding", "linear-even", "routing"}, {"c": 1}, 1,
           {"w": ["0"], "x": ["0"], "y": ["c1"], "z": ["c1"]}),
-    _spec("(1,0,0)", "any", {"coding", "linear-even", "routing"}, {"a": 1}, 1,
+    _spec("any", {"coding", "linear-even", "routing"}, {"a": 1}, 1,
           {"w": ["0"], "x": ["0"], "y": ["0"], "z": ["a1"]}),
-    _spec("(0,1,0)", "any", {"coding", "linear-even", "routing"}, {"b": 1}, 1,
+    _spec("any", {"coding", "linear-even", "routing"}, {"b": 1}, 1,
           {"w": ["0"], "x": ["0"], "y": ["0"], "z": ["b1"]}),
 ]
 
 _VAMOS = [
-    _spec("(0,0,0,0)", "any", {"routing", "linear"}, {}, 1,
+    _spec("any", {"routing", "linear"}, {}, 1,
           {"w": ["0"], "x": ["0"], "y": ["0"], "z": ["0"]}),
-    _spec("(1,0,0,0)", "any", {"routing", "linear"}, {"a": 1}, 1,
+    _spec("any", {"routing", "linear"}, {"a": 1}, 1,
           {"w": ["0"], "x": ["a1"], "y": ["a1"], "z": ["a1"]}),
-    _spec("(0,0,0,1)", "any", {"routing", "linear"}, {"d": 1}, 1,
+    _spec("any", {"routing", "linear"}, {"d": 1}, 1,
           {"w": ["d1"], "x": ["d1"], "y": ["d1"], "z": ["d1"]}),
-    _spec("(1,0,1,0)", "any", {"routing", "linear"}, {"a": 1, "c": 1}, 1,
+    _spec("any", {"routing", "linear"}, {"a": 1, "c": 1}, 1,
           {"w": ["c1"], "x": ["a1"], "y": ["a1"], "z": ["a1"]}),
-    _spec("(0,2,0,0)", "any", {"routing", "linear"}, {"b": 2}, 1,
+    _spec("any", {"routing", "linear"}, {"b": 2}, 1,
           {"w": ["b1"], "x": ["b1"], "y": ["b2"], "z": ["b2"]}),
-    _spec("(0,0,2,0)", "any", {"routing", "linear"}, {"c": 2}, 1,
+    _spec("any", {"routing", "linear"}, {"c": 2}, 1,
           {"w": ["c1"], "x": ["c1"], "y": ["c2"], "z": ["c2"]}),
-    _spec("(1,1,1,0)", "any", {"linear"}, {"a": 1, "b": 1, "c": 1}, 1,
+    _spec("any", {"linear"}, {"a": 1, "b": 1, "c": 1}, 1,
           {"w": ["a1+c1"], "x": ["a1"], "y": ["a1+b1"], "z": ["a1+b1"]}),
-    _spec("(0,1,1,1)", "any", {"linear"}, {"b": 1, "c": 1, "d": 1}, 1,
+    _spec("any", {"linear"}, {"b": 1, "c": 1, "d": 1}, 1,
           {"w": ["b1+d1"], "x": ["b1+d1"], "y": ["b1+c1+d1"], "z": ["c1"]}),
-    _spec("(1,0,2,0)", "any", {"linear"}, {"a": 1, "c": 2}, 1,
+    _spec("any", {"linear"}, {"a": 1, "c": 2}, 1,
           {"w": ["c1"], "x": ["a1"], "y": ["a1+c2"], "z": ["a1+c2"]}),
-    _spec("(0,2,0,1)", "any", {"linear"}, {"b": 2, "d": 1}, 1,
+    _spec("any", {"linear"}, {"b": 2, "d": 1}, 1,
           {"w": ["b1+d1"], "x": ["b1+d1"], "y": ["b2+d1"], "z": ["b2+d1"]}),
-    _spec("(1,1,1/2,1)", "any", {"linear"}, {"a": 2, "b": 2, "c": 1, "d": 2}, 2,
+    _spec("any", {"linear"}, {"a": 2, "b": 2, "c": 1, "d": 2}, 2,
           {"w": ["b2+d1", "c1+d2"],
            "x": ["a1+d1", "a2+b2+c1+d2"],
            "y": ["a1+b1+d1", "a2+d2"],
            "z": ["a1+b1", "a2+c1"]}),
-    _spec("(1,1/2,1,1)", "any", {"linear"}, {"a": 2, "b": 1, "c": 2, "d": 2}, 2,
+    _spec("any", {"linear"}, {"a": 2, "b": 1, "c": 2, "d": 2}, 2,
           {"w": ["c1+d1", "b1+d2"],
            "x": ["a1+c1+d1", "a2+d2"],
            "y": ["a1+d1", "a2+b1+c2+d2"],
@@ -1048,10 +1029,10 @@ _VAMOS = [
 ]
 
 _CODE_SPECS: dict[str, list[BuiltinCodeSpec]] = {
-    "gbutterfly": _GB,
-    "fano": _FANO,
-    "nonfano": _NONFANO,
-    "vamos": _VAMOS,
+    net_id: [make(builtin_network(net_id).messages) for make in makers]
+    for net_id, makers in (
+        ("gbutterfly", _GB), ("fano", _FANO), ("nonfano", _NONFANO), ("vamos", _VAMOS)
+    )
 }
 
 _DEFAULT_FIELD = {"even": GF2, "odd": GF3, "any": GF2}
@@ -1111,14 +1092,10 @@ def code_to_json(net: Network, code: Code) -> dict:
         kind, dump = "table", lambda t: ["".join(_DIGITS[s] for s in out) for out in t]
 
     def entry(node: str, fn) -> dict:
-        layout = _tail_symbol_layout(net, rates, node)
-        return {"inputs": [name for name, _ in layout], kind: dump(fn)}
+        return {"inputs": [name for name, _ in _input_layout(net, rates, node)], kind: dump(fn)}
 
     functions, decoders = _functions(code)
-    doc["edges"] = {
-        label: entry(net.edge_by_id(net.named_edges[label]).tail, fn)
-        for label, fn in functions.items()
-    }
+    doc["edges"] = {label: entry(_tail(net, label), fn) for label, fn in functions.items()}
     if decoders:
         doc["decoders"] = {
             f"{node}/{msg}": entry(node, fn) for (node, msg), fn in decoders.items()
@@ -1127,30 +1104,20 @@ def code_to_json(net: Network, code: Code) -> dict:
 
 
 def _permute_columns(
-    matrix_rows: list[list[int]],
-    listed: list[tuple[str, int]],
-    structural: list[tuple[str, int]],
+    matrix_rows: list[list[int]], inputs: list[str], layout: list[tuple[str, int]]
 ) -> list[list[int]]:
-    if [name for name, _ in listed] == [name for name, _ in structural]:
+    """Reorder columns given in ``inputs`` block order into ``layout`` order."""
+    names = [name for name, _ in layout]
+    if inputs == names:
         return matrix_rows
-    if sorted(listed) != sorted(structural):
+    if sorted(inputs) != sorted(names):
         raise ValueError(
-            f"listed inputs {[n for n, _ in listed]} do not match the node's "
-            f"available symbols {[n for n, _ in structural]}"
+            f"listed inputs {inputs} do not match the node's available symbols {names}"
         )
-    listed_offsets = {}
-    pos = 0
-    for name, width in listed:
-        listed_offsets[name] = pos
-        pos += width
-    out = []
-    for row in matrix_rows:
-        new_row = []
-        for name, width in structural:
-            start = listed_offsets[name]
-            new_row.extend(row[start : start + width])
-        out.append(new_row)
-    return out
+    widths = dict(layout)
+    cols = _columns(_offsets((name, widths[name]) for name in inputs), names)
+    # a short row stays short, for the matrix check to reject
+    return [[row[c] for c in cols if c < len(row)] for row in matrix_rows]
 
 
 _JSON_TYPE_NAMES = {
@@ -1197,15 +1164,6 @@ def code_from_json(
     for name, k in dims.items():
         _json_typed(k, int, f"message_dims[{name!r}]")
     rates = rate_spec(net, dims, _json_typed(doc["edge_dim"], int, "edge_dim"))
-    n = rates.edge_dim
-
-    def width_of(name: str) -> int:
-        if name in net.messages:
-            return rates.message_dims[name]
-        return n
-
-    def layout_from_names(names: list[str]) -> list[tuple[str, int]]:
-        return [(name, width_of(name)) for name in names]
 
     is_linear = "field" in doc
     if is_linear:
@@ -1213,7 +1171,7 @@ def code_from_json(
         if "modulus" in fspec:
             fld = PrimeField(_json_typed(fspec["modulus"], int, "field modulus"))
         elif fspec.get("characteristic") in ("even", "odd"):
-            fld = GF2 if fspec["characteristic"] == "even" else GF3
+            fld = _DEFAULT_FIELD[fspec["characteristic"]]
         else:
             raise ValueError("field must give a modulus or a characteristic")
     else:
@@ -1222,19 +1180,19 @@ def code_from_json(
     def parse(entry: dict, node: str, what: str):
         _json_typed(entry, dict, what)
         inputs = _json_list(entry["inputs"], str, f"{what} inputs")
-        structural = _tail_symbol_layout(net, rates, node)
+        layout = _input_layout(net, rates, node)
         if is_linear:
             rows = _json_list(entry["matrix"], list, f"{what} matrix")
             for row in rows:
                 _json_list(row, int, f"{what} matrix row")
-            rows = _permute_columns(rows, layout_from_names(inputs), structural)
-            return mat(fld, rows, cols=sum(w for _, w in structural))
+            rows = _permute_columns(rows, inputs, layout)
+            return mat(fld, rows, cols=sum(w for _, w in layout))
         # Table domains cannot be column-permuted after the fact, so
-        # the listed inputs must already be in structural order.
-        if inputs != [name for name, _ in structural]:
+        # the listed inputs must already be in the node's layout order.
+        names = [name for name, _ in layout]
+        if inputs != names:
             raise ValueError(
-                f"table inputs {inputs} must be listed in the node's "
-                f"input order {[name for name, _ in structural]}"
+                f"table inputs {inputs} must be listed in the node's input order {names}"
             )
         table = _json_list(entry["table"], str, f"{what} table")
         decoded = {}
@@ -1248,7 +1206,7 @@ def code_from_json(
     for label, entry in _json_typed(doc["edges"], dict, "edges").items():
         if label not in net.named_edges:
             raise ValueError(f"unknown edge label {label!r}")
-        functions[label] = parse(entry, net.edge_by_id(net.named_edges[label]).tail, f"edge {label!r}")
+        functions[label] = parse(entry, _tail(net, label), f"edge {label!r}")
     decoders = {}
     for key, entry in _json_typed(doc.get("decoders") or {}, dict, "decoders").items():
         node, _, msg = key.partition("/")

@@ -310,6 +310,9 @@ def parse_network(text: str, name: str = "custom") -> Network:
     - ``message <id>@<node>`` attaches message <id> at <node>;
     - ``edge <id> <tail> <head>`` declares a coded edge;
     - ``demand <node> <message>`` adds a demand.
+
+    An edge id must differ from every message name: code files name a
+    node's input blocks by message name and edge id alike.
     """
     messages: list[str] = []
     attachments: dict[str, set[str]] = {}
@@ -331,6 +334,8 @@ def parse_network(text: str, name: str = "custom") -> Network:
             msg, node = parts[1].split("@", 1)
             if not msg or not node:
                 raise ValueError(f"line {lineno}: malformed message directive")
+            if any(e.id == msg for e in edges):
+                raise ValueError(f"line {lineno}: message {msg} is also an edge id")
             if msg not in messages:
                 messages.append(msg)
             touch(node)
@@ -339,6 +344,8 @@ def parse_network(text: str, name: str = "custom") -> Network:
             eid, tail, head = parts[1], parts[2], parts[3]
             if any(e.id == eid for e in edges):
                 raise ValueError(f"line {lineno}: duplicate edge id {eid}")
+            if eid in messages:
+                raise ValueError(f"line {lineno}: edge id {eid} is also a message name")
             touch(tail)
             touch(head)
             edges.append(Edge(tail, head, eid, eid))

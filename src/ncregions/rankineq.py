@@ -40,6 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ff import PrimeField, PrimeFieldMatrix, mat_rank, mat_stack, mat
+from .rateregion import frac_str
 from .subspace import (
     SubspaceAssignment,
     SubspaceLattice,
@@ -708,14 +709,10 @@ def expression_to_text(expr: EntropyExpression) -> str:
     rhs_lines = []
     for coeff, atom in expr.terms:
         if coeff < 0:
-            lhs_lines.append(f"{_frac(-coeff)} * {_format_atom(atom)}")
+            lhs_lines.append(f"{frac_str(-coeff)} * {_format_atom(atom)}")
         elif coeff > 0:
-            rhs_lines.append(f"{_frac(coeff)} * {_format_atom(atom)}")
+            rhs_lines.append(f"{frac_str(coeff)} * {_format_atom(atom)}")
     return "\n".join(["LHS:", *lhs_lines, "RHS:", *rhs_lines]) + "\n"
-
-
-def _frac(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def parse_expression(text: str) -> EntropyExpression:

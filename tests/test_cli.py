@@ -179,6 +179,32 @@ def test_verify_cyclic_network_file_exits_two(tmp_path, capsys):
         assert "cycle" in err
 
 
+@pytest.mark.parametrize(
+    "net_text",
+    ["message a@s\nedge a s r\ndemand r a\n", "edge a s r\nmessage a@s\ndemand r a\n"],
+)
+def test_verify_network_file_with_an_edge_named_like_a_message_exits_two(
+    tmp_path, capsys, net_text
+):
+    # a node holding message a and edge a would list its inputs as ["a", "a"]
+    (tmp_path / "clash.net").write_text(net_text)
+    doc = {
+        "network": "clash",
+        "network_file": "clash.net",
+        "field": {"modulus": 2},
+        "message_dims": {"a": 1},
+        "edge_dim": 1,
+        "edges": {"a": {"inputs": ["a"], "matrix": [[1]]}},
+    }
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--exhaustive",)):
+        code, out, err = run(capsys, "verify", str(path), *extra)
+        assert code == 2 and out == ""
+        _assert_one_error_line(err)
+        assert "line 2:" in err and "also" in err
+
+
 def test_verify_non_object_document_exits_two(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

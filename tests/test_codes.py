@@ -1,6 +1,8 @@
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate, combinations, permutations
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from ncregions.codes import (
     VerificationReport,
     _alphabet_size,
     _functions,
-    _message_offsets,
     _propagate,
     _split_assignment,
     _transfer,
@@ -25,9 +26,11 @@ from ncregions.codes import (
     builtin_codes,
     concatenate_codes,
     evaluate_code,
+    RateSpec,
     instantiate_builtin,
     is_routing,
     node_input_width,
+    node_symbols,
     rate_spec,
     rate_vector,
     read_code_file,
@@ -39,8 +42,8 @@ from ncregions.codes import (
     write_code_file,
     zero_fix,
 )
-from ncregions.ff import GF2, GF3, GF5, PrimeField, mat
-from ncregions.netmodel import NETWORK_IDS, builtin_network, parse_network
+from ncregions.ff import GF2, GF3, GF5, PrimeField, PrimeFieldMatrix, mat
+from ncregions.netmodel import NETWORK_IDS, Network, builtin_network, parse_network
 from ncregions.rateregion import builtin_region, contains
 
 from conftest import DATA_DIR
@@ -372,6 +375,36 @@ def _ref_apply_array(code, fn, block):
         weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
         return ((block.astype(np.int64) @ weights.T) % base).astype(np.int16)
     return np.array(fn, dtype=np.int16)[_ref_radix_key(block, base)]
+
+
+# The parent revision's layout helpers, kept verbatim as references for
+# the offset code that replaced them.
+
+
+def _symbol_width(rates: RateSpec, kind: str, name: str) -> int:
+    if kind == "m":
+        return rates.message_dims[name]
+    return rates.edge_dim
+
+
+def _message_offsets(net: Network, rates: RateSpec) -> dict[str, int]:
+    offsets = {}
+    pos = 0
+    for m in net.messages:
+        offsets[m] = pos
+        pos += rates.message_dims[m]
+    return offsets
+
+
+def _tail_symbol_layout(net: Network, rates: RateSpec, node: str) -> list[tuple[str, int]]:
+    layout = []
+    for kind, name in node_symbols(net, node):
+        if kind == "m":
+            layout.append((name, rates.message_dims[name]))
+        else:
+            label = net.edge_by_id(name).label
+            layout.append((label, rates.edge_dim))
+    return layout
 
 
 def _reference_exhaustive(net, code, guard=DEFAULT_ENUMERATION_GUARD):
@@ -764,6 +797,210 @@ def test_zero_fix_keeps_validity_and_shrinks_rates():
 
 
 # ---------------------------------------------------------------------------
+# column layout: concatenation, zero-fixing and listed input orders against
+# the parent revision's column arithmetic, kept verbatim (renamed) below
+
+
+def _ref_concatenate_codes(
+    codes: Sequence[LinearCode], net: Network | None = None
+) -> LinearCode:
+    """Time sharing: block-diagonal combination of codes on one network.
+
+    Message and edge dimensions add; every block computes exactly what
+    its component code computed, so validity is preserved.
+    """
+    if not codes:
+        raise ValueError("nothing to concatenate")
+    first = codes[0]
+    net = net or builtin_network(first.network)
+    for c in codes:
+        if c.network != first.network:
+            raise ValueError("codes are for different networks")
+        if c.field != first.field:
+            raise ValueError("codes are over different fields")
+        validate_code(net, c)
+
+    fld = first.field
+    total_dims = {
+        m: sum(c.rates.message_dims[m] for c in codes) for m in net.messages
+    }
+    total_n = sum(c.rates.edge_dim for c in codes)
+    combined_rates = rate_spec(net, total_dims, total_n)
+
+    def combine(symbols, matrices, out_rows_per_code) -> PrimeFieldMatrix:
+        total_cols = sum(_symbol_width(combined_rates, k, n) for k, n in symbols)
+        total_rows = sum(out_rows_per_code)
+        grid = [[0] * total_cols for _ in range(total_rows)]
+        row_base = 0
+        for j, code in enumerate(codes):
+            m = matrices[j]
+            col_base = 0
+            local = 0
+            for kind, name in symbols:
+                pre = sum(_symbol_width(codes[jj].rates, kind, name) for jj in range(j))
+                w = _symbol_width(code.rates, kind, name)
+                for r in range(out_rows_per_code[j]):
+                    for cc in range(w):
+                        grid[row_base + r][col_base + pre + cc] = m.entries[r][local + cc]
+                local += w
+                col_base += _symbol_width(combined_rates, kind, name)
+            row_base += out_rows_per_code[j]
+        return mat(fld, grid, cols=total_cols)
+
+    edge_functions = {}
+    for label in net.coded_labels():
+        edge = net.edge_by_id(net.named_edges[label])
+        symbols = node_symbols(net, edge.tail)
+        edge_functions[label] = combine(
+            symbols,
+            [c.edge_functions[label] for c in codes],
+            [c.rates.edge_dim for c in codes],
+        )
+
+    decoders = {}
+    shared_keys = set(codes[0].decoders)
+    for c in codes[1:]:
+        shared_keys &= set(c.decoders)
+    for node, msg in shared_keys:
+        symbols = node_symbols(net, node)
+        decoders[(node, msg)] = combine(
+            symbols,
+            [c.decoders[(node, msg)] for c in codes],
+            [c.rates.message_dims[msg] for c in codes],
+        )
+
+    return LinearCode(first.network, fld, combined_rates, edge_functions, decoders)
+
+def _ref_zero_fix(net: Network, code: LinearCode, zero_messages: Iterable[str]) -> LinearCode:
+    """Fix some messages to rate zero, keeping everything else.
+
+    Dropping a message deletes its columns from every edge and decoder
+    matrix (and the rows of its own decoders); a valid code stays valid
+    because the deleted inputs were free to be zero all along.
+    """
+    zero = set(zero_messages)
+    unknown = zero - set(net.messages)
+    if unknown:
+        raise ValueError(f"unknown messages {sorted(unknown)}")
+    rates = code.rates
+    new_rates = rate_spec(
+        net,
+        {m: (0 if m in zero else k) for m, k in rates.message_dims.items()},
+        rates.edge_dim,
+    )
+
+    def surviving_columns(node: str) -> list[int]:
+        cols = []
+        pos = 0
+        for kind, name in node_symbols(net, node):
+            width = _symbol_width(rates, kind, name)
+            if not (kind == "m" and name in zero):
+                cols.extend(range(pos, pos + width))
+            pos += width
+        return cols
+
+    edge_functions = {}
+    for label, m in code.edge_functions.items():
+        edge = net.edge_by_id(net.named_edges[label])
+        cols = surviving_columns(edge.tail)
+        rows = [[r[c] for c in cols] for r in m.entries]
+        edge_functions[label] = mat(code.field, rows, cols=len(cols))
+    decoders = {}
+    for (node, msg), m in code.decoders.items():
+        cols = surviving_columns(node)
+        source_rows = () if msg in zero else m.entries
+        rows = [[r[c] for c in cols] for r in source_rows]
+        decoders[(node, msg)] = mat(code.field, rows, cols=len(cols))
+    return LinearCode(code.network, code.field, new_rates, edge_functions, decoders)
+
+def _ref_permute_columns(
+    matrix_rows: list[list[int]],
+    listed: list[tuple[str, int]],
+    structural: list[tuple[str, int]],
+) -> list[list[int]]:
+    if [name for name, _ in listed] == [name for name, _ in structural]:
+        return matrix_rows
+    if sorted(listed) != sorted(structural):
+        raise ValueError(
+            f"listed inputs {[n for n, _ in listed]} do not match the node's "
+            f"available symbols {[n for n, _ in structural]}"
+        )
+    listed_offsets = {}
+    pos = 0
+    for name, width in listed:
+        listed_offsets[name] = pos
+        pos += width
+    out = []
+    for row in matrix_rows:
+        new_row = []
+        for name, width in structural:
+            start = listed_offsets[name]
+            new_row.extend(row[start : start + width])
+        out.append(new_row)
+    return out
+
+
+def _codes_over(net_id, fld):
+    net = builtin_network(net_id)
+    return [instantiate_builtin(net, spec, fld).code for spec in builtin_code_specs(net_id)]
+
+
+@pytest.mark.parametrize("net_id", NETWORK_IDS)
+def test_concatenation_matches_the_reference_on_every_bundled_pair(net_id):
+    net = builtin_network(net_id)
+    with_decoders = 0
+    for fld in (GF2, GF3):
+        codes = _codes_over(net_id, fld)
+        for first in codes:
+            for second in codes:
+                combined = concatenate_codes([first, second], net)
+                assert combined == _ref_concatenate_codes([first, second], net)
+                with_decoders += bool(combined.decoders)
+        for run in (codes, codes[::-1]):
+            assert concatenate_codes(run, net) == _ref_concatenate_codes(run, net)
+    # gbutterfly (0,1,1,0) and nonfano (1,1,1) carry decoders
+    assert (with_decoders > 0) == (net_id in ("gbutterfly", "nonfano"))
+
+
+@pytest.mark.parametrize("net_id", NETWORK_IDS)
+def test_zero_fix_matches_the_reference_on_every_message_subset(net_id):
+    net = builtin_network(net_id)
+    for bc in builtin_codes(net_id):
+        for size in range(len(net.messages) + 1):
+            for zero in combinations(net.messages, size):
+                assert zero_fix(net, bc.code, zero) == _ref_zero_fix(net, bc.code, zero)
+
+
+@pytest.mark.parametrize("net_id, label", [("fano", "(4/5,4/5,4/5)"), ("nonfano", "(1,1,1/2)")])
+def test_code_file_loads_multi_width_inputs_listed_in_every_order(tmp_path, net_id, label):
+    net, code = _builtin(net_id, label)
+    path = tmp_path / "c.json"
+    write_code_file(path, net, code)
+    doc = json.loads(path.read_text())
+    orders = 0
+    for edge_label, entry in doc["edges"].items():
+        tail = net.edge_by_id(net.named_edges[edge_label]).tail
+        layout = _tail_symbol_layout(net, code.rates, tail)
+        assert entry["inputs"] == [name for name, _ in layout]
+        widths = dict(layout)
+        starts = dict(zip(widths, accumulate([0] + list(widths.values())[:-1])))
+        for order in permutations(widths):
+            listed = [(name, widths[name]) for name in order]
+            rows = [
+                [x for name in order for x in row[starts[name] : starts[name] + widths[name]]]
+                for row in entry["matrix"]
+            ]
+            assert _ref_permute_columns(rows, listed, layout) == entry["matrix"]
+            permuted = json.loads(json.dumps(doc))
+            permuted["edges"][edge_label] = {"inputs": list(order), "matrix": rows}
+            path.write_text(json.dumps(permuted))
+            assert read_code_file(path)[1] == code, (edge_label, order)
+            orders += 1
+    # fano: four two-block edges; nonfano: w, x, y with two blocks and z = (a, b, c)
+    assert orders == {"fano": 8, "nonfano": 12}[net_id]
+
+
+# ---------------------------------------------------------------------------
 # code files
 
 
@@ -840,6 +1077,7 @@ def test_bundled_code_files_load(tmp_path):
         lambda d: d["edges"]["w"].update(matrix=[[1]]),  # wrong width
         lambda d: d.update(field={"characteristic": "prime"}),
         lambda d: d["edges"]["w"].update(inputs=["a", "c"]),  # not w's inputs
+        lambda d: d["edges"]["w"].update(inputs=["b", "a"], matrix=[[1]]),  # short, permuted
         # R12 demands c from (a, x); a valid decoder is [[1, 1]]
         lambda d: d.update(decoders={"R12/a": {"inputs": ["a", "x"], "matrix": [[1, 1]]}}),
         lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "matrix": [[1, 1], [1, 1]]}}),

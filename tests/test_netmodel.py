@@ -180,3 +180,16 @@ def test_parse_and_serialize_round_trip():
 def test_parse_rejects_malformed_lines(bad):
     with pytest.raises(ValueError):
         parse_network(bad)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("message a@s\nedge a s t\n", "line 2: edge id a is also a message name"),
+        ("edge a s t\n# a comment\nmessage a@s\n", "line 3: message a is also an edge id"),
+    ],
+)
+def test_parse_rejects_an_edge_id_that_is_also_a_message_name(text, error):
+    with pytest.raises(ValueError) as info:
+        parse_network(text)
+    assert str(info.value) == error
