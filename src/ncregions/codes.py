@@ -1116,8 +1116,8 @@ def _permute_columns(
         )
     widths = dict(layout)
     cols = _columns(_offsets((name, widths[name]) for name in inputs), names)
-    # a short row stays short, for the matrix check to reject
-    return [[row[c] for c in cols if c < len(row)] for row in matrix_rows]
+    # a row of the wrong length stays as it is, for the matrix check to reject
+    return [[row[c] for c in cols] if len(row) == len(cols) else row for row in matrix_rows]
 
 
 _JSON_TYPE_NAMES = {

@@ -261,9 +261,6 @@ def solve(a: PrimeFieldMatrix, b: Sequence[int]) -> tuple[int, ...] | None:
     p = a.field.p
     augmented = [list(row) + [b[i] % p] for i, row in enumerate(a.entries)]
     reduced, pivots = _rref_core(a.field, augmented, a.cols + 1)
-    for row in reduced:
-        if row[-1] and not any(row[:-1]):
-            return None
     x = [0] * a.cols
     for i, pc in enumerate(pivots):
         if pc == a.cols:

@@ -312,12 +312,14 @@ def parse_network(text: str, name: str = "custom") -> Network:
     - ``demand <node> <message>`` adds a demand.
 
     An edge id must differ from every message name: code files name a
-    node's input blocks by message name and edge id alike.
+    node's input blocks by message name and edge id alike.  A demand
+    must name a message declared somewhere in the file.
     """
     messages: list[str] = []
     attachments: dict[str, set[str]] = {}
     edges: list[Edge] = []
     demands: list[tuple[str, str]] = []
+    demand_lines: list[int] = []
     nodes: list[str] = []
 
     def touch(node: str) -> None:
@@ -353,8 +355,12 @@ def parse_network(text: str, name: str = "custom") -> Network:
             node, msg = parts[1], parts[2]
             touch(node)
             demands.append((node, msg))
+            demand_lines.append(lineno)
         else:
             raise ValueError(f"line {lineno}: cannot parse {raw.strip()!r}")
+    for lineno, (node, msg) in zip(demand_lines, demands):
+        if msg not in messages:
+            raise ValueError(f"line {lineno}: demand of undeclared message {msg} at {node}")
 
     return Network(
         name=name,

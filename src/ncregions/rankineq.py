@@ -20,13 +20,18 @@ even characteristic).  Violation search supports three modes:
   (see :class:`SplitMix64`; the i-th draw depends only on seed and i,
   so runs are reproducible across implementations and chunk sizes).
 
-Both search modes weigh joint entropies by integers.  Each term small
-enough is tabulated once per search over its own variables
-(:func:`_term_tables`): up to ``chunk`` entries when exhaustive, up to
-one block's trials when sampling.  A table is read by one gather per
-assignment, and larger terms walk the join table from shared prefixes.
-Sample mode draws and evaluates its blocks in cache-sized tiles, one
-index column per variable; the draw protocol is the same either way.
+Every mode hands its slack values, in order and in pieces, to one loop
+that names the first violator and takes the least slack over whole
+blocks through the violator's block (:func:`search_violation_detailed`).
+
+The exhaustive and sample modes weigh joint entropies by integers.
+Each term small enough is tabulated once per search over its own
+variables (:func:`_term_tables`): up to ``chunk`` entries when
+exhaustive, up to one block's trials when sampling.  A table is read by
+one gather per assignment, and larger terms walk the join table from
+shared prefixes.  Sample mode draws and evaluates its blocks in
+cache-sized tiles, one index column per variable; the draw protocol is
+the same either way.
 """
 
 from __future__ import annotations
@@ -500,11 +505,26 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
         yield k * flat.size, flat
 
 
-def _assignment_from_indices(
-    lat: SubspaceLattice, variables: Sequence[str], indices: Sequence[int]
-) -> SubspaceAssignment:
-    spaces = {v: lat.spaces[int(j)] for v, j in zip(variables, indices)}
-    return SubspaceAssignment(PrimeField(lat.q), lat.d, spaces)
+def _sample_tiles(plan, lat: SubspaceLattice, nvars: int, seed: int, samples: int, block: int):
+    """Slack of trials 0 .. samples-1 in draw order, in tiles of at most
+    ``_SAMPLE_TILE`` trials that never straddle a block of ``block``
+    trials.  Terms of at most one block's trials come tabulated from
+    :func:`_term_tables`, built once.  Yields each tile's first trial
+    index and its slack values."""
+    size = len(lat)
+    # a table larger than one block's trials would cost more to build than it saves
+    tables, large = _term_tables(plan, lat, min(block, samples))
+    done = 0
+    while done < samples:
+        count = min(_SAMPLE_TILE, block - done % block, samples - done)
+        raw = _splitmix_block(seed, done * nvars + 1, count, nvars)
+        # raw % size, as raw - raw // size * size: numpy's floor division
+        # by a scalar is about three times faster than its remainder
+        quot = raw // np.uint64(size)
+        quot *= np.uint64(size)
+        raw -= quot
+        yield done, _slack_block(tables, large, lat, raw.view(np.int64))
+        done += count
 
 
 def search_violation_detailed(
@@ -519,15 +539,20 @@ def search_violation_detailed(
 ) -> SearchOutcome:
     """Search for an assignment with negative slack; see module docs.
 
-    Exhaustive mode scans assignments in lexicographic order over the
-    expression's variables sorted by name, each ranging over the
-    deterministic subspace enumeration, and returns the first (hence
-    lexicographically smallest) violator.  Sample mode draws variable
-    indices from the splitmix sequence: trial t (0-based) uses calls
-    t*nvars+1 .. t*nvars+nvars, in sorted variable order.  In both modes
-    ``min_slack`` is the least slack over consecutive blocks of
-    ``chunk`` assignments (``chunk // nvars`` trials, at least one),
-    through the block that holds the witness.
+    Catalog mode tries, in catalog order, the bundled assignments that
+    hold every variable of the expression.  Exhaustive mode scans
+    assignments in lexicographic order over the expression's variables
+    sorted by name, each ranging over the deterministic subspace
+    enumeration, and returns the first (hence lexicographically
+    smallest) violator.  Sample mode draws variable indices from the
+    splitmix sequence: trial t (0-based) uses calls t*nvars+1 ..
+    t*nvars+nvars, in sorted variable order.
+
+    In every mode ``min_slack`` is the least slack over consecutive
+    blocks through the block that holds the witness: blocks of one
+    assignment in catalog mode, of ``chunk`` assignments when
+    exhaustive, and of ``chunk // nvars`` trials (at least one) when
+    sampling.
     """
     if mode not in ("catalog", "exhaustive", "sample"):
         raise ValueError(f"unknown mode {mode!r}; expected catalog, exhaustive or sample")
@@ -537,86 +562,49 @@ def search_violation_detailed(
     if chunk < 1:
         raise ValueError(f"chunk must be positive, got {chunk}")
     variables = sorted(expr.variables())
-    if mode == "catalog":
-        best: Fraction | None = None
-        checked = 0
-        for assign in catalog_assignments(q, d):
-            if not set(variables) <= set(assign.spaces):
-                continue
-            checked += 1
-            slack = evaluate(expr, assign)
-            best = slack if best is None else min(best, slack)
-            if slack < 0:
-                return SearchOutcome(assign, checked, best)
-        return SearchOutcome(None, checked, best)
-
-    size = count_subspaces(q, d)
-    nvars = len(variables)
-    total = size**nvars
-    if mode == "exhaustive" and total > budget:
-        raise ValueError(
-            f"{size}^{nvars} = {total} assignments exceed the budget {budget}"
-        )
-    lat = lattice(q, d)
     plan, denom = _integer_plan(expr, variables)
+    if mode == "catalog":
+        held = [a for a in catalog_assignments(q, d) if set(variables) <= set(a.spaces)]
+        pieces = ((k, np.array([int(evaluate(expr, a) * denom)])) for k, a in enumerate(held))
+        block, end, witness = 1, len(held), held.__getitem__
+    else:
+        size = count_subspaces(q, d)
+        nvars = len(variables)
+        total = size**nvars
+        if mode == "exhaustive" and total > budget:
+            raise ValueError(
+                f"{size}^{nvars} = {total} assignments exceed the budget {budget}"
+            )
+        lat = lattice(q, d)
+        if mode == "exhaustive":
+            pieces = _slack_slabs(plan, lat, nvars, chunk)
+            block, end = chunk, total
+            indices = lambda g: [(g // size ** (nvars - 1 - k)) % size for k in range(nvars)]
+        else:
+            block, end = max(chunk // max(nvars, 1), 1), samples
+            pieces = _sample_tiles(plan, lat, nvars, seed, samples, block)
+            indices = lambda g: _splitmix_block(seed, g * nvars + 1, 1, nvars)[0] % np.uint64(size)
 
-    if mode == "exhaustive":
-        min_slack: int | None = None
-        slabs = _slack_slabs(plan, lat, nvars, chunk)
-        for start, slack in slabs:
-            low = int(slack.min())
-            if low < 0:
-                g = start + int(np.argmax(slack < 0))
-                # min_slack covers whole chunks, through the witness's chunk
-                end = min((g // chunk + 1) * chunk, total)
-                low = int(slack[: end - start].min())
-                for start, slack in slabs:
-                    if start >= end:
-                        break
-                    low = min(low, int(slack[: end - start].min()))
-                indices = [(g // (size ** (nvars - 1 - k))) % size for k in range(nvars)]
-                return SearchOutcome(
-                    _assignment_from_indices(lat, variables, indices),
-                    g + 1,
-                    Fraction(low if min_slack is None else min(min_slack, low), denom),
-                )
-            min_slack = low if min_slack is None else min(min_slack, low)
-        return SearchOutcome(None, total, Fraction(min_slack, denom))
+        def witness(g: int) -> SubspaceAssignment:
+            spaces = {v: lat.spaces[int(j)] for v, j in zip(variables, indices(g))}
+            return SubspaceAssignment(PrimeField(q), d, spaces)
 
-    block = max(chunk // max(nvars, 1), 1)
-    # a table larger than one block's trials would cost more to build than it saves
-    tables, large = _term_tables(plan, lat, min(block, samples))
-    min_slack = None
-    witness = None
-    done, end = 0, samples
-    while done < end:
-        # tiles never straddle a block, and after a witness the scan
-        # finishes its block for min_slack
-        count = min(_SAMPLE_TILE, block - done % block, end - done)
-        raw = _splitmix_block(seed, done * nvars + 1, count, nvars)
-        # raw % size, as raw - raw // size * size: numpy's floor division
-        # by a scalar is about three times faster than its remainder
-        quot = raw // np.uint64(size)
-        quot *= np.uint64(size)
-        raw -= quot
-        idx = raw.view(np.int64)
-        slack = _slack_block(tables, large, lat, idx)
-        low = int(slack.min())
-        min_slack = low if min_slack is None else min(min_slack, low)
-        if witness is None and low < 0:
-            t = int(np.argmax(slack < 0))
-            witness = (done + t, idx[t].tolist())
-            end = min((done + t) // block * block + block, samples)
-        done += count
-    if witness is not None:
-        t, indices = witness
-        return SearchOutcome(
-            _assignment_from_indices(lat, variables, indices),
-            t + 1,
-            Fraction(min_slack, denom),
-        )
+    g = low = None
+    for start, slack in pieces:
+        least = int(slack[: end - start].min())
+        if g is None and least < 0:
+            g = start + int(np.argmax(slack < 0))
+            # min_slack covers whole blocks, through the witness's block,
+            # which may end inside this piece
+            end = min((g // block + 1) * block, end)
+            least = int(slack[: end - start].min())
+        low = least if low is None else min(low, least)
+        if start + len(slack) >= end:
+            break
     return SearchOutcome(
-        None, samples, None if min_slack is None else Fraction(min_slack, denom)
+        None if g is None else witness(g),
+        end if g is None else g + 1,
+        None if low is None else Fraction(low, denom),
     )
 
 

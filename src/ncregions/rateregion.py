@@ -22,8 +22,6 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
 
-Rat = Fraction
-
 # Most work vertex enumeration takes on, checked before any elimination:
 # n rows in dimension m cost C(n, m-1) * n * (m + 3) units.  Each line from
 # m-1 rows costs one fused pivot and one ratio test per row; a unit takes
@@ -310,16 +308,6 @@ def average_capacity(h: HRep) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # bundled region catalog
-
-REGION_CLASSES = (
-    "routing",
-    "coding",
-    "linear-even",
-    "linear-odd",
-    "linear",
-    "shannon-outer",
-    "zy-outer",
-)
 
 
 def _nonneg(m: int) -> list[tuple[tuple[int, ...], int]]:

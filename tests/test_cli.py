@@ -205,6 +205,28 @@ def test_verify_network_file_with_an_edge_named_like_a_message_exits_two(
         assert "line 2:" in err and "also" in err
 
 
+@pytest.mark.parametrize(
+    "net_text", ["message a@s\nedge e1 s r\ndemand r q\n", "demand r q\nmessage a@s\nedge e1 s r\n"]
+)
+def test_verify_network_file_demanding_an_undeclared_message_exits_two(tmp_path, capsys, net_text):
+    (tmp_path / "undeclared.net").write_text(net_text)
+    doc = {
+        "network": "undeclared",
+        "network_file": "undeclared.net",
+        "field": {"modulus": 2},
+        "message_dims": {"a": 1},
+        "edge_dim": 1,
+        "edges": {"e1": {"inputs": ["a"], "matrix": [[1]]}},
+    }
+    path = tmp_path / "undeclared.json"
+    path.write_text(json.dumps(doc))
+    for extra in ((), ("--exhaustive",)):
+        code, out, err = run(capsys, "verify", str(path), *extra)
+        assert code == 2 and out == ""
+        _assert_one_error_line(err)
+        assert "line" in err and "undeclared message q" in err
+
+
 def test_verify_non_object_document_exits_two(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")

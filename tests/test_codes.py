@@ -1078,6 +1078,7 @@ def test_bundled_code_files_load(tmp_path):
         lambda d: d.update(field={"characteristic": "prime"}),
         lambda d: d["edges"]["w"].update(inputs=["a", "c"]),  # not w's inputs
         lambda d: d["edges"]["w"].update(inputs=["b", "a"], matrix=[[1]]),  # short, permuted
+        lambda d: d["edges"]["w"].update(inputs=["b", "a"], matrix=[[1, 0, 1, 1]]),  # long, permuted
         # R12 demands c from (a, x); a valid decoder is [[1, 1]]
         lambda d: d.update(decoders={"R12/a": {"inputs": ["a", "x"], "matrix": [[1, 1]]}}),
         lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "matrix": [[1, 1], [1, 1]]}}),
@@ -1097,6 +1098,18 @@ def test_code_file_rejects_malformed_documents(tmp_path, mutate):
     mutate(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises((ValueError, KeyError)):
+        read_code_file(path)
+
+
+@pytest.mark.parametrize("inputs", [["a", "b"], ["b", "a"]])
+def test_code_file_refuses_a_long_row_in_either_input_order(tmp_path, inputs):
+    net, code = _builtin("fano", "(1,1,1)", GF2)
+    path = tmp_path / "c.json"
+    write_code_file(path, net, code)
+    doc = json.loads(path.read_text())
+    doc["edges"]["w"].update(inputs=inputs, matrix=[[1, 0, 1, 1]])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="declared column count disagrees with data"):
         read_code_file(path)
 
 

@@ -193,3 +193,18 @@ def test_parse_rejects_an_edge_id_that_is_also_a_message_name(text, error):
     with pytest.raises(ValueError) as info:
         parse_network(text)
     assert str(info.value) == error
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("message a@s\nedge e s t\ndemand t q\n", "line 3: demand of undeclared message q at t"),
+        ("demand t q\nmessage a@s\nedge e s t\n", "line 1: demand of undeclared message q at t"),
+        # a message declared after its demand is declared all the same
+        ("demand t b\ndemand t q\nmessage b@s\n", "line 2: demand of undeclared message q at t"),
+    ],
+)
+def test_parse_rejects_a_demand_of_an_undeclared_message(text, error):
+    with pytest.raises(ValueError) as info:
+        parse_network(text)
+    assert str(info.value) == error

@@ -12,6 +12,7 @@ from ncregions.rankineq import (
     HAtom,
     IAtom,
     RankLemmaInstance,
+    SearchOutcome,
     SplitMix64,
     builtin_inequality,
     canonicalize,
@@ -182,6 +183,39 @@ def test_ingleton_exhaustive_over_gf2_squared():
     assert out.checked == 5**4
 
 
+def _reference_catalog(expr, q, d):
+    """The catalog search as it ran before the modes shared one loop."""
+    variables = sorted(expr.variables())
+    best: Fraction | None = None
+    checked = 0
+    for assign in catalog_assignments(q, d):
+        if not set(variables) <= set(assign.spaces):
+            continue
+        checked += 1
+        slack = evaluate(expr, assign)
+        best = slack if best is None else min(best, slack)
+        if slack < 0:
+            return SearchOutcome(assign, checked, best)
+    return SearchOutcome(None, checked, best)
+
+
+_CATALOG_EXPRESSIONS = {
+    **{name: builtin_inequality(name) for name in (*INEQUALITY_IDS, "oddLRI-balanced")},
+    # evenLRI halved: slack -1/2 over odd characteristic, denominator 2
+    "evenLRI/2": expression((c / 2, a) for c, a in builtin_inequality("evenLRI").terms),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CATALOG_EXPRESSIONS))
+def test_catalog_search_matches_the_catalog_loop(name, monkeypatch):
+    monkeypatch.setattr(subspace_mod, "_LATTICE_CACHE", {})
+    expr = _CATALOG_EXPRESSIONS[name]
+    for q in (2, 3, 5):
+        for d in range(5):
+            assert search_violation_detailed(expr, q, d, "catalog") == _reference_catalog(expr, q, d)
+    assert subspace_mod._LATTICE_CACHE == {}  # catalog mode builds no lattice
+
+
 def test_exhaustive_budget():
     with pytest.raises(ValueError):
         search_violation_detailed(
@@ -271,6 +305,19 @@ def test_exhaustive_scan_matches_the_chunk_loop(name, q, d, chunk):
     assert (out.witness.spaces if out.witness else None) == witness
     assert out.checked == checked
     assert out.min_slack == min_slack
+
+
+def test_exhaustive_min_slack_stops_inside_the_witness_slab():
+    # over GF(2)^2 a slab holds the 5 assignments that share A; the first
+    # violator, A = the first line and B = 0, is flat index 5, so with
+    # chunk 6 its block ends one assignment into its slab, just before
+    # B = A, where the slack is lower
+    expr = expression([h(2, "A", "B"), h(-3, "A"), h(-1, "B")])
+    out = search_violation_detailed(expr, 2, 2, "exhaustive", chunk=6)
+    assert (out.checked, out.min_slack) == (6, -1)
+    assert out.witness.spaces == _reference_exhaustive(expr, 2, 2, 6)[0]
+    line = lattice(2, 2).spaces[1]
+    assert evaluate(expr, assignment(2, 2, {"A": line, "B": line})) == -2
 
 
 @pytest.mark.parametrize("ineq", sorted(INEQUALITY_IDS))
