@@ -8,7 +8,9 @@ parsing and re-rendering the output is byte-identical.
 
 Exit codes: 0 success / verified; 1 a verification or search found a
 failure or violation where validity was asserted; 2 usage or input
-errors (including exceeded enumeration budgets).
+errors (including exceeded enumeration budgets).  Handlers never convert
+errors: they let ``ValueError`` and ``KeyError`` propagate, and
+:func:`main` alone turns them into one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-class UsageError(Exception):
-    pass
-
-
 def _render(report: dict, fmt: str, text: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -53,7 +51,7 @@ def _achieve_field(network: str, cls: str) -> PrimeField:
         if cls in spec.region_classes
     }
     if not chars:
-        raise UsageError(f"no achieving codes bundled for {network} / {cls}")
+        raise ValueError(f"no achieving codes bundled for {network} / {cls}")
     (char,) = chars - {"any"} or {"any"}
     return codes_mod._DEFAULT_FIELD[char]
 
@@ -63,10 +61,7 @@ def _achieve_field(network: str, cls: str) -> PrimeField:
 
 
 def cmd_regions(args) -> tuple[int, dict, str]:
-    try:
-        h, expected = rateregion.builtin_region(args.network, args.region_class)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from exc
+    h, expected = rateregion.builtin_region(args.network, args.region_class)
     vertices = rateregion.enumerate_vertices(h)
     plane_lines = rateregion.hrep_to_text(h).splitlines()
     got = [[frac_str(x) for x in v] for v in vertices]
@@ -95,10 +90,7 @@ def cmd_regions(args) -> tuple[int, dict, str]:
 
 
 def cmd_capacity(args) -> tuple[int, dict, str]:
-    try:
-        h, _ = rateregion.builtin_region(args.network, args.region_class)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from exc
+    h, _ = rateregion.builtin_region(args.network, args.region_class)
     if args.kind == "uniform":
         value = rateregion.uniform_capacity(h)
     else:
@@ -133,17 +125,14 @@ def _demand_rows(report) -> list[dict]:
 def cmd_verify(args) -> tuple[int, dict, str]:
     try:
         net, code = codes_mod.read_code_file(args.codefile)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot load code file: {exc}") from exc
-    try:
-        if args.exhaustive or isinstance(code, codes_mod.TableCode):
-            rep = codes_mod.verify_solution_exhaustive(net, code, guard=args.guard)
-            mode = "exhaustive"
-        else:
-            rep = codes_mod.verify_solution(net, code)
-            mode = "algebraic"
-    except ValueError as exc:  # includes GuardExceededError and cyclic networks
-        raise UsageError(str(exc)) from exc
+    except (OSError, ValueError, KeyError) as exc:
+        raise ValueError(f"cannot load code file: {exc}") from exc
+    if args.exhaustive or isinstance(code, codes_mod.TableCode):
+        rep = codes_mod.verify_solution_exhaustive(net, code, guard=args.guard)
+        mode = "exhaustive"
+    else:
+        rep = codes_mod.verify_solution(net, code)
+        mode = "algebraic"
     report = {
         "command": "verify",
         "file": str(args.codefile),
@@ -175,11 +164,8 @@ def cmd_verify(args) -> tuple[int, dict, str]:
 
 def cmd_achieve(args) -> tuple[int, dict, str]:
     network = args.network
-    try:
-        cls = rateregion.canonical_class(network, args.region_class)
-        h, expected = rateregion.builtin_region(network, cls)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from exc
+    cls = rateregion.canonical_class(network, args.region_class)
+    h, expected = rateregion.builtin_region(network, cls)
     fld = _achieve_field(network, cls)
     net = netmodel.builtin_network(network)
     bundled = [
@@ -188,26 +174,27 @@ def cmd_achieve(args) -> tuple[int, dict, str]:
         if cls in spec.region_classes
     ]
 
-    all_ok = True
+    def judge(code):
+        """Validity, rate vector, region membership and (routing class
+        only, else None) whether the code routes."""
+        rep = codes_mod.verify_solution(net, code)
+        rate = tuple(rep.rate_vector[m] for m in net.messages)
+        routes = codes_mod.is_routing(code) if cls == "routing" else None
+        return rep.valid, rate, rateregion.contains(h, rate), routes
+
     code_rows = []
     covered: set = set()
     for bc in bundled:
-        rep = codes_mod.verify_solution(net, bc.code)
-        rate = tuple(rep.rate_vector[m] for m in net.messages)
-        inside = rateregion.contains(h, rate)
+        valid, rate, inside, routes = judge(bc.code)
         row = {
             "label": bc.label,
-            "valid": rep.valid,
+            "valid": valid,
             "rate": [frac_str(x) for x in rate],
             "in_region": inside,
         }
-        if cls == "routing":
-            row["routing"] = codes_mod.is_routing(bc.code)
-            if not row["routing"]:
-                all_ok = False
-        if not (rep.valid and inside):
-            all_ok = False
-        if rep.valid:
+        if routes is not None:
+            row["routing"] = routes
+        if valid:
             covered.add(rate)
         code_rows.append(row)
 
@@ -221,38 +208,30 @@ def cmd_achieve(args) -> tuple[int, dict, str]:
         zero_set = tuple(
             m for m, value in zip(net.messages, vertex) if value == 0
         )
-        base = None
-        for bc in bundled:
-            rv = codes_mod.rate_vector(bc.code)
-            candidate = tuple(
-                Fraction(0) if m in zero_set else rv[m] for m in net.messages
-            )
-            if candidate == vertex:
-                base = bc
-                break
+        base = next(
+            (bc for bc in bundled if all(
+                codes_mod.rate_vector(bc.code)[m] == v for m, v in zip(net.messages, vertex) if v
+            )),
+            None,
+        )
         if base is None:
             uncovered.append([frac_str(x) for x in vertex])
             continue
-        derived = codes_mod.zero_fix(net, base.code, zero_set)
-        rep = codes_mod.verify_solution(net, derived)
-        ok = rep.valid and rateregion.contains(
-            h, tuple(rep.rate_vector[m] for m in net.messages)
-        )
-        if cls == "routing":
-            ok = ok and codes_mod.is_routing(derived)
+        valid, _, inside, routes = judge(codes_mod.zero_fix(net, base.code, zero_set))
         derived_rows.append(
             {
                 "vertex": [frac_str(x) for x in vertex],
                 "from": base.label,
                 "zeroed": list(zero_set),
-                "valid": rep.valid,
-                "ok": ok,
+                "valid": valid,
+                "ok": valid and inside and routes is not False,
             }
         )
-        if not ok:
-            all_ok = False
-    if uncovered and len(expected) > 0:
-        all_ok = False
+    all_ok = (
+        not uncovered
+        and all(r["valid"] and r["in_region"] and r.get("routing", True) for r in code_rows)
+        and all(r["ok"] for r in derived_rows)
+    )
 
     report = {
         "command": "achieve",
@@ -285,26 +264,17 @@ def cmd_achieve(args) -> tuple[int, dict, str]:
 
 
 def cmd_rank(args) -> tuple[int, dict, str]:
-    try:
-        expr = rankineq.builtin_inequality(args.inequality)
-    except KeyError as exc:
-        raise UsageError(str(exc.args[0])) from exc
-    try:
-        fld = PrimeField(args.field)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
-        outcome = rankineq.search_violation_detailed(
-            expr,
-            args.field,
-            args.dim,
-            mode=args.mode,
-            seed=args.seed,
-            samples=args.samples,
-            budget=args.budget,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    expr = rankineq.builtin_inequality(args.inequality)
+    fld = PrimeField(args.field)
+    outcome = rankineq.search_violation_detailed(
+        expr,
+        args.field,
+        args.dim,
+        mode=args.mode,
+        seed=args.seed,
+        samples=args.samples,
+        budget=args.budget,
+    )
     expected = rankineq.expected_violation(
         args.inequality, fld.characteristic_class, args.dim
     )
@@ -356,11 +326,8 @@ def _linear_combo(coeffs, names) -> str:
 
 
 def cmd_transfer(args) -> tuple[int, dict, str]:
-    try:
-        values = [rateregion.parse_fraction(v) for v in args.coeffs]
-        coeffs = rateregion.transfer_coefficients(values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    values = [rateregion.parse_fraction(v) for v in args.coeffs]
+    coeffs = rateregion.transfer_coefficients(values)
     bound = rateregion.transfer_vamos(coeffs)
     lhs = _linear_combo(bound.message_coeffs, _ENTROPY_NAMES_LHS)
     for coeff, name in ((bound.cy_coeff, "I(c;y)"), (bound.bx_coeff, "I(b;x)")):
@@ -401,10 +368,10 @@ def cmd_transfer(args) -> tuple[int, dict, str]:
 
 def cmd_polytope(args) -> tuple[int, dict, str]:
     try:
-        text = open(args.hrep).read()
-        h = rateregion.parse_hrep(text)
+        with open(args.hrep) as f:
+            h = rateregion.parse_hrep(f.read())
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot load H-representation: {exc}") from exc
+        raise ValueError(f"cannot load H-representation: {exc}") from exc
     if args.action == "vertices":
         try:
             verts = rateregion.enumerate_vertices(h)
@@ -416,8 +383,6 @@ def cmd_polytope(args) -> tuple[int, dict, str]:
                 "error": f"unbounded: {exc}",
             }
             return EXIT_FAILURE, report, f"unbounded polyhedron: {exc}\n"
-        except ValueError as exc:  # the vertex-subset guard
-            raise UsageError(str(exc)) from exc
         report = {
             "command": "polytope",
             "action": "vertices",
@@ -428,11 +393,8 @@ def cmd_polytope(args) -> tuple[int, dict, str]:
         lines += ["  " + " ".join(frac_str(x) for x in v) for v in verts]
         return EXIT_OK, report, "\n".join(lines) + "\n"
     # contains
-    try:
-        point = [rateregion.parse_fraction(x) for x in args.point]
-        inside = rateregion.contains(h, point)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    point = [rateregion.parse_fraction(x) for x in args.point]
+    inside = rateregion.contains(h, point)
     report = {
         "command": "polytope",
         "action": "contains",
@@ -524,8 +486,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report, text = args.handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KeyError, ValueError) as exc:  # the one boundary: malformed input
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(_render(report, getattr(args, "format", "text"), text))
     return code

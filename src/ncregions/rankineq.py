@@ -24,12 +24,14 @@ Every mode hands its slack values, in order and in pieces, to one loop
 that names the first violator and takes the least slack over whole
 blocks through the violator's block (:func:`search_violation_detailed`).
 
-The exhaustive and sample modes weigh joint entropies by integers.
-Each term small enough is tabulated once per search over its own
-variables (:func:`_term_tables`): up to ``chunk`` entries when
-exhaustive, up to one block's trials when sampling.  A table is read by
-one gather per assignment, and larger terms walk the join table from
-shared prefixes.  Sample mode draws and evaluates its blocks in
+Every mode weighs joint entropies by the integers of one plan
+(:func:`_integer_plan`); catalog mode sums them per assignment
+(:func:`_plan_value`, which :func:`evaluate` shares).  In the exhaustive
+and sample modes each term small enough is tabulated once per search
+over its own variables (:func:`_term_tables`): up to ``chunk`` entries
+when exhaustive, up to one block's trials when sampling.  A table is
+read by one gather per assignment, and larger terms walk the join table
+from shared prefixes.  Sample mode draws and evaluates its blocks in
 cache-sized tiles, one index column per variable; the draw protocol is
 the same either way.
 """
@@ -49,6 +51,7 @@ from .rateregion import frac_str
 from .subspace import (
     SubspaceAssignment,
     SubspaceLattice,
+    check_enumeration_guard,
     count_subspaces,
     entropy,
     lattice,
@@ -157,10 +160,9 @@ def evaluate(expr: EntropyExpression, assign: SubspaceAssignment) -> Fraction:
     missing = expr.variables() - set(assign.spaces)
     if missing:
         raise KeyError(f"assignment lacks variables {sorted(missing)}")
-    total = Fraction(0)
-    for subset, coeff in canonicalize(expr).items():
-        total += coeff * entropy(assign, subset)
-    return total
+    variables = sorted(expr.variables())
+    plan, denom = _integer_plan(expr, variables)
+    return Fraction(_plan_value(plan, variables, assign), denom)
 
 
 def evaluate_atoms(expr: EntropyExpression, assign: SubspaceAssignment) -> Fraction:
@@ -393,6 +395,11 @@ def _integer_plan(expr: EntropyExpression, variables: Sequence[str]):
     return plan, denom
 
 
+def _plan_value(plan, variables: Sequence[str], assign: SubspaceAssignment) -> int:
+    """Sum of weight * H(subset) over the plan: the value times its denominator."""
+    return sum(w * entropy(assign, [variables[k] for k in pos]) for w, pos in plan)
+
+
 def _term_tables(plan, lat: SubspaceLattice, limit: int):
     """Tabulate every term of at most ``limit`` entries over its own variables.
 
@@ -565,9 +572,10 @@ def search_violation_detailed(
     plan, denom = _integer_plan(expr, variables)
     if mode == "catalog":
         held = [a for a in catalog_assignments(q, d) if set(variables) <= set(a.spaces)]
-        pieces = ((k, np.array([int(evaluate(expr, a) * denom)])) for k, a in enumerate(held))
+        pieces = ((k, np.array([_plan_value(plan, variables, a)])) for k, a in enumerate(held))
         block, end, witness = 1, len(held), held.__getitem__
     else:
+        check_enumeration_guard(q, d)
         size = count_subspaces(q, d)
         nvars = len(variables)
         total = size**nvars

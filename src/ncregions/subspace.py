@@ -175,6 +175,16 @@ def count_subspaces(q: int, d: int) -> int:
     return sum(gaussian_binomial(d, k, q) for k in range(d + 1))
 
 
+def check_enumeration_guard(q: int, d: int) -> None:
+    """Refuse GF(q)^d when q^d exceeds ENUMERATION_GUARD.
+
+    Exact for every prime q and d >= 0 without building q^d: once
+    d >= 21, q^d >= 2^21 already exceeds the guard.
+    """
+    if q ** min(d, ENUMERATION_GUARD.bit_length()) > ENUMERATION_GUARD:
+        raise ValueError(f"{q}^{d} exceeds the enumeration guard {ENUMERATION_GUARD}")
+
+
 def enumerate_subspaces(q: int, d: int) -> list[Subspace]:
     """All subspaces of GF(q)^d in a deterministic order.
 
@@ -185,8 +195,7 @@ def enumerate_subspaces(q: int, d: int) -> list[Subspace]:
     fld = PrimeField(q)
     if d < 0:
         raise ValueError(f"ambient dimension must be non-negative, got {d}")
-    if q**d > ENUMERATION_GUARD:
-        raise ValueError(f"{q}^{d} exceeds the enumeration guard {ENUMERATION_GUARD}")
+    check_enumeration_guard(q, d)
     out: list[Subspace] = []
     for k in range(d + 1):
         for pivots in combinations(range(d), k):
@@ -288,6 +297,7 @@ class SubspaceLattice:
     """
 
     def __init__(self, q: int, d: int):
+        check_enumeration_guard(q, d)
         size = count_subspaces(q, d)
         if size * size > LATTICE_TABLE_GUARD:
             raise ValueError(

@@ -1,13 +1,19 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ncregions.cli import build_parser, main
+from ncregions import codes as codes_mod
+from ncregions import netmodel, rateregion
+from ncregions.cli import EXIT_FAILURE, EXIT_OK, _achieve_field, build_parser, cmd_achieve, main
+from ncregions.rateregion import frac_str
 
 from conftest import DATA_DIR
 
@@ -547,6 +553,235 @@ def test_polytope_parse_error(tmp_path, capsys):
     bad.write_text("1 2 3\n")
     code, _, err = run(capsys, "polytope", "--hrep", str(bad), "vertices")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# error paths: every one exits 2 with exactly this line on stderr
+
+_MISSING_CODE = str(DATA_DIR / "codes" / "no_such.json")
+_MISSING_HREP = str(DATA_DIR / "hreps" / "no_such.hrep")
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (("regions", "fano", "--class", "zy-outer"),
+         "no region cataloged for network='fano' class='zy-outer'"),
+        (("capacity", "fano", "--class", "nosuch", "--kind", "uniform"),
+         "no region cataloged for network='fano' class='nosuch'"),
+        (("achieve", "gbutterfly", "--class", "nosuch"),
+         "no region cataloged for network='gbutterfly' class='nosuch'"),
+        (("achieve", "vamos", "--class", "shannon-outer"),
+         "no achieving codes bundled for vamos / shannon-outer"),
+        (("verify", _MISSING_CODE),
+         f"cannot load code file: [Errno 2] No such file or directory: '{_MISSING_CODE}'"),
+        (("verify", FANO_GOOD, "--exhaustive", "--guard", "100"),
+         "3^12 assignments exceed the enumeration guard 100"),
+        (("rank", "oddLRI", "--field", "4", "--dim", "2"), "modulus 4 is not prime"),
+        (("rank", "oddLRI", "--field", "2", "--dim", "-1"),
+         "dimension must be non-negative, got -1"),
+        (("transfer", "--coeffs", "x", "1", "0", "0", "1", "0", "0", "1", "0", "0"),
+         "cannot parse rational 'x'"),
+        (("polytope", "--hrep", _MISSING_HREP, "vertices"),
+         f"cannot load H-representation: [Errno 2] No such file or directory: '{_MISSING_HREP}'"),
+        (("polytope", "--hrep", CUBE_HREP, "contains", "1", "2"),
+         "point has dimension 2, expected 3"),
+    ],
+    ids=[
+        "regions-class", "capacity-class", "achieve-class", "achieve-outer",
+        "verify-missing", "verify-guard", "rank-composite", "rank-negative-dim",
+        "transfer-rational", "polytope-missing", "polytope-point-dim",
+    ],
+)
+def test_error_paths_exit_two_with_one_line(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "extra", [("--mode", "sample"), ("--mode", "exhaustive", "--budget", str(10**400))]
+)
+def test_rank_enumeration_guard_precedes_counting(capsys, extra):
+    # counting the subspaces of GF(2)^800 alone would take minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "ingleton", "--field", "2", "--dim", "800", *extra)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: 2^800 exceeds the enumeration guard 1048576\n"
+
+
+# ---------------------------------------------------------------------------
+# achieve against the reference implementation it replaced
+
+
+class _ReferenceUsageError(Exception):
+    pass
+
+
+def _reference_achieve(args) -> tuple[int, dict, str]:
+    # the handler as it stood before the checks of a code were shared
+    UsageError = _ReferenceUsageError
+    network = args.network
+    try:
+        cls = rateregion.canonical_class(network, args.region_class)
+        h, expected = rateregion.builtin_region(network, cls)
+    except KeyError as exc:
+        raise UsageError(str(exc.args[0])) from exc
+    fld = _achieve_field(network, cls)
+    net = netmodel.builtin_network(network)
+    bundled = [
+        codes_mod.instantiate_builtin(net, spec, fld)
+        for spec in codes_mod.builtin_code_specs(network)
+        if cls in spec.region_classes
+    ]
+
+    all_ok = True
+    code_rows = []
+    covered: set = set()
+    for bc in bundled:
+        rep = codes_mod.verify_solution(net, bc.code)
+        rate = tuple(rep.rate_vector[m] for m in net.messages)
+        inside = rateregion.contains(h, rate)
+        row = {
+            "label": bc.label,
+            "valid": rep.valid,
+            "rate": [frac_str(x) for x in rate],
+            "in_region": inside,
+        }
+        if cls == "routing":
+            row["routing"] = codes_mod.is_routing(bc.code)
+            if not row["routing"]:
+                all_ok = False
+        if not (rep.valid and inside):
+            all_ok = False
+        if rep.valid:
+            covered.add(rate)
+        code_rows.append(row)
+
+    # remaining cataloged vertices are reachable by zeroing messages of
+    # a bundled code whose surviving rates match the vertex exactly
+    derived_rows = []
+    uncovered = []
+    for vertex in expected:
+        if vertex in covered:
+            continue
+        zero_set = tuple(
+            m for m, value in zip(net.messages, vertex) if value == 0
+        )
+        base = None
+        for bc in bundled:
+            rv = codes_mod.rate_vector(bc.code)
+            candidate = tuple(
+                Fraction(0) if m in zero_set else rv[m] for m in net.messages
+            )
+            if candidate == vertex:
+                base = bc
+                break
+        if base is None:
+            uncovered.append([frac_str(x) for x in vertex])
+            continue
+        derived = codes_mod.zero_fix(net, base.code, zero_set)
+        rep = codes_mod.verify_solution(net, derived)
+        ok = rep.valid and rateregion.contains(
+            h, tuple(rep.rate_vector[m] for m in net.messages)
+        )
+        if cls == "routing":
+            ok = ok and codes_mod.is_routing(derived)
+        derived_rows.append(
+            {
+                "vertex": [frac_str(x) for x in vertex],
+                "from": base.label,
+                "zeroed": list(zero_set),
+                "valid": rep.valid,
+                "ok": ok,
+            }
+        )
+        if not ok:
+            all_ok = False
+    if uncovered and len(expected) > 0:
+        all_ok = False
+
+    report = {
+        "command": "achieve",
+        "network": network,
+        "class": args.region_class,
+        "field": f"GF({fld.p})",
+        "codes": code_rows,
+        "derived": derived_rows,
+        "uncovered_vertices": uncovered,
+        "ok": all_ok,
+    }
+    lines = [f"network: {network}", f"class: {args.region_class}", f"field: GF({fld.p})"]
+    for row in code_rows:
+        flags = [
+            "valid" if row["valid"] else "INVALID",
+            "in-region" if row["in_region"] else "OUTSIDE-REGION",
+        ]
+        if "routing" in row:
+            flags.append("routing" if row["routing"] else "NOT-ROUTING")
+        lines.append(f"{row['label']:20s} rate=({', '.join(row['rate'])}) {' '.join(flags)}")
+    for row in derived_rows:
+        lines.append(
+            f"derived ({', '.join(row['vertex'])}) from {row['from']} "
+            f"zeroing {row['zeroed']}: {'ok' if row['ok'] else 'FAIL'}"
+        )
+    if uncovered:
+        lines.append(f"uncovered vertices: {uncovered}")
+    lines.append(f"result: {'ok' if all_ok else 'FAIL'}")
+    return (EXIT_OK if all_ok else EXIT_FAILURE), report, "\n".join(lines) + "\n"
+
+
+def _outcome(handler, args):
+    try:
+        return handler(args)
+    except Exception as exc:  # both must refuse the same classes with the same words
+        return ("refused", str(exc))
+
+
+def _invalid_report(verify):
+    return lambda net, code: dataclasses.replace(verify(net, code), valid=False)
+
+
+def _unreachable_vertex(builtin_region):
+    # a cataloged vertex no bundled code reaches, by any zeroing
+    def region(network, cls):
+        h, expected = builtin_region(network, cls)
+        return h, rateregion.vrep([*expected, [7] * h.dim])
+    return region
+
+
+_ACHIEVE_CASES = [
+    (network, cls)
+    for network in netmodel.NETWORK_IDS
+    for cls in rateregion.region_classes(network)
+]
+
+
+@pytest.mark.parametrize(
+    "fault,exits",
+    [
+        ("none", {EXIT_OK}),
+        ("not-routing", {EXIT_OK, EXIT_FAILURE}),  # only the routing classes fail
+        ("outside", {EXIT_FAILURE}),
+        ("invalid", {EXIT_FAILURE}),
+        ("uncovered", {EXIT_FAILURE}),
+    ],
+)
+def test_achieve_matches_reference(monkeypatch, fault, exits):
+    if fault == "not-routing":
+        monkeypatch.setattr(codes_mod, "is_routing", lambda code: False)
+    elif fault == "outside":
+        monkeypatch.setattr(rateregion, "contains", lambda h, point: False)
+    elif fault == "invalid":
+        monkeypatch.setattr(codes_mod, "verify_solution", _invalid_report(codes_mod.verify_solution))
+    elif fault == "uncovered":
+        monkeypatch.setattr(rateregion, "builtin_region", _unreachable_vertex(rateregion.builtin_region))
+    seen = set()
+    for network, cls in _ACHIEVE_CASES:
+        args = argparse.Namespace(network=network, region_class=cls)
+        got, want = _outcome(cmd_achieve, args), _outcome(_reference_achieve, args)
+        assert got == want, (network, cls)
+        seen.add(want[0])
+    assert seen == exits | {"refused"}  # vamos's outer bounds have no codes
 
 
 # ---------------------------------------------------------------------------

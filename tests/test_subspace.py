@@ -101,6 +101,26 @@ def test_enumeration_guard():
         enumerate_subspaces(2, -1)
 
 
+@pytest.mark.parametrize("q", [2, 3, 5, 251, 1_048_583])
+def test_enumeration_guard_check_is_exact(q):
+    for d in range(45):
+        if q**d > subspace_mod.ENUMERATION_GUARD:
+            with pytest.raises(ValueError, match=f"^{q}\\^{d} exceeds the enumeration guard 1048576$"):
+                subspace_mod.check_enumeration_guard(q, d)
+        else:
+            subspace_mod.check_enumeration_guard(q, d)
+
+
+def test_lattice_checks_the_enumeration_guard_before_counting(monkeypatch):
+    def fail(q, d):
+        raise AssertionError("counted despite the guard")
+
+    monkeypatch.setattr(subspace_mod, "count_subspaces", fail)
+    for q, d in [(2, 21), (2, 800), (1_048_583, 1)]:
+        with pytest.raises(ValueError, match="enumeration guard"):
+            subspace_mod.SubspaceLattice(q, d)
+
+
 def test_dimension_modularity_over_all_pairs():
     spaces = enumerate_subspaces(2, 3)
     for a, b in combinations(spaces, 2):
