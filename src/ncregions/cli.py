@@ -38,6 +38,11 @@ def _render(report: dict, fmt: str, text: str) -> str:
     return text
 
 
+def _message(exc: Exception) -> str:
+    """An input error's text; a KeyError's without the quotes str() adds."""
+    return exc.args[0] if isinstance(exc, KeyError) else str(exc)
+
+
 def _rate_strings(rates: dict[str, Fraction]) -> dict[str, str]:
     return {m: frac_str(r) for m, r in rates.items()}
 
@@ -126,7 +131,7 @@ def cmd_verify(args) -> tuple[int, dict, str]:
     try:
         net, code = codes_mod.read_code_file(args.codefile)
     except (OSError, ValueError, KeyError) as exc:
-        raise ValueError(f"cannot load code file: {exc}") from exc
+        raise ValueError(f"cannot load code file: {_message(exc)}") from exc
     if args.exhaustive or isinstance(code, codes_mod.TableCode):
         rep = codes_mod.verify_solution_exhaustive(net, code, guard=args.guard)
         mode = "exhaustive"
@@ -487,7 +492,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, report, text = args.handler(args)
     except (KeyError, ValueError) as exc:  # the one boundary: malformed input
-        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(_render(report, getattr(args, "format", "text"), text))
     return code

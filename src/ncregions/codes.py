@@ -59,6 +59,7 @@ from .ff import (
     mat_stack,
     mat_vec,
     mat_zeros,
+    power_exceeds,
     rowspace_contains,
     solve,
 )
@@ -308,7 +309,7 @@ def validate_code(net: Network, code: Code) -> None:
             if fn.field != code.field:
                 raise ValueError(f"{what} matrix is over the wrong field")
         else:
-            if len(fn) != code.alphabet**width:
+            if power_exceeds(code.alphabet, width, len(fn)) or code.alphabet**width != len(fn):
                 raise ValueError(f"{what} table has wrong domain size")
             outputs = set(fn)
             if any(len(out) != out_width for out in outputs):
@@ -487,17 +488,17 @@ def verify_solution_exhaustive(
     rates = code.rates
     base = _alphabet_size(code)
     total = rates.total_message_width
-    count = base**total
-    if count > guard:
+    if power_exceeds(base, total, guard):
         raise GuardExceededError(
             f"{base}^{total} assignments exceed the enumeration guard {guard}"
         )
+    count = base**total
     keyed = dict.fromkeys(
         [e.tail for e in net.edges if e.coded] + [node for node, _ in net.demands]
     )
     for node in keyed:
         width = node_input_width(net, rates, node)
-        if base**width >= 2**62:
+        if power_exceeds(base, width, 2**62 - 1):
             raise GuardExceededError(
                 f"inputs of node {node} ({base}^{width} values) are too wide "
                 "for exhaustive keying"
@@ -1126,9 +1127,16 @@ _JSON_TYPE_NAMES = {
 }
 
 
+# stands for a field absent from its JSON object
+_MISSING = object()
+
+
 def _json_typed(value, kind: type, what: str):
     """``value`` if it has the JSON type ``kind`` (booleans are not
-    integers), else a ValueError naming ``what``."""
+    integers), else a ValueError naming ``what``, also when ``value`` is
+    ``_MISSING``."""
+    if value is _MISSING:
+        raise ValueError(f"missing {what}")
     if type(value) is not kind:
         raise ValueError(
             f"{what} must be {_JSON_TYPE_NAMES[kind]}, "
@@ -1159,11 +1167,11 @@ def code_from_json(
             name = _json_typed(doc.get("network", "custom"), str, "network")
             net = parse_network(net_path.read_text(), name=name)
         else:
-            net = builtin_network(_json_typed(doc["network"], str, "network"))
-    dims = _json_typed(doc["message_dims"], dict, "message_dims")
+            net = builtin_network(_json_typed(doc.get("network", _MISSING), str, "network"))
+    dims = _json_typed(doc.get("message_dims", _MISSING), dict, "message_dims")
     for name, k in dims.items():
         _json_typed(k, int, f"message_dims[{name!r}]")
-    rates = rate_spec(net, dims, _json_typed(doc["edge_dim"], int, "edge_dim"))
+    rates = rate_spec(net, dims, _json_typed(doc.get("edge_dim", _MISSING), int, "edge_dim"))
 
     is_linear = "field" in doc
     if is_linear:
@@ -1175,14 +1183,14 @@ def code_from_json(
         else:
             raise ValueError("field must give a modulus or a characteristic")
     else:
-        alphabet = _json_typed(doc["alphabet"], int, "alphabet")
+        alphabet = _json_typed(doc.get("alphabet", _MISSING), int, "alphabet")
 
     def parse(entry: dict, node: str, what: str):
         _json_typed(entry, dict, what)
-        inputs = _json_list(entry["inputs"], str, f"{what} inputs")
+        inputs = _json_list(entry.get("inputs", _MISSING), str, f"{what} inputs")
         layout = _input_layout(net, rates, node)
         if is_linear:
-            rows = _json_list(entry["matrix"], list, f"{what} matrix")
+            rows = _json_list(entry.get("matrix", _MISSING), list, f"{what} matrix")
             for row in rows:
                 _json_list(row, int, f"{what} matrix row")
             rows = _permute_columns(rows, inputs, layout)
@@ -1194,7 +1202,7 @@ def code_from_json(
             raise ValueError(
                 f"table inputs {inputs} must be listed in the node's input order {names}"
             )
-        table = _json_list(entry["table"], str, f"{what} table")
+        table = _json_list(entry.get("table", _MISSING), str, f"{what} table")
         decoded = {}
         for line in set(table):
             if not set(line).issubset(_DIGITS):
@@ -1203,7 +1211,7 @@ def code_from_json(
         return tuple(map(decoded.__getitem__, table))
 
     functions = {}
-    for label, entry in _json_typed(doc["edges"], dict, "edges").items():
+    for label, entry in _json_typed(doc.get("edges", _MISSING), dict, "edges").items():
         if label not in net.named_edges:
             raise ValueError(f"unknown edge label {label!r}")
         functions[label] = parse(entry, _tail(net, label), f"edge {label!r}")

@@ -32,6 +32,13 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def power_exceeds(base: int, exp: int, bound: int) -> bool:
+    """Whether ``base ** exp > bound``, for a base of at least 2 and a
+    non-negative bound, without building a power wider than ``bound``:
+    once ``exp`` reaches the bit length of ``bound``, the power exceeds it."""
+    return base ** min(exp, bound.bit_length()) > bound
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The field GF(p) for a prime modulus p <= 257.

@@ -31,9 +31,8 @@ and sample modes each term small enough is tabulated once per search
 over its own variables (:func:`_term_tables`): up to ``chunk`` entries
 when exhaustive, up to one block's trials when sampling.  A table is
 read by one gather per assignment, and larger terms walk the join table
-from shared prefixes.  Sample mode draws and evaluates its blocks in
-cache-sized tiles, one index column per variable; the draw protocol is
-the same either way.
+from shared prefixes.  Sample mode draws and evaluates its trials in
+cache-sized tiles, one index column per variable.
 """
 
 from __future__ import annotations
@@ -51,10 +50,9 @@ from .rateregion import frac_str
 from .subspace import (
     SubspaceAssignment,
     SubspaceLattice,
-    check_enumeration_guard,
-    count_subspaces,
     entropy,
     lattice,
+    lattice_size,
     subspace_span,
 )
 
@@ -514,16 +512,15 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
 
 def _sample_tiles(plan, lat: SubspaceLattice, nvars: int, seed: int, samples: int, block: int):
     """Slack of trials 0 .. samples-1 in draw order, in tiles of at most
-    ``_SAMPLE_TILE`` trials that never straddle a block of ``block``
-    trials.  Terms of at most one block's trials come tabulated from
-    :func:`_term_tables`, built once.  Yields each tile's first trial
-    index and its slack values."""
+    ``_SAMPLE_TILE`` trials.  Terms of at most one block's trials
+    (``block``) come tabulated from :func:`_term_tables`, built once.
+    Yields each tile's first trial index and its slack values."""
     size = len(lat)
     # a table larger than one block's trials would cost more to build than it saves
     tables, large = _term_tables(plan, lat, min(block, samples))
     done = 0
     while done < samples:
-        count = min(_SAMPLE_TILE, block - done % block, samples - done)
+        count = min(_SAMPLE_TILE, samples - done)
         raw = _splitmix_block(seed, done * nvars + 1, count, nvars)
         # raw % size, as raw - raw // size * size: numpy's floor division
         # by a scalar is about three times faster than its remainder
@@ -575,14 +572,11 @@ def search_violation_detailed(
         pieces = ((k, np.array([_plan_value(plan, variables, a)])) for k, a in enumerate(held))
         block, end, witness = 1, len(held), held.__getitem__
     else:
-        check_enumeration_guard(q, d)
-        size = count_subspaces(q, d)
+        size = lattice_size(q, d)
         nvars = len(variables)
         total = size**nvars
         if mode == "exhaustive" and total > budget:
-            raise ValueError(
-                f"{size}^{nvars} = {total} assignments exceed the budget {budget}"
-            )
+            raise ValueError(f"{size}^{nvars} = {total} assignments exceed the budget {budget}")
         lat = lattice(q, d)
         if mode == "exhaustive":
             pieces = _slack_slabs(plan, lat, nvars, chunk)

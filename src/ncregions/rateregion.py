@@ -144,17 +144,17 @@ def _rank(tab: list[list[int]], m: int) -> int:
     return rank
 
 
-def _walk(h: HRep, vertices: bool) -> set:
+def _walk(h: HRep) -> set:
     """Depth-first walk of the row subsets of ``h`` in lexicographic order.
 
     One integer tableau of every row ``[a, b]`` is kept reduced against
     the current subset (:func:`_pivot`); a row depends on it when its
     coefficients are all zero.  The last of m-1 rows is eliminated only as
     far as their line, on which each other row reads ``f x_free <= g``.
-    The line is unbounded unless some ``f`` is positive and some negative;
-    otherwise a ratio pass gives its two ends, kept as gcd-normalised
-    ``(N, L)``, L > 0, for the point N / L, when every ``f = 0`` row has
-    ``g >= 0``.
+    The line is unbounded unless some ``f`` is positive and some negative,
+    which is tested before anything else on it; then a ratio pass gives
+    its two ends, kept as gcd-normalised ``(N, L)``, L > 0, for the point
+    N / L, when every ``f = 0`` row has ``g >= 0``.
     """
     m, total = h.dim, len(h.halfspaces)
     if m == 0:
@@ -188,8 +188,6 @@ def _walk(h: HRep, vertices: bool) -> set:
                 lead = -lead
             direction = tuple(str(Fraction(x, lead)) for x in d)
             raise UnboundedPolyhedronError(f"unbounded along direction {direction}")
-        if not vertices:
-            return
         # x_free lies in [lo_g / lo_f, hi_g / hi_f]; each f >= 0, and the
         # starting ends -1 / 0 and 1 / 0 stand for minus and plus infinity
         lo_g, lo_f, hi_g, hi_f = -1, 0, 1, 0
@@ -222,7 +220,7 @@ def _walk(h: HRep, vertices: bool) -> set:
             if p < 0:
                 p, a, b = -p, -a, -b
             fs = [(p * r[free] - r[col] * a) // det for r in tab]
-            gs = [(p * r[m] - r[col] * b) // det for r in tab] if vertices else fs
+            gs = [(p * r[m] - r[col] * b) // det for r in tab]
             pivots = [(c, fs[i], gs[i]) for i, c in basis] + [(col, a, b)]
             for i, _ in basis:
                 fs[i] = gs[i] = 0
@@ -242,9 +240,9 @@ def ensure_bounded(h: HRep) -> None:
     (it then contains a line) or some rank-(m-1) subset of rows leaves a
     one-dimensional nullspace whose direction satisfies all inequalities;
     checking those finitely many candidate extreme rays is complete.
-    This is the walk of :func:`enumerate_vertices` without the ratio pass.
+    This is the walk of :func:`enumerate_vertices`, its vertices dropped.
     """
-    _walk(h, vertices=False)
+    _walk(h)
 
 
 def enumerate_vertices(h: HRep) -> VRep:
@@ -257,7 +255,7 @@ def enumerate_vertices(h: HRep) -> VRep:
     C(n, m-1) * n * (m + 3) above ``VERTEX_WORK_GUARD`` raises ValueError
     before any work.
     """
-    found = _walk(h, vertices=True)
+    found = _walk(h)
     return VRep(tuple(sorted(tuple(Fraction(x, den) for x in num) for num, den in found)))
 
 

@@ -12,9 +12,9 @@ an entropy then folds indices through the table instead of doing linear
 algebra per query.  The table is built without pairwise linear algebra:
 each subspace is stored as a bitmask of its member vectors and gets one
 orthogonal complement, and A + B = (A^perp & B^perp)^perp becomes an
-AND of two masks plus a dict lookup.  Building is refused up front when
-the table would exceed ``LATTICE_TABLE_GUARD`` entries or the mask work
-``LATTICE_MASK_GUARD``.
+AND of two masks plus a dict lookup.  :func:`lattice_size` owns the
+limits of a lattice (the enumeration, join-table and mask guards) and
+checks them without enumerating, before any build.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ from .ff import (
     mat,
     mat_mul,
     mat_nullspace,
+    mat_rank,
     mat_rref,
     mat_stack,
     mat_transpose,
+    power_exceeds,
 )
 
 ENUMERATION_GUARD = 2**20
@@ -176,13 +178,27 @@ def count_subspaces(q: int, d: int) -> int:
 
 
 def check_enumeration_guard(q: int, d: int) -> None:
-    """Refuse GF(q)^d when q^d exceeds ENUMERATION_GUARD.
-
-    Exact for every prime q and d >= 0 without building q^d: once
-    d >= 21, q^d >= 2^21 already exceeds the guard.
-    """
-    if q ** min(d, ENUMERATION_GUARD.bit_length()) > ENUMERATION_GUARD:
+    """Refuse GF(q)^d when q^d exceeds ENUMERATION_GUARD, without building q^d."""
+    if power_exceeds(q, d, ENUMERATION_GUARD):
         raise ValueError(f"{q}^{d} exceeds the enumeration guard {ENUMERATION_GUARD}")
+
+
+def lattice_size(q: int, d: int) -> int:
+    """Subspace count of GF(q)^d once it passes the enumeration, join-table
+    and mask guards of :class:`SubspaceLattice`; nothing is enumerated."""
+    check_enumeration_guard(q, d)
+    size = count_subspaces(q, d)
+    if size * size > LATTICE_TABLE_GUARD:
+        raise ValueError(
+            f"GF({q})^{d} has {size} subspaces; its {size}^2-entry join table "
+            f"exceeds the guard {LATTICE_TABLE_GUARD}"
+        )
+    if size * size * q**d > LATTICE_MASK_GUARD:
+        raise ValueError(
+            f"GF({q})^{d} has {size} subspaces of {q}^{d}-bit masks; "
+            f"{size}^2 * {q}^{d} exceeds the mask guard {LATTICE_MASK_GUARD}"
+        )
+    return size
 
 
 def enumerate_subspaces(q: int, d: int) -> list[Subspace]:
@@ -239,17 +255,13 @@ def assignment(q: int, d: int, spaces: Mapping[str, Subspace]) -> SubspaceAssign
 
 
 def entropy(assign: SubspaceAssignment, vars: Iterable[str]) -> int:
-    """Dimension of the join of the named subspaces; entropy of {} is 0."""
-    names = list(vars)
-    if not names:
-        return 0
-    current = None
-    for name in names:
+    """Rank of the named subspaces' stacked bases, the dimension of their join; 0 for none."""
+    bases = []
+    for name in vars:
         if name not in assign.spaces:
             raise KeyError(f"unknown variable {name!r}")
-        s = assign.spaces[name]
-        current = s if current is None else join(current, s)
-    return current.dim
+        bases.append(assign.spaces[name].basis)
+    return mat_rank(mat_stack(*bases)) if bases else 0
 
 
 def apply_ambient_transform(assign: SubspaceAssignment, m: PrimeFieldMatrix) -> SubspaceAssignment:
@@ -297,18 +309,7 @@ class SubspaceLattice:
     """
 
     def __init__(self, q: int, d: int):
-        check_enumeration_guard(q, d)
-        size = count_subspaces(q, d)
-        if size * size > LATTICE_TABLE_GUARD:
-            raise ValueError(
-                f"GF({q})^{d} has {size} subspaces; its {size}^2-entry join table "
-                f"exceeds the guard {LATTICE_TABLE_GUARD}"
-            )
-        if size * size * q**d > LATTICE_MASK_GUARD:
-            raise ValueError(
-                f"GF({q})^{d} has {size} subspaces of {q}^{d}-bit masks; "
-                f"{size}^2 * {q}^{d} exceeds the mask guard {LATTICE_MASK_GUARD}"
-            )
+        size = lattice_size(q, d)
         self.q = q
         self.d = d
         self.spaces = enumerate_subspaces(q, d)

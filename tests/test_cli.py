@@ -262,6 +262,42 @@ def test_verify_input_keys_too_wide_exits_two_quickly(tmp_path, capsys):
     assert "too wide" in err
 
 
+def test_huge_table_domain_exits_two_quickly(tmp_path, capsys):
+    # edge w reads a: a 3^(10^9 + 1)-line domain, refused without building 3^(10^9 + 1)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({
+        "network": "fano", "message_dims": {"a": 10**9, "b": 1, "c": 1}, "edge_dim": 1,
+        "alphabet": 3,
+        "edges": {
+            "w": {"inputs": ["a", "b"], "table": ["0", "1", "2"]},
+            **{e: {"inputs": i, "table": ["0"] * 9} for e, i in
+               (("y", ["b", "c"]), ("x", ["w", "y"]), ("z", ["c", "w"]))},
+        },
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", "error: cannot load code file: edge 'w' table has wrong domain size\n"
+    )
+
+
+def test_exhaustive_guard_on_a_huge_isolated_message_exits_two_quickly(tmp_path, capsys):
+    # message b reaches no edge, so its 10^9 symbols only show in the assignment count
+    (tmp_path / "iso.net").write_text("message a@s\nmessage b@t\nedge e1 s r\ndemand r a\n")
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps({
+        "network": "iso", "network_file": "iso.net", "field": {"modulus": 3},
+        "message_dims": {"a": 1, "b": 10**9}, "edge_dim": 1,
+        "edges": {"e1": {"inputs": ["a"], "matrix": [[1]]}},
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path), "--exhaustive")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: 3^1000000001 assignments exceed the enumeration guard 1048576\n"
+
+
 @pytest.mark.parametrize("line", ["Z", "-", " ", "3"])
 def test_verify_table_symbol_outside_digits_or_alphabet_exits_two(tmp_path, capsys, line):
     # "Z", "-" and " " are no symbol at all; "3" is outside the alphabet {0, 1}
@@ -560,6 +596,9 @@ def test_polytope_parse_error(tmp_path, capsys):
 
 _MISSING_CODE = str(DATA_DIR / "codes" / "no_such.json")
 _MISSING_HREP = str(DATA_DIR / "hreps" / "no_such.hrep")
+# a code document in argv is written to a file and passed by its path
+_FANO_DOC = json.loads((DATA_DIR / "codes" / "fano_45_odd.json").read_text())
+_FANO_NO_EDGES = {k: v for k, v in _FANO_DOC.items() if k != "edges"}
 
 
 @pytest.mark.parametrize(
@@ -586,14 +625,28 @@ _MISSING_HREP = str(DATA_DIR / "hreps" / "no_such.hrep")
          f"cannot load H-representation: [Errno 2] No such file or directory: '{_MISSING_HREP}'"),
         (("polytope", "--hrep", CUBE_HREP, "contains", "1", "2"),
          "point has dimension 2, expected 3"),
+        (("verify", {**_FANO_DOC, "network": "nosuch"}),
+         "cannot load code file: unknown network 'nosuch'; "
+         "expected one of ('gbutterfly', 'fano', 'nonfano', 'vamos')"),
+        (("verify", _FANO_NO_EDGES), "cannot load code file: missing edges"),
+        # the lattice's table guard applies before the 124-digit budget count
+        (("rank", "ingleton", "--field", "2", "--dim", "20", "--mode", "exhaustive"),
+         "GF(2)^20 has 9323404868688111753287679285907 subspaces; its "
+         "9323404868688111753287679285907^2-entry join table exceeds the guard 16777216"),
     ],
     ids=[
         "regions-class", "capacity-class", "achieve-class", "achieve-outer",
         "verify-missing", "verify-guard", "rank-composite", "rank-negative-dim",
         "transfer-rational", "polytope-missing", "polytope-point-dim",
+        "verify-unknown-network", "verify-no-edges", "rank-table-guard-before-budget",
     ],
 )
-def test_error_paths_exit_two_with_one_line(capsys, argv, err):
+def test_error_paths_exit_two_with_one_line(capsys, tmp_path, argv, err):
+    path = tmp_path / "code.json"
+    for a in argv:
+        if isinstance(a, dict):
+            path.write_text(json.dumps(a))
+    argv = [str(path) if isinstance(a, dict) else a for a in argv]
     assert run(capsys, *argv) == (2, "", f"error: {err}\n")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -26,6 +27,7 @@ from ncregions.codes import (
     builtin_codes,
     concatenate_codes,
     evaluate_code,
+    formulas_to_matrix,
     RateSpec,
     instantiate_builtin,
     is_routing,
@@ -1088,6 +1090,8 @@ def test_bundled_code_files_load(tmp_path):
         lambda d: d.update(edges=[]),
         lambda d: d.update(edge_dim=None),
         lambda d: d["edges"]["w"].update(matrix="11"),
+        lambda d: d["edges"].update(q=d["edges"]["w"]),  # no edge is labelled q
+        lambda d: d["edges"]["w"].pop("matrix"),
     ],
 )
 def test_code_file_rejects_malformed_documents(tmp_path, mutate):
@@ -1125,6 +1129,7 @@ def test_code_file_refuses_a_long_row_in_either_input_order(tmp_path, inputs):
         lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["0", "1", "1"]}}),
         lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["00", "11", "11", "00"]}}),
         lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["0", "1", "1", "2"]}}),
+        lambda d: d["edges"]["w"].update(inputs=["b", "a"]),  # out of layout order
     ],
 )
 def test_table_code_file_rejects_malformed_tables(tmp_path, mutate):
@@ -1163,3 +1168,30 @@ def test_rate_spec_validation():
         rate_spec(net, {"a": -1}, 1)
     spec = rate_spec(net, {"a": 1}, 1)
     assert spec.message_dims == {"a": 1, "b": 0, "c": 0}
+
+
+@pytest.mark.parametrize("char,p", [("even", 2), ("odd", 3)])
+def test_code_file_names_its_field_by_characteristic(tmp_path, char, p):
+    doc = json.loads((DATA_DIR / "codes" / "fano_45_odd.json").read_text())
+    doc["field"] = {"characteristic": char}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    _, code = read_code_file(path)
+    assert code.field == PrimeField(p)
+
+
+def test_copy_edge_from_a_node_with_a_message_is_rejected():
+    net, code = _builtin("fano", "(1,1,1)", GF2)
+    relay = next(e.tail for e in net.edges if not e.coded)
+    fed = dataclasses.replace(
+        net, source_attachments={**net.source_attachments, relay: frozenset({"a"})}
+    )
+    with pytest.raises(ValueError, match="tail is not a pure relay node"):
+        validate_code(fed, code)
+
+
+def test_formulas_name_a_width_one_symbol_bare():
+    layout = [("a", 1), ("w", 2)]
+    assert formulas_to_matrix(GF3, ["a+2w2", "-a"], layout) == mat(GF3, [[1, 0, 2], [2, 0, 0]])
+    with pytest.raises(ValueError, match="symbol 'w' has width 2; use an index"):
+        formulas_to_matrix(GF3, ["a+w"], layout)

@@ -16,6 +16,7 @@ from ncregions.ff import (
     mat_stack,
     mat_vec,
     mat_zeros,
+    power_exceeds,
     rowspace_contains,
     solve,
 )
@@ -142,3 +143,10 @@ def test_matmul_shapes_and_identity():
     assert mat_mul(mat_identity(GF3, 2), m) == m
     with pytest.raises(ValueError):
         mat_mul(m, m)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 8, 9, 2**20, 2**62 - 1])
+def test_power_exceeds_matches_the_power(bound):
+    for base in (2, 3, 5, 257):
+        for exp in range(70):
+            assert power_exceeds(base, exp, bound) == (base**exp > bound)

@@ -171,6 +171,8 @@ def test_parse_and_serialize_round_trip():
     "bad",
     [
         "message a",  # missing @node
+        "message @s",  # empty message name
+        "message a@",  # empty node name
         "edge e1 src",  # wrong arity
         "demand dst",  # wrong arity
         "frobnicate x y",

@@ -550,6 +550,13 @@ def test_hrep_membership_equals_hull_membership_on_random_points(network, cls):
         assert in_h == in_hull, (network, cls, point)
 
 
+def test_an_infeasible_point_is_not_extreme():
+    h, _ = builtin_region("fano", "coding")
+    vertex = enumerate_vertices(h).vertices[0]
+    outside = tuple(x + 1000 for x in vertex)
+    assert not contains(h, outside) and not is_extreme(h, outside)
+
+
 def test_every_vertex_has_full_rank_tight_constraints():
     for network, cls in REGION_SIZES:
         h, _ = builtin_region(network, cls)

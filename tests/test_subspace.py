@@ -19,6 +19,7 @@ from ncregions.subspace import (
     image,
     join,
     lattice,
+    lattice_size,
     meet,
     orthogonal_complement,
     parse_assignment,
@@ -117,8 +118,9 @@ def test_lattice_checks_the_enumeration_guard_before_counting(monkeypatch):
 
     monkeypatch.setattr(subspace_mod, "count_subspaces", fail)
     for q, d in [(2, 21), (2, 800), (1_048_583, 1)]:
-        with pytest.raises(ValueError, match="enumeration guard"):
-            subspace_mod.SubspaceLattice(q, d)
+        for build in (subspace_mod.SubspaceLattice, lattice_size):
+            with pytest.raises(ValueError, match="enumeration guard"):
+                build(q, d)
 
 
 def test_dimension_modularity_over_all_pairs():
@@ -158,17 +160,20 @@ def test_lattice_table_guard_runs_before_enumeration(monkeypatch):
     monkeypatch.setattr(subspace_mod, "enumerate_subspaces", fail)
     for q, d in [(2, 7), (101, 3)]:
         assert count_subspaces(q, d) ** 2 > subspace_mod.LATTICE_TABLE_GUARD
-        with pytest.raises(ValueError, match="guard"):
-            subspace_mod.SubspaceLattice(q, d)
+        for build in (subspace_mod.SubspaceLattice, lattice_size):
+            with pytest.raises(ValueError, match="guard"):
+                build(q, d)
     # GF(43)^3 has a small enough table but ANDs 79,507-bit masks
     for q, d in [(43, 3), (37, 3)]:
         assert count_subspaces(q, d) ** 2 <= subspace_mod.LATTICE_TABLE_GUARD
-        with pytest.raises(ValueError, match="mask guard"):
-            subspace_mod.SubspaceLattice(q, d)
+        for build in (subspace_mod.SubspaceLattice, lattice_size):
+            with pytest.raises(ValueError, match="mask guard"):
+                build(q, d)
     # the spaces the tests, the README and the benchmark use stay admitted
     for q, d in [(2, 6), (3, 5), (7, 4), (2, 5), (3, 4), (11, 3), (13, 3), (5, 3)]:
         assert count_subspaces(q, d) ** 2 <= subspace_mod.LATTICE_TABLE_GUARD
         assert count_subspaces(q, d) ** 2 * q**d <= subspace_mod.LATTICE_MASK_GUARD
+        assert lattice_size(q, d) == count_subspaces(q, d)
 
 
 def test_join_meet_algebra():
@@ -245,6 +250,31 @@ def test_entropy_examples():
         entropy(wxy, ["Q"])
 
 
+def _entropy_by_join_fold(assign, vars):
+    """``entropy`` as it stood before it took one rank: a fold of
+    pairwise canonical joins."""
+    names = list(vars)
+    if not names:
+        return 0
+    current = None
+    for name in names:
+        if name not in assign.spaces:
+            raise KeyError(f"unknown variable {name!r}")
+        s = assign.spaces[name]
+        current = s if current is None else join(current, s)
+    return current.dim
+
+
+@pytest.mark.parametrize("q,d", [(2, 3), (3, 3), (5, 2), (2, 4)])
+def test_entropy_matches_the_join_fold(q, d):
+    rng = random.Random(q * 10 + d)
+    names = "ABCDE"
+    for _ in range(300):
+        assign = assignment(q, d, {v: _random_subspace(rng, q, d) for v in names})
+        subset = rng.sample(names, rng.randrange(len(names) + 1))
+        assert entropy(assign, subset) == _entropy_by_join_fold(assign, subset)
+
+
 def test_ambient_transform_preserves_dimensions():
     rng = random.Random(3)
     base = assignment(
@@ -294,3 +324,5 @@ def test_assignment_parse_errors():
         parse_assignment("ambient GF(2)^2\nA == span (1,0)")
     with pytest.raises(ValueError):
         parse_assignment("ambient GF(2)^2\nA = span (1,0,0)")  # wrong length
+    with pytest.raises(ValueError, match="missing ambient"):
+        parse_assignment("# no spaces, no header\n")
