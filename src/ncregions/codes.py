@@ -1,9 +1,10 @@
 """Fractional codes on networks: representation, evaluation, verification.
 
-A (k_1,...,k_m, n) fractional code assigns every coded edge a function
-from its tail node's input symbols to n alphabet symbols.  Linear codes
-store a matrix per edge; table codes store a full lookup table per edge
-and work over arbitrary alphabets.
+A (k_1,...,k_m, n) fractional code assigns every edge label a function
+from its tail node's input symbols to n alphabet symbols; every edge
+with that label delivers the same n symbols.  Linear codes store a
+matrix per label; table codes store a full lookup table per label and
+work over arbitrary alphabets.
 
 A node's inputs are its attached messages (network message order, k_m
 symbols each) then its in-edges (network edge order, n symbols each).
@@ -171,20 +172,10 @@ class EvaluationResult:
 # symbol layout
 
 
-def node_symbols(net: Network, node: str) -> list[tuple[str, str]]:
-    """Available input symbols at a node as (kind, name) pairs.
-
-    Attached messages come first (kind ``m``, network message order),
-    then in-edges (kind ``e``, named by edge id, network edge order).
-    """
-    syms = [("m", m) for m in net.attached(node)]
-    syms += [("e", e.id) for e in net.in_edges(node)]
-    return syms
-
-
 def _input_layout(net: Network, rates: RateSpec, node: str) -> list[tuple[str, int]]:
-    """(name, width) of a node's input blocks, in :func:`node_symbols`
-    order: a message by its name, an in-edge by its label."""
+    """(name, width) of a node's input blocks: its attached messages in
+    network message order, then its in-edges in network edge order, a
+    message named by its name and an in-edge by its label."""
     return [(m, rates.message_dims[m]) for m in net.attached(node)] + [
         (e.label, rates.edge_dim) for e in net.in_edges(node)
     ]
@@ -217,50 +208,39 @@ def _columns(offsets: Mapping[Hashable, tuple[int, int]], names: Iterable[Hashab
 
 
 def _tail(net: Network, label: str) -> str:
-    """The node whose inputs a coded edge's function reads."""
-    return net.edge_by_id(net.named_edges[label]).tail
+    """The node whose inputs an edge label's function reads."""
+    return net.edge_by_id(label).tail
 
 
 def node_input_width(net: Network, rates: RateSpec, node: str) -> int:
     return sum(width for _, width in _input_layout(net, rates, node))
 
 
-def _edges_in_evaluation_order(net: Network):
-    """Edges sorted so every edge's inputs are computed before it."""
-    position = {node: i for i, node in enumerate(topological_order(net))}
-    indexed = list(enumerate(net.edges))
-    indexed.sort(key=lambda pair: (position[pair[1].tail], pair[0]))
-    return [edge for _, edge in indexed]
-
-
 def _propagate(net: Network, message_value, apply_edge, concat):
-    """Push values through the network once, in evaluation order.
+    """Push values through the network once, in topological order.
 
-    A node's inputs are ``concat`` of its blocks in :func:`node_symbols`
-    order, ``message_value(name)`` for a message and the edge's value
-    for an in-edge.  A coded edge carries ``apply_edge(label, inputs)``
-    of its tail's inputs; a copy edge carries its feeder's value.
-    Returns the value on every edge (by id) and ``gather(node)``, which
-    joins any node's inputs.
+    A node's inputs are ``concat`` of its blocks in :func:`_input_layout`
+    order, ``message_value(name)`` for a message and the label's value
+    for an in-edge.  Each label carries ``apply_edge(label, inputs)`` of
+    its tail's inputs, computed once for all of its edges.  Returns the
+    value of every label and ``gather(node)``, which joins any node's
+    inputs.
     """
     values = {}
 
     def gather(node: str):
         return concat(
-            [message_value(name) if kind == "m" else values[name]
-             for kind, name in node_symbols(net, node)]
+            [message_value(m) for m in net.attached(node)]
+            + [values[e.label] for e in net.in_edges(node)]
         )
 
-    # a tail's out-edges are adjacent in evaluation order: join its inputs once
-    tail = inputs = None
-    for edge in _edges_in_evaluation_order(net):
-        if edge.coded:
-            if edge.tail != tail:
-                inputs = None  # drop the previous tail's inputs before joining these
-                tail, inputs = edge.tail, gather(edge.tail)
-            values[edge.id] = apply_edge(edge.label, inputs)
-        else:
-            values[edge.id] = values[net.in_edges(edge.tail)[0].id]
+    for node in topological_order(net):
+        labels = dict.fromkeys(e.label for e in net.out_edges(node))
+        if labels:  # join a tail's inputs once for all of its labels
+            inputs = gather(node)
+            for label in labels:
+                values[label] = apply_edge(label, inputs)
+            del inputs  # free them before the next tail joins its own
     return values, gather
 
 
@@ -291,11 +271,6 @@ def validate_code(net: Network, code: Code) -> None:
     for label in net.coded_labels():
         if label not in functions:
             raise ValueError(f"no function for coded edge {label!r}")
-    for edge in net.edges:
-        if not edge.coded:
-            tail_syms = node_symbols(net, edge.tail)
-            if len(tail_syms) != 1 or tail_syms[0][0] != "e":
-                raise ValueError(f"copy edge {edge.id} tail is not a pure relay node")
     for node, msg in decoders:
         if (node, msg) not in net.demands:
             raise ValueError(f"decoder {node}/{msg} is not a demand of the network")
@@ -494,7 +469,7 @@ def verify_solution_exhaustive(
         )
     count = base**total
     keyed = dict.fromkeys(
-        [e.tail for e in net.edges if e.coded] + [node for node, _ in net.demands]
+        [e.tail for e in net.edges] + [node for node, _ in net.demands]
     )
     for node in keyed:
         width = node_input_width(net, rates, node)
@@ -582,7 +557,7 @@ def evaluate_code(
 ) -> EvaluationResult:
     """Push one message assignment through the network.
 
-    Returns the symbols on every coded edge plus decoded outputs for
+    Returns the symbols of every edge label plus decoded outputs for
     each demand: stored decoders are applied where present, and for
     linear codes a decoder is synthesized from the transfer matrices
     when the demand is decodable.
@@ -624,10 +599,7 @@ def evaluate_code(
             if dec is not None:
                 decoded[(node, msg)] = apply(dec, gather(node))
 
-    edge_out = {
-        e.label: values[e.id] for e in net.edges if e.coded
-    }
-    return EvaluationResult(edges=edge_out, decoded=decoded)
+    return EvaluationResult(edges=values, decoded=decoded)
 
 
 # ---------------------------------------------------------------------------
@@ -1212,7 +1184,7 @@ def code_from_json(
 
     functions = {}
     for label, entry in _json_typed(doc.get("edges", _MISSING), dict, "edges").items():
-        if label not in net.named_edges:
+        if label not in net.coded_labels():
             raise ValueError(f"unknown edge label {label!r}")
         functions[label] = parse(entry, _tail(net, label), f"edge {label!r}")
     decoders = {}

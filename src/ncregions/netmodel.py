@@ -5,24 +5,23 @@ says which messages are available at which nodes), unit-capacity edges
 (every edge carries n alphabet symbols under a given code), and demands
 (receiver node, message) pairs.
 
-Edges come in two kinds.  *Coded* edges carry a function chosen by a
-code and are addressed by their label (w, x, y, z, ...).  *Copy* edges
-model fan-out behind a bottleneck: a coded edge has a single head node,
-and when several consumers need its symbols the head node forwards them
-verbatim on copy edges that reuse the coded edge's label.  Keeping the
-bottleneck explicit is what makes capacity constraints structural: the
-n symbols of w are computed once, and everything downstream sees only
-those n symbols.
+An edge is one delivery of a labelled block of n symbols: a code
+assigns each label (w, x, y, z, ...) one function of the inputs at the
+label's tail.  Edges that share a label share their tail, and together
+they are one fan-out: the n symbols of w are computed once and every
+head of w receives the same n symbols.  Keeping the bottleneck in one
+label is what makes capacity constraints structural.
 
 Four networks are built in: ``gbutterfly``, ``fano``, ``nonfano`` and
-``vamos``.  User-defined networks can be described in a small text
-format (see :func:`parse_network`), in which every edge is coded.
+``vamos``.  They are written in the text format of
+:func:`parse_network`, which also describes user-defined networks.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 NETWORK_IDS = ("gbutterfly", "fano", "nonfano", "vamos")
 
@@ -35,9 +34,7 @@ class NetworkCycleError(ValueError):
 class Edge:
     tail: str
     head: str
-    id: str
     label: str
-    coded: bool = True
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,6 @@ class Network:
     edges: tuple[Edge, ...]
     source_attachments: dict[str, frozenset[str]]
     demands: tuple[tuple[str, str], ...]
-    named_edges: dict[str, str] = field(default_factory=dict)
 
     def in_edges(self, node: str) -> tuple[Edge, ...]:
         return tuple(e for e in self.edges if e.head == node)
@@ -61,13 +57,20 @@ class Network:
         return tuple(m for m in self.messages if m in have)
 
     def coded_labels(self) -> tuple[str, ...]:
-        return tuple(e.label for e in self.edges if e.coded)
+        """The distinct edge labels, in edge order."""
+        return tuple(dict.fromkeys(e.label for e in self.edges))
 
-    def edge_by_id(self, edge_id: str) -> Edge:
+    @property
+    def named_edges(self) -> dict[str, str]:
+        """Each edge label mapped to itself: an edge is named by its label."""
+        return {label: label for label in self.coded_labels()}
+
+    def edge_by_id(self, label: str) -> Edge:
+        """The first edge carrying ``label``."""
         for e in self.edges:
-            if e.id == edge_id:
+            if e.label == label:
                 return e
-        raise KeyError(edge_id)
+        raise KeyError(label)
 
     def receivers(self) -> tuple[str, ...]:
         seen: list[str] = []
@@ -83,157 +86,134 @@ class Violation:
     detail: str
 
 
-def _copies(label: str, tail: str, heads: list[str]) -> list[Edge]:
-    return [Edge(tail, h, f"{label}->{h}", label, coded=False) for h in heads]
-
-
-def _net(name, messages, attachments, edges, demands) -> Network:
-    nodes: list[str] = []
-    for n in list(attachments):
-        if n not in nodes:
-            nodes.append(n)
-    for e in edges:
-        for n in (e.tail, e.head):
-            if n not in nodes:
-                nodes.append(n)
-    named = {e.label: e.id for e in edges if e.coded}
-    return Network(
-        name=name,
-        messages=tuple(messages),
-        nodes=tuple(nodes),
-        edges=tuple(edges),
-        source_attachments={k: frozenset(v) for k, v in attachments.items()},
-        demands=tuple(demands),
-        named_edges=named,
-    )
-
-
-def _gbutterfly() -> Network:
+# The bundled networks, each in the form network_to_text writes it: one
+# line per edge, listed so that every node's in-edges come in the order
+# its code-file columns name them.
+_BUNDLED = {
     # Two two-message sources feed a shared bottleneck y through feeder
     # edges u, v; each receiver also has a direct side edge (x or z).
-    edges = [
-        Edge("S1", "M", "u", "u"),
-        Edge("S2", "M", "v", "v"),
-        Edge("M", "F", "y", "y"),
-        *_copies("y", "F", ["R5", "R6"]),
-        Edge("S1", "R5", "x", "x"),
-        Edge("S2", "R6", "z", "z"),
-    ]
-    return _net(
-        "gbutterfly",
-        ["a", "b", "c", "d"],
-        {"S1": {"a", "b"}, "S2": {"c", "d"}},
-        edges,
-        [("R5", "a"), ("R5", "c"), ("R6", "b"), ("R6", "d")],
-    )
-
-
-def _fano() -> Network:
+    "gbutterfly": """
+message a@S1
+message b@S1
+message c@S2
+message d@S2
+edge u S1 M
+edge v S2 M
+edge y M R5
+edge y M R6
+edge x S1 R5
+edge z S2 R6
+demand R5 a
+demand R5 c
+demand R6 b
+demand R6 d
+""",
     # w = f(a,b), y = f(b,c), x = f(w,y), z = f(w,c);
     # receivers: (a,x) -> c, (x,z) -> b, (z,y) -> a.
-    edges = [
-        Edge("NW", "HW", "w", "w"),
-        Edge("NY", "HY", "y", "y"),
-        *_copies("w", "HW", ["NX", "NZ"]),
-        *_copies("y", "HY", ["NX"]),
-        Edge("NX", "HX", "x", "x"),
-        Edge("NZ", "HZ", "z", "z"),
-        *_copies("x", "HX", ["R12", "R13"]),
-        *_copies("z", "HZ", ["R13", "R14"]),
-        *_copies("y", "HY", ["R14"]),
-    ]
-    return _net(
-        "fano",
-        ["a", "b", "c"],
-        {"NW": {"a", "b"}, "NY": {"b", "c"}, "NZ": {"c"}, "R12": {"a"}},
-        edges,
-        [("R12", "c"), ("R13", "b"), ("R14", "a")],
-    )
-
-
-def _nonfano() -> Network:
+    "fano": """
+message a@NW
+message a@R12
+message b@NW
+message b@NY
+message c@NY
+message c@NZ
+edge w NW NX
+edge w NW NZ
+edge y NY NX
+edge x NX R12
+edge x NX R13
+edge z NZ R13
+edge z NZ R14
+edge y NY R14
+demand R12 c
+demand R13 b
+demand R14 a
+""",
     # w = f(a,b), x = f(a,c), y = f(b,c), z = f(a,b,c);
     # receivers: (w,z) -> c, (x,z) -> b, (y,z) -> a, (w,x,y) -> c.
-    edges = [
-        Edge("NW", "HW", "w", "w"),
-        Edge("NX", "HX", "x", "x"),
-        Edge("NY", "HY", "y", "y"),
-        Edge("NZ", "HZ", "z", "z"),
-        *_copies("w", "HW", ["R12", "R15"]),
-        *_copies("x", "HX", ["R13", "R15"]),
-        *_copies("y", "HY", ["R14", "R15"]),
-        *_copies("z", "HZ", ["R12", "R13", "R14"]),
-    ]
-    return _net(
-        "nonfano",
-        ["a", "b", "c"],
-        {"NW": {"a", "b"}, "NX": {"a", "c"}, "NY": {"b", "c"}, "NZ": {"a", "b", "c"}},
-        edges,
-        [("R12", "c"), ("R13", "b"), ("R14", "a"), ("R15", "c")],
-    )
-
-
-def _vamos() -> Network:
+    "nonfano": """
+message a@NW
+message a@NX
+message a@NZ
+message b@NW
+message b@NY
+message b@NZ
+message c@NX
+message c@NY
+message c@NZ
+edge w NW R12
+edge w NW R15
+edge x NX R13
+edge x NX R15
+edge y NY R14
+edge y NY R15
+edge z NZ R12
+edge z NZ R13
+edge z NZ R14
+demand R12 c
+demand R13 b
+demand R14 a
+demand R15 c
+""",
     # Encoders are permissive (each may use every message); the five
     # receivers encode the decoding constraints
     #   (z,b,c,d) -> a,  (y,a,b,c) -> d,  (w,z,a,d) -> b,c,
     #   (x,z,c,d) -> a,b,  (w,y,a,b) -> c,d.
-    all_msgs = {"a", "b", "c", "d"}
-    edges = [
-        Edge("NW", "HW", "w", "w"),
-        Edge("NX", "HX", "x", "x"),
-        Edge("NY", "HY", "y", "y"),
-        Edge("NZ", "HZ", "z", "z"),
-        *_copies("w", "HW", ["R3", "R5"]),
-        *_copies("x", "HX", ["R4"]),
-        *_copies("y", "HY", ["R2", "R5"]),
-        *_copies("z", "HZ", ["R1", "R3", "R4"]),
-    ]
-    return _net(
-        "vamos",
-        ["a", "b", "c", "d"],
-        {
-            "NW": all_msgs,
-            "NX": all_msgs,
-            "NY": all_msgs,
-            "NZ": all_msgs,
-            "R1": {"b", "c", "d"},
-            "R2": {"a", "b", "c"},
-            "R3": {"a", "d"},
-            "R4": {"c", "d"},
-            "R5": {"a", "b"},
-        },
-        edges,
-        [
-            ("R1", "a"),
-            ("R2", "d"),
-            ("R3", "b"),
-            ("R3", "c"),
-            ("R4", "a"),
-            ("R4", "b"),
-            ("R5", "c"),
-            ("R5", "d"),
-        ],
-    )
-
-
-_BUILDERS = {
-    "gbutterfly": _gbutterfly,
-    "fano": _fano,
-    "nonfano": _nonfano,
-    "vamos": _vamos,
+    "vamos": """
+message a@NW
+message a@NX
+message a@NY
+message a@NZ
+message a@R2
+message a@R3
+message a@R5
+message b@NW
+message b@NX
+message b@NY
+message b@NZ
+message b@R2
+message b@R5
+message b@R1
+message c@NW
+message c@NX
+message c@NY
+message c@NZ
+message c@R2
+message c@R1
+message c@R4
+message d@NW
+message d@NX
+message d@NY
+message d@NZ
+message d@R3
+message d@R1
+message d@R4
+edge w NW R3
+edge w NW R5
+edge x NX R4
+edge y NY R2
+edge y NY R5
+edge z NZ R1
+edge z NZ R3
+edge z NZ R4
+demand R1 a
+demand R2 d
+demand R3 b
+demand R3 c
+demand R4 a
+demand R4 b
+demand R5 c
+demand R5 d
+""",
 }
 
-_CACHE: dict[str, Network] = {}
 
-
+@functools.cache
 def builtin_network(net_id: str) -> Network:
     """Return one of the four bundled networks by id."""
-    if net_id not in _BUILDERS:
+    if net_id not in _BUNDLED:
         raise KeyError(f"unknown network {net_id!r}; expected one of {NETWORK_IDS}")
-    if net_id not in _CACHE:
-        _CACHE[net_id] = _BUILDERS[net_id]()
-    return _CACHE[net_id]
+    return parse_network(_BUNDLED[net_id], name=net_id)
 
 
 def topological_order(net: Network) -> list[str]:
@@ -275,22 +255,22 @@ def validate_network(net: Network) -> list[Violation]:
         violations.append(Violation("acyclicity", str(exc)))
 
     sourced = {n for n, msgs in net.source_attachments.items() if msgs}
-    reachable_edges: set[str] = set()
+    reachable: set[str] = set()  # labels; a label's edges share a tail
     changed = True
     while changed:  # fixpoint; safe even when the graph is cyclic
         changed = False
         for e in net.edges:
-            if e.id in reachable_edges:
+            if e.label in reachable:
                 continue
             if e.tail in sourced or any(
-                f.id in reachable_edges for f in net.in_edges(e.tail)
+                f.label in reachable for f in net.in_edges(e.tail)
             ):
-                reachable_edges.add(e.id)
+                reachable.add(e.label)
                 changed = True
-    for e in net.edges:
-        if e.id not in reachable_edges:
+    for label in net.coded_labels():
+        if label not in reachable:
             violations.append(
-                Violation("reachability", f"edge {e.id} is unreachable from every source")
+                Violation("reachability", f"edge {label} is unreachable from every source")
             )
 
     generated = frozenset().union(*net.source_attachments.values()) if net.source_attachments else frozenset()
@@ -308,16 +288,20 @@ def parse_network(text: str, name: str = "custom") -> Network:
     Directives (whitespace separated, ``#`` starts a comment):
 
     - ``message <id>@<node>`` attaches message <id> at <node>;
-    - ``edge <id> <tail> <head>`` declares a coded edge;
+    - ``edge <label> <tail> <head>`` delivers the block <label> from
+      <tail> to <head>;
     - ``demand <node> <message>`` adds a demand.
 
-    An edge id must differ from every message name: code files name a
-    node's input blocks by message name and edge id alike.  A demand
-    must name a message declared somewhere in the file.
+    Repeating an edge label with the same tail and a new head is a
+    fan-out: every head receives the same block, computed once at the
+    tail.  A label must differ from every message name: code files name
+    a node's input blocks by message name and edge label alike.  A
+    demand must name a message declared somewhere in the file, once.
     """
     messages: list[str] = []
     attachments: dict[str, set[str]] = {}
     edges: list[Edge] = []
+    tails: dict[str, str] = {}
     demands: list[tuple[str, str]] = []
     demand_lines: list[int] = []
     nodes: list[str] = []
@@ -336,23 +320,29 @@ def parse_network(text: str, name: str = "custom") -> Network:
             msg, node = parts[1].split("@", 1)
             if not msg or not node:
                 raise ValueError(f"line {lineno}: malformed message directive")
-            if any(e.id == msg for e in edges):
+            if msg in tails:
                 raise ValueError(f"line {lineno}: message {msg} is also an edge id")
             if msg not in messages:
                 messages.append(msg)
             touch(node)
             attachments.setdefault(node, set()).add(msg)
         elif kind == "edge" and len(parts) == 4:
-            eid, tail, head = parts[1], parts[2], parts[3]
-            if any(e.id == eid for e in edges):
-                raise ValueError(f"line {lineno}: duplicate edge id {eid}")
-            if eid in messages:
-                raise ValueError(f"line {lineno}: edge id {eid} is also a message name")
-            touch(tail)
-            touch(head)
-            edges.append(Edge(tail, head, eid, eid))
+            edge = Edge(parts[2], parts[3], parts[1])
+            if edge in edges:
+                raise ValueError(f"line {lineno}: duplicate edge id {edge.label}")
+            if tails.setdefault(edge.label, edge.tail) != edge.tail:
+                raise ValueError(
+                    f"line {lineno}: edge {edge.label} leaves {tails[edge.label]}, not {edge.tail}"
+                )
+            if edge.label in messages:
+                raise ValueError(f"line {lineno}: edge id {edge.label} is also a message name")
+            touch(edge.tail)
+            touch(edge.head)
+            edges.append(edge)
         elif kind == "demand" and len(parts) == 3:
             node, msg = parts[1], parts[2]
+            if (node, msg) in demands:
+                raise ValueError(f"line {lineno}: duplicate demand {msg} at {node}")
             touch(node)
             demands.append((node, msg))
             demand_lines.append(lineno)
@@ -369,18 +359,20 @@ def parse_network(text: str, name: str = "custom") -> Network:
         edges=tuple(edges),
         source_attachments={k: frozenset(v) for k, v in attachments.items()},
         demands=tuple(demands),
-        named_edges={e.label: e.id for e in edges},
     )
 
 
 def network_to_text(net: Network) -> str:
-    lines = []
-    for node in net.nodes:
-        for msg in net.attached(node):
-            lines.append(f"message {msg}@{node}")
-    for e in net.edges:
-        if e.coded:
-            lines.append(f"edge {e.id} {e.tail} {e.head}")
-    for node, msg in net.demands:
-        lines.append(f"demand {node} {msg}")
+    """The network in :func:`parse_network`'s format: message lines
+    grouped by message in network message order, then one line per edge
+    and per demand, so parsing the text gives the same messages, edges
+    and demands in the same orders."""
+    lines = [
+        f"message {msg}@{node}"
+        for msg in net.messages
+        for node in net.nodes
+        if msg in net.source_attachments.get(node, ())
+    ]
+    lines += [f"edge {e.label} {e.tail} {e.head}" for e in net.edges]
+    lines += [f"demand {node} {msg}" for node, msg in net.demands]
     return "\n".join(lines) + "\n"

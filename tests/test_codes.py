@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -20,11 +19,14 @@ from ncregions.codes import (
     VerificationReport,
     _alphabet_size,
     _functions,
+    _input_layout,
     _propagate,
     _split_assignment,
+    _tail,
     _transfer,
     builtin_code_specs,
     builtin_codes,
+    code_to_json,
     concatenate_codes,
     evaluate_code,
     formulas_to_matrix,
@@ -32,7 +34,6 @@ from ncregions.codes import (
     instantiate_builtin,
     is_routing,
     node_input_width,
-    node_symbols,
     rate_spec,
     rate_vector,
     read_code_file,
@@ -45,7 +46,7 @@ from ncregions.codes import (
     zero_fix,
 )
 from ncregions.ff import GF2, GF3, GF5, PrimeField, PrimeFieldMatrix, mat
-from ncregions.netmodel import NETWORK_IDS, Network, builtin_network, parse_network
+from ncregions.netmodel import NETWORK_IDS, Network, builtin_network, network_to_text, parse_network
 from ncregions.rateregion import builtin_region, contains
 
 from conftest import DATA_DIR
@@ -277,7 +278,7 @@ def test_oracle_equivalence_on_random_codes():
             continue
         functions = {}
         for label in net.coded_labels():
-            edge = net.edge_by_id(net.named_edges[label])
+            edge = net.edge_by_id(label)
             width = node_input_width(net, rates, edge.tail)
             functions[label] = mat(
                 fld,
@@ -299,15 +300,13 @@ def test_oracle_equivalence_on_random_codes():
             assert w is not None and any(x for x in w[failure.message])
 
             def receiver_view(assignment):
-                from ncregions.codes import node_symbols
-
                 res = evaluate_code(net, code, assignment)
                 view = []
-                for kind, name in node_symbols(net, failure.receiver):
+                for kind, name in _node_blocks(net, failure.receiver):
                     if kind == "m":
                         view.append(tuple(assignment[name]))
                     else:
-                        view.append(res.edges[net.edge_by_id(name).label])
+                        view.append(res.edges[name])
                 return tuple(view)
 
             zeros = {m: (0,) * k for m, k in rates.message_dims.items()}
@@ -398,14 +397,20 @@ def _message_offsets(net: Network, rates: RateSpec) -> dict[str, int]:
     return offsets
 
 
+def _node_blocks(net: Network, node: str) -> list[tuple[str, str]]:
+    """A node's input blocks as (kind, name): attached messages (kind
+    ``m``) in network message order, then in-edges (kind ``e``, named by
+    label) in network edge order."""
+    return [("m", m) for m in net.attached(node)] + [("e", e.label) for e in net.in_edges(node)]
+
+
 def _tail_symbol_layout(net: Network, rates: RateSpec, node: str) -> list[tuple[str, int]]:
     layout = []
-    for kind, name in node_symbols(net, node):
+    for kind, name in _node_blocks(net, node):
         if kind == "m":
             layout.append((name, rates.message_dims[name]))
         else:
-            label = net.edge_by_id(name).label
-            layout.append((label, rates.edge_dim))
+            layout.append((name, rates.edge_dim))
     return layout
 
 
@@ -494,7 +499,7 @@ def _paths(net, code):
         if (node, msg) not in decoders and code.rates.message_dims[msg] > 0:
             paths.add("sort" if wide(node) else "dense")
     linear = isinstance(code, LinearCode)
-    nodes = [e.tail for e in net.edges if e.coded] + [node for node, _ in decoders]
+    nodes = [e.tail for e in net.edges] + [node for node, _ in decoders]
     if linear and any(wide(node) for node in nodes):
         paths.add("wide")
     return paths
@@ -504,7 +509,7 @@ def _random_linear_code(net, fld, dims, n, rng):
     rates = rate_spec(net, dims, n)
     functions = {}
     for label in net.coded_labels():
-        width = node_input_width(net, rates, net.edge_by_id(net.named_edges[label]).tail)
+        width = node_input_width(net, rates, net.edge_by_id(label).tail)
         functions[label] = mat(
             fld, [[rng.randrange(fld.p) for _ in range(width)] for _ in range(n)], cols=width
         )
@@ -599,7 +604,7 @@ def test_exhaustive_guard_on_input_keys_comes_before_any_array(monkeypatch):
 
 @st.composite
 def _fuzz_networks(draw):
-    """A builtin network (these have copy edges) or a small random DAG."""
+    """A builtin network (these have fan-outs) or a small random DAG."""
     if draw(st.booleans()):
         return builtin_network(draw(st.sampled_from(NETWORK_IDS)))
     size = draw(st.integers(2, 5))
@@ -609,7 +614,9 @@ def _fuzz_networks(draw):
     for e, (i, j) in enumerate(draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=5))):
         lines.append(f"edge e{e} v{i} v{j}")
     for _ in range(draw(st.integers(1, 3))):
-        lines.append(f"demand v{draw(st.integers(1, size - 1))} {draw(st.sampled_from(messages))}")
+        demand = f"demand v{draw(st.integers(1, size - 1))} {draw(st.sampled_from(messages))}"
+        if demand not in lines:  # a network file names each demand once
+            lines.append(demand)
     return parse_network("\n".join(lines) + "\n", name="fuzz")
 
 
@@ -851,8 +858,8 @@ def _ref_concatenate_codes(
 
     edge_functions = {}
     for label in net.coded_labels():
-        edge = net.edge_by_id(net.named_edges[label])
-        symbols = node_symbols(net, edge.tail)
+        edge = net.edge_by_id(label)
+        symbols = _node_blocks(net, edge.tail)
         edge_functions[label] = combine(
             symbols,
             [c.edge_functions[label] for c in codes],
@@ -864,7 +871,7 @@ def _ref_concatenate_codes(
     for c in codes[1:]:
         shared_keys &= set(c.decoders)
     for node, msg in shared_keys:
-        symbols = node_symbols(net, node)
+        symbols = _node_blocks(net, node)
         decoders[(node, msg)] = combine(
             symbols,
             [c.decoders[(node, msg)] for c in codes],
@@ -894,7 +901,7 @@ def _ref_zero_fix(net: Network, code: LinearCode, zero_messages: Iterable[str]) 
     def surviving_columns(node: str) -> list[int]:
         cols = []
         pos = 0
-        for kind, name in node_symbols(net, node):
+        for kind, name in _node_blocks(net, node):
             width = _symbol_width(rates, kind, name)
             if not (kind == "m" and name in zero):
                 cols.extend(range(pos, pos + width))
@@ -903,7 +910,7 @@ def _ref_zero_fix(net: Network, code: LinearCode, zero_messages: Iterable[str]) 
 
     edge_functions = {}
     for label, m in code.edge_functions.items():
-        edge = net.edge_by_id(net.named_edges[label])
+        edge = net.edge_by_id(label)
         cols = surviving_columns(edge.tail)
         rows = [[r[c] for c in cols] for r in m.entries]
         edge_functions[label] = mat(code.field, rows, cols=len(cols))
@@ -981,7 +988,7 @@ def test_code_file_loads_multi_width_inputs_listed_in_every_order(tmp_path, net_
     doc = json.loads(path.read_text())
     orders = 0
     for edge_label, entry in doc["edges"].items():
-        tail = net.edge_by_id(net.named_edges[edge_label]).tail
+        tail = net.edge_by_id(edge_label).tail
         layout = _tail_symbol_layout(net, code.rates, tail)
         assert entry["inputs"] == [name for name, _ in layout]
         widths = dict(layout)
@@ -1043,6 +1050,69 @@ def test_code_file_permutes_listed_inputs(tmp_path):
     path.write_text(json.dumps(doc))
     _, loaded = read_code_file(path)
     assert loaded == code
+
+
+# What the columns of a code file depend on, pinned for the four bundled
+# networks: the label order, each label's tail and, at unit rates, the
+# input blocks of every tail and receiver.  A change to any of them
+# changes the meaning of existing code files.
+_CODE_FILE_LAYOUTS = {
+    "gbutterfly": (
+        "u v y x z",
+        {"u": "S1", "v": "S2", "y": "M", "x": "S1", "z": "S2"},
+        {"S1": "a b", "S2": "c d", "M": "u v", "R5": "y x", "R6": "y z"},
+    ),
+    "fano": (
+        "w y x z",
+        {"w": "NW", "y": "NY", "x": "NX", "z": "NZ"},
+        {
+            "NW": "a b", "NY": "b c", "NX": "w y", "NZ": "c w",
+            "R12": "a x", "R13": "x z", "R14": "z y",
+        },
+    ),
+    "nonfano": (
+        "w x y z",
+        {"w": "NW", "x": "NX", "y": "NY", "z": "NZ"},
+        {
+            "NW": "a b", "NX": "a c", "NY": "b c", "NZ": "a b c",
+            "R12": "w z", "R13": "x z", "R14": "y z", "R15": "w x y",
+        },
+    ),
+    "vamos": (
+        "w x y z",
+        {"w": "NW", "x": "NX", "y": "NY", "z": "NZ"},
+        {
+            "NW": "a b c d", "NX": "a b c d", "NY": "a b c d", "NZ": "a b c d",
+            "R1": "b c d z", "R2": "a b c y", "R3": "a d w z", "R4": "c d x z", "R5": "a b w y",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("net_id", NETWORK_IDS)
+def test_code_file_layouts_of_the_bundled_networks(net_id):
+    net = builtin_network(net_id)
+    labels, tails, layouts = _CODE_FILE_LAYOUTS[net_id]
+    assert net.coded_labels() == tuple(labels.split())
+    assert {label: _tail(net, label) for label in net.coded_labels()} == tails
+    rates = rate_spec(net, {m: 1 for m in net.messages}, 1)
+    nodes = dict.fromkeys(list(tails.values()) + list(net.receivers()))
+    assert {node: " ".join(name for name, _ in _input_layout(net, rates, node)) for node in nodes} == layouts
+
+
+@pytest.mark.parametrize("net_id", NETWORK_IDS)
+def test_bundled_code_verifies_alike_against_its_network_file(tmp_path, net_id):
+    net = builtin_network(net_id)
+    (tmp_path / f"{net_id}.net").write_text(network_to_text(net))
+    for i, bc in enumerate(builtin_codes(net_id)):
+        doc = {**code_to_json(net, bc.code), "network_file": f"{net_id}.net"}
+        path = tmp_path / f"code{i}.json"
+        path.write_text(json.dumps(doc))
+        from_file, code = read_code_file(path)
+        assert from_file == net and code == bc.code
+        assert verify_solution(from_file, code) == verify_solution(net, bc.code)
+        if _alphabet_size(code) ** code.rates.total_message_width <= 3**8:
+            assert verify_solution_exhaustive(from_file, code) == verify_solution_exhaustive(net, bc.code)
 
 
 def test_code_file_for_custom_network(tmp_path):
@@ -1178,16 +1248,6 @@ def test_code_file_names_its_field_by_characteristic(tmp_path, char, p):
     path.write_text(json.dumps(doc))
     _, code = read_code_file(path)
     assert code.field == PrimeField(p)
-
-
-def test_copy_edge_from_a_node_with_a_message_is_rejected():
-    net, code = _builtin("fano", "(1,1,1)", GF2)
-    relay = next(e.tail for e in net.edges if not e.coded)
-    fed = dataclasses.replace(
-        net, source_attachments={**net.source_attachments, relay: frozenset({"a"})}
-    )
-    with pytest.raises(ValueError, match="tail is not a pure relay node"):
-        validate_code(fed, code)
 
 
 def test_formulas_name_a_width_one_symbol_bare():

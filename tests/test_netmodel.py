@@ -48,7 +48,7 @@ def test_gbutterfly_topological_order():
     order = topological_order(gb)
     pos = {n: i for i, n in enumerate(order)}
     assert pos["S1"] < pos["M"] and pos["S2"] < pos["M"]
-    assert pos["M"] < pos["F"] < pos["R5"] and pos["F"] < pos["R6"]
+    assert pos["M"] < pos["R5"] and pos["M"] < pos["R6"]
 
 
 def test_single_node_topological_order():
@@ -61,7 +61,7 @@ def test_cycle_detection():
         "loop",
         ("a",),
         ("p", "q"),
-        (Edge("p", "q", "e1", "e1"), Edge("q", "p", "e2", "e2")),
+        (Edge("p", "q", "e1"), Edge("q", "p", "e2")),
         {"p": frozenset({"a"})},
         (),
     )
@@ -76,7 +76,7 @@ def test_reachability_violation():
         "stray",
         ("a",),
         ("s", "t", "u"),
-        (Edge("t", "u", "e", "e"),),
+        (Edge("t", "u", "e"),),
         {"s": frozenset({"a"})},
         (),
     )
@@ -89,7 +89,7 @@ def test_demand_generation_violation():
         "nogen",
         ("a", "b"),
         ("s", "t"),
-        (Edge("s", "t", "e", "e"),),
+        (Edge("s", "t", "e"),),
         {"s": frozenset({"a"})},
         (("t", "b"),),
     )
@@ -119,7 +119,7 @@ def test_topological_order_on_random_dags():
             for j in range(i + 1, n):
                 if rng.random() < 0.3:
                     eid = f"e{i}_{j}"
-                    edges.append(Edge(shuffled[i], shuffled[j], eid, eid))
+                    edges.append(Edge(shuffled[i], shuffled[j], eid))
         net = Network("rand", ("a",), tuple(names), tuple(edges), {shuffled[0]: frozenset({"a"})}, ())
         order = topological_order(net)
         pos = {x: i for i, x in enumerate(order)}
@@ -151,37 +151,82 @@ def test_demanded_messages_reach_their_receivers(net_id):
 
 def test_parse_and_serialize_round_trip():
     text = """
-    # tiny relay
+    # tiny relay; e1 fans out to mid and dst
     message a@src
     message b@src
     edge e1 src mid
     edge e2 mid dst
+    edge e1 src dst
     demand dst a
     demand dst b
     """
     net = parse_network(text, name="relay")
     assert net.messages == ("a", "b")
     assert net.demands == (("dst", "a"), ("dst", "b"))
-    assert [e.id for e in net.edges] == ["e1", "e2"]
+    assert net.edges == (Edge("src", "mid", "e1"), Edge("mid", "dst", "e2"), Edge("src", "dst", "e1"))
+    assert net.coded_labels() == ("e1", "e2")
+    assert net.in_edges("dst") == (Edge("mid", "dst", "e2"), Edge("src", "dst", "e1"))
     again = parse_network(network_to_text(net), name="relay")
     assert again == net
 
 
+@pytest.mark.parametrize("net_id", NETWORK_IDS)
+def test_bundled_network_text_round_trips(net_id):
+    net = builtin_network(net_id)
+    assert parse_network(network_to_text(net), net.name) == net
+
+
+def _random_network_text(rng: random.Random) -> str:
+    """A network file with messages attached in shuffled node order,
+    fan-outs (a label repeated from its tail) and demands."""
+    size = rng.randrange(2, 7)
+    nodes = [f"v{i}" for i in range(size)]
+    messages = [f"m{i}" for i in range(rng.randrange(1, 5))]
+    lines = []
+    for msg in messages:
+        for node in rng.sample(nodes, rng.randrange(1, size)):
+            lines.append(f"message {msg}@{node}")
+    for i in range(size - 1):
+        for label in range(rng.randrange(3)):
+            heads = rng.sample(nodes[i + 1 :], rng.randrange(1, size - i))
+            lines += [f"edge e{i}_{label} v{i} {head}" for head in heads]
+    lines += sorted({f"demand {rng.choice(nodes)} {rng.choice(messages)}" for _ in range(3)})
+    rng.shuffle(lines)
+    return "\n".join(lines) + "\n"
+
+
+def test_random_networks_round_trip_through_text():
+    rng = random.Random(14)
+    for _ in range(200):
+        net = parse_network(_random_network_text(rng))
+        again = parse_network(network_to_text(net))
+        assert again.messages == net.messages
+        assert again.edges == net.edges
+        assert again.source_attachments == net.source_attachments
+        assert again.demands == net.demands
+
+
 @pytest.mark.parametrize(
-    "bad",
+    "bad, error",
     [
-        "message a",  # missing @node
-        "message @s",  # empty message name
-        "message a@",  # empty node name
-        "edge e1 src",  # wrong arity
-        "demand dst",  # wrong arity
-        "frobnicate x y",
-        "edge e1 a b\nedge e1 a b",  # duplicate id
+        pytest.param(bad, error, id=bad)
+        for bad, error in [
+            ("message a", "line 1: cannot parse 'message a'"),  # missing @node
+            ("message @s", "line 1: malformed message directive"),  # empty message name
+            ("message a@", "line 1: malformed message directive"),  # empty node name
+            ("edge e1 src", "line 1: cannot parse 'edge e1 src'"),  # wrong arity
+            ("demand dst", "line 1: cannot parse 'demand dst'"),  # wrong arity
+            ("frobnicate x y", "line 1: cannot parse 'frobnicate x y'"),
+            ("edge e1 a b\nedge e1 a b", "line 2: duplicate edge id e1"),  # same label, tail, head
+            ("edge w s t\nedge w u v", "line 2: edge w leaves s, not u"),  # one label, two tails
+            ("message a@s\ndemand t a\ndemand t a", "line 3: duplicate demand a at t"),
+        ]
     ],
 )
-def test_parse_rejects_malformed_lines(bad):
-    with pytest.raises(ValueError):
+def test_parse_rejects_malformed_lines(bad, error):
+    with pytest.raises(ValueError) as info:
         parse_network(bad)
+    assert str(info.value) == error
 
 
 @pytest.mark.parametrize(
