@@ -25,12 +25,16 @@ demand:
 - :func:`verify_solution_exhaustive` is operational: the walk pushes
   every message assignment at once through the edge functions, and each
   receiver's inputs must determine its demands (or match its decoder
-  tables).  Every value is one int64 radix key per assignment; each
-  edge function and decoder is tabulated once over its input keys and
-  gathered, and receivers group equal input keys by a first-occurrence
-  table (or a stable sort when the table would outgrow the scan).  It
-  uses no linear algebra, so it is the brute-force oracle for the
-  algebraic path, and it is the only route for nonlinear table codes.
+  tables).  Every value is one radix key per assignment, int32 unless
+  the widest key needs int64; each edge function and decoder is
+  tabulated once over its input keys and gathered, and receivers group
+  equal input keys by a first-occurrence table (or a stable sort when
+  the table would outgrow the scan).  The walk checks each receiver as
+  soon as its inputs are joined and drops each label's keys after
+  their last reader, so only a few count-length arrays are alive at
+  once.  It uses no linear algebra, so it is the brute-force oracle for
+  the algebraic path, and it is the only route for nonlinear table
+  codes.
 
 Bundled with the four networks is the catalog of achieving codes for
 the cataloged regions, each tagged with the field characteristic class
@@ -41,6 +45,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from itertools import product
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -64,9 +69,12 @@ from .ff import (
     rowspace_contains,
     solve,
 )
-from .netmodel import Network, builtin_network, topological_order
+from .netmodel import NETWORK_IDS, Network, builtin_network, topological_order
 
 DEFAULT_ENUMERATION_GUARD = 2**20
+# entries of the algebraic verifier's transfer matrices: one row per
+# input symbol of every tail and receiver, one column per message symbol
+TRANSFER_ENTRY_GUARD = 2**20
 
 
 class GuardExceededError(ValueError):
@@ -216,7 +224,13 @@ def node_input_width(net: Network, rates: RateSpec, node: str) -> int:
     return sum(width for _, width in _input_layout(net, rates, node))
 
 
-def _propagate(net: Network, message_value, apply_edge, concat):
+def _joined(net: Network) -> dict[str, None]:
+    """The nodes whose inputs a verifier joins: every label's tail, then
+    every receiver."""
+    return dict.fromkeys([e.tail for e in net.edges] + [node for node, _ in net.demands])
+
+
+def _propagate(net: Network, message_value, apply_edge, concat, visit=None):
     """Push values through the network once, in topological order.
 
     A node's inputs are ``concat`` of its blocks in :func:`_input_layout`
@@ -225,6 +239,12 @@ def _propagate(net: Network, message_value, apply_edge, concat):
     its tail's inputs, computed once for all of its edges.  Returns the
     value of every label and ``gather(node)``, which joins any node's
     inputs.
+
+    With ``visit``, each receiver's inputs are joined in the same walk
+    and passed to ``visit(node, inputs)`` before its own labels are
+    applied, and a label's value is held only while a tail or receiver
+    that joins it has yet to: it is computed only if one reads it and
+    dropped once the last has joined it.
     """
     values = {}
 
@@ -234,13 +254,25 @@ def _propagate(net: Network, message_value, apply_edge, concat):
             + [values[e.label] for e in net.in_edges(node)]
         )
 
+    receivers = {node for node, _ in net.demands} if visit else ()
+    if visit:  # how many joining nodes have yet to read each label
+        joined = _joined(net)
+        unread = Counter(e.label for e in net.edges if e.head in joined)
     for node in topological_order(net):
         labels = dict.fromkeys(e.label for e in net.out_edges(node))
-        if labels:  # join a tail's inputs once for all of its labels
+        if labels or node in receivers:  # join a node's inputs once
             inputs = gather(node)
+            if visit:
+                for e in net.in_edges(node):
+                    unread[e.label] -= 1
+                    if not unread[e.label]:
+                        del values[e.label]
+                if node in receivers:
+                    visit(node, inputs)
             for label in labels:
-                values[label] = apply_edge(label, inputs)
-            del inputs  # free them before the next tail joins its own
+                if not visit or unread[label]:
+                    values[label] = apply_edge(label, inputs)
+            del inputs  # free them before the next node joins its own
     return values, gather
 
 
@@ -299,10 +331,20 @@ def validate_code(net: Network, code: Code) -> None:
 
 def _transfer(net: Network, code: LinearCode):
     """``gather(node)``: the matrix from the full message vector to a
-    node's inputs; ``select(msg)``: the selector of one message."""
+    node's inputs; ``select(msg)``: the selector of one message.
+
+    Refused before any matrix is built when the matrices of every tail
+    and receiver together would exceed ``TRANSFER_ENTRY_GUARD`` entries.
+    """
     fld = code.field
     rates = code.rates
     total = rates.total_message_width
+    rows = sum(node_input_width(net, rates, node) for node in _joined(net))
+    if rows * total > TRANSFER_ENTRY_GUARD:
+        raise GuardExceededError(
+            f"transfer matrices of {rows} input symbols by {total} message symbols "
+            f"exceed the guard of {TRANSFER_ENTRY_GUARD} entries"
+        )
     offsets = _offsets(_message_layout(net, rates))
 
     def select(msg: str) -> PrimeFieldMatrix:
@@ -416,32 +458,55 @@ def _symbols_key(symbols: Iterable[int], base: int) -> int:
 def _forms(keys: np.ndarray, weights: np.ndarray, base: int) -> np.ndarray:
     """``weights @ digits`` of each radix key, before reduction mod base."""
     width = weights.shape[1]
-    return keys[:, None] // base ** np.arange(width - 1, -1, -1) % base @ weights.T
+    return keys[:, None] // base ** np.arange(width - 1, -1, -1, dtype=keys.dtype) % base @ weights.T
 
 
-def _apply_keys(code: Code, fn, keys: np.ndarray, width: int) -> np.ndarray:
+def _apply_keys(code: Code, fn, keys: np.ndarray, width: int, dtype) -> np.ndarray:
     """Output key of an edge function or decoder on each input key.
 
     The function is tabulated once over its ``base^width`` input keys
     and gathered: a table code's stored table (one key per distinct
     output), or a linear function's forms on the high and low halves of
-    the input digits, outer-summed.  A linear function whose table would
-    be longer than ``keys`` is applied to the digits of each key instead.
+    the input digits, outer-summed for every output symbol at once, or
+    one output symbol at a time when the sums of all of them would
+    outnumber ``keys``.  A linear function whose table would be longer
+    than ``keys`` is summed over the digits of each key instead, one
+    output symbol and one digit at a time.
     """
     base = _alphabet_size(code)
     if isinstance(code, TableCode):
         distinct = {out: _symbols_key(out, base) for out in set(fn)}
-        table = np.fromiter(map(distinct.__getitem__, fn), dtype=np.int64, count=len(fn))
-        return table[keys]
-    weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
-    radix = base ** np.arange(fn.rows - 1, -1, -1)
+        table = np.fromiter(map(distinct.__getitem__, fn), dtype=dtype, count=len(fn))
+        return table.take(keys)
     if base**width > len(keys):
-        return _forms(keys, weights, base) % base @ radix
+        out = np.zeros(len(keys), dtype)
+        for row in fn.entries:
+            symbol = np.zeros(len(keys), dtype)
+            for j, weight in enumerate(row):
+                if weight:
+                    digit = keys // base ** (width - 1 - j)
+                    digit %= base
+                    digit *= weight
+                    symbol += digit
+            symbol %= base
+            out *= base
+            out += symbol
+        return out
+    weights = np.array(fn.entries, dtype=dtype).reshape(fn.rows, fn.cols)
     half = width // 2
-    high = _forms(np.arange(base ** (width - half)), weights[:, : width - half], base)
-    low = _forms(np.arange(base**half), weights[:, width - half :], base)
-    table = (high[:, None] + low).reshape(-1, fn.rows) % base @ radix
-    return table[keys]
+    high = _forms(np.arange(base ** (width - half), dtype=dtype), weights[:, : width - half], base)
+    low = _forms(np.arange(base**half, dtype=dtype), weights[:, width - half :], base)
+    if base**width * fn.rows <= len(keys):  # every output symbol at once
+        radix = base ** np.arange(fn.rows - 1, -1, -1, dtype=dtype)
+        table = (high[:, None] + low).reshape(-1, fn.rows) % base @ radix
+    else:  # one output symbol at a time, so no sum outgrows the scan
+        table = np.zeros(base**width, dtype)
+        for high_symbol, low_symbol in zip(high.T, low.T):
+            symbol = np.add.outer(high_symbol, low_symbol).ravel()
+            symbol %= base
+            table *= base
+            table += symbol
+    return table.take(keys)
 
 
 def verify_solution_exhaustive(
@@ -457,7 +522,11 @@ def verify_solution_exhaustive(
 
     Assignment ``a`` is the radix-``|A|`` number of its symbols, and
     every value (a message, an edge's symbols, a node's joined inputs)
-    is held as one int64 radix key per assignment.
+    is one radix key per assignment: int32 when every key and
+    assignment index is below 2^31, else int64.  A message's keys are
+    added where they are read, a receiver's demands are checked as soon
+    as its inputs are joined, and a label's keys are dropped once every
+    node that reads them has joined them.
     """
     validate_code(net, code)
     rates = code.rates
@@ -468,74 +537,108 @@ def verify_solution_exhaustive(
             f"{base}^{total} assignments exceed the enumeration guard {guard}"
         )
     count = base**total
-    keyed = dict.fromkeys(
-        [e.tail for e in net.edges] + [node for node, _ in net.demands]
-    )
-    for node in keyed:
+    # every key is below base^widest: a label is computed only for a
+    # node that reads it among its inputs, and a message or a decoder's
+    # output is part of an assignment
+    widest = total
+    for node in _joined(net):
         width = node_input_width(net, rates, node)
         if power_exceeds(base, width, 2**62 - 1):
             raise GuardExceededError(
                 f"inputs of node {node} ({base}^{width} values) are too wide "
                 "for exhaustive keying"
             )
-    index = np.arange(count, dtype=np.int64)
-    message_keys = {}
-    for msg, (offset, k) in _offsets(_message_layout(net, rates)).items():
-        # index // shift % base^k: each key repeats ``shift`` times, in
-        # base^offset cycles
-        shift = base ** (total - offset - k)
-        message_keys[msg] = (np.tile(np.repeat(np.arange(base**k), shift), base**offset), k)
+        widest = max(widest, width)
+    dtype = np.int64 if power_exceeds(base, widest, 2**31 - 1) else np.int32
+    offsets = _offsets(_message_layout(net, rates))
 
-    def concat(blocks):
-        if not blocks:
-            return np.zeros(count, dtype=np.int64), 0
-        key, width = blocks[0]
-        for block_key, block_width in blocks[1:]:
-            key, width = key * base**block_width + block_key, width + block_width
+    def by_message(keys: np.ndarray, msg: str) -> tuple[np.ndarray, np.ndarray]:
+        """``keys`` viewed as (base^start, base^k, rest), where an
+        assignment's middle index is its key of ``msg``, and the ramp of
+        those keys that broadcasts over the view."""
+        start, k = offsets[msg]
+        return keys.reshape(base**start, base**k, -1), np.arange(base**k, dtype=dtype)[:, None]
+
+    def concat(blocks):  # a message's block is its name, a label's its keys
+        key, width = np.zeros(count, dtype), 0
+        for block in blocks:
+            message = isinstance(block, str)
+            block_width = offsets[block][1] if message else rates.edge_dim
+            if width:
+                key *= base**block_width
+            if message:
+                view, ramp = by_message(key, block)
+                view += ramp
+            else:
+                key += block
+            width += block_width
         return key, width
 
-    functions, decoders = _functions(code)
-    _, gather = _propagate(
-        net,
-        message_keys.__getitem__,
-        lambda label, inputs: (_apply_keys(code, functions[label], *inputs), rates.edge_dim),
-        concat,
-    )
+    def first_differing(keys: np.ndarray, msg: str) -> int | None:
+        """The first assignment whose ``keys`` differ from its key of ``msg``."""
+        view, ramp = by_message(keys, msg)
+        bad = view != ramp
+        return int(bad.argmax()) if bad.any() else None
 
-    statuses = []
-    # the last receiver's joined inputs and first-occurrence table: a
-    # receiver's demands are adjacent in every bundled network
-    receiver = inputs = first_of = None
+    functions, decoders = _functions(code)
+    demanded: dict[str, list[str]] = {}
     for node, msg in net.demands:
-        mkey, k = message_keys[msg]
-        if k == 0:
-            statuses.append(DemandStatus(node, msg, True))
-            continue
-        if node != receiver:
-            inputs = first_of = None  # drop the previous receiver's arrays first
-            receiver, inputs = node, gather(node)
-        if (node, msg) in decoders:
-            reason = "decoder output differs from the message"
-            bad = _apply_keys(code, decoders[(node, msg)], *inputs) != mkey
-        else:
+        demanded.setdefault(node, []).append(msg)
+    failures = {}  # (receiver, message) -> (reason, first failing assignment or None)
+
+    def check(node: str, inputs) -> None:
+        key, width = inputs
+        first = order = None  # how the receiver's equal inputs are grouped
+        for msg in demanded[node]:
+            start, k = offsets[msg]
+            if k == 0:
+                continue
+            if (node, msg) in decoders:
+                reason = "decoder output differs from the message"
+                outputs = _apply_keys(code, decoders[(node, msg)], key, width, dtype)
+                failures[(node, msg)] = reason, first_differing(outputs, msg)
+                continue
             # Each assignment is compared with the first one that gives
             # the receiver the same inputs.
             reason = "two assignments share receiver inputs but differ in the demand"
-            if first_of is None:
-                key, width = inputs
-                if base**width <= count:
-                    first = np.full(base**width, count, dtype=np.int64)
-                    np.minimum.at(first, key, index)
-                    first_of = first[key]
-                else:  # with return_index, unique sorts stably: first is the smallest index
-                    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-                    first_of = first[inverse.ravel()]
-            bad = mkey != mkey[first_of]
-        fails = np.flatnonzero(bad)
-        if fails.size == 0:
+            shift = base ** (total - start - k)
+            if base**width <= count:
+                if first is None:  # first[v]: the first assignment with input key v
+                    first = np.full(base**width, count, dtype=dtype)
+                    np.minimum.at(first, key, np.arange(count, dtype=dtype))
+                first_demand = first // shift % base**k
+                failures[(node, msg)] = reason, first_differing(first_demand.take(key), msg)
+                continue
+            # A stable sort lists equal inputs in assignment order.  In
+            # such a run, the first assignment whose demand differs from
+            # its predecessor's is the first to differ from the run's
+            # first assignment, and any later such one comes after it.
+            if order is None:
+                order = np.argsort(key, kind="stable").astype(dtype, copy=False)
+                sorted_key = key.take(order)
+                tie = sorted_key[1:] == sorted_key[:-1]
+                del sorted_key
+            demand = order // shift
+            demand %= base**k
+            step = demand[1:] != demand[:-1]
+            step &= tie
+            del demand
+            failures[(node, msg)] = reason, int(order[1:][step].min()) if step.any() else None
+
+    _propagate(
+        net,
+        lambda msg: msg,
+        lambda label, inputs: _apply_keys(code, functions[label], *inputs, dtype),
+        concat,
+        check,
+    )
+
+    statuses = []
+    for node, msg in net.demands:
+        reason, a = failures.get((node, msg), (None, None))
+        if a is None:
             statuses.append(DemandStatus(node, msg, True))
         else:
-            a = int(fails[0])
             digits = [a // base ** (total - 1 - j) % base for j in range(total)]
             witness = _split_assignment(net, rates, digits)
             statuses.append(DemandStatus(node, msg, False, reason, witness))
@@ -1050,7 +1153,17 @@ _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 
 
 def code_to_json(net: Network, code: Code) -> dict:
+    """The code file document of a code on a bundled network.
+
+    The document names its network only, so a code on any other network
+    is refused rather than written as one that loads a bundled network.
+    """
     validate_code(net, code)
+    if net.name not in NETWORK_IDS or builtin_network(net.name) != net:
+        raise ValueError(
+            f"network {net.name!r} is not a bundled network; a code file for it "
+            "must name its network file in network_file"
+        )
     rates = code.rates
     doc: dict = {
         "network": code.network,

@@ -47,14 +47,29 @@ class Network:
     demands: tuple[tuple[str, str], ...]
 
     def in_edges(self, node: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.head == node)
+        return self._incidence[0].get(node, ())
 
     def out_edges(self, node: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e.tail == node)
+        return self._incidence[1].get(node, ())
 
     def attached(self, node: str) -> tuple[str, ...]:
-        have = self.source_attachments.get(node, frozenset())
-        return tuple(m for m in self.messages if m in have)
+        return self._incidence[2].get(node, ())
+
+    @functools.cached_property
+    def _incidence(self) -> tuple[dict, dict, dict]:
+        """Each node's in-edges and out-edges in edge order, and its
+        attached messages in message order, found once: the verifiers
+        ask for them at every node of every walk."""
+        ins: dict[str, tuple[Edge, ...]] = {}
+        outs: dict[str, tuple[Edge, ...]] = {}
+        for e in self.edges:
+            ins[e.head] = ins.get(e.head, ()) + (e,)
+            outs[e.tail] = outs.get(e.tail, ()) + (e,)
+        attached = {
+            node: tuple(m for m in self.messages if m in have)
+            for node, have in self.source_attachments.items()
+        }
+        return ins, outs, attached
 
     def coded_labels(self) -> tuple[str, ...]:
         """The distinct edge labels, in edge order."""

@@ -298,6 +298,25 @@ def test_exhaustive_guard_on_a_huge_isolated_message_exits_two_quickly(tmp_path,
     assert err == "error: 3^1000000001 assignments exceed the enumeration guard 1048576\n"
 
 
+def test_transfer_guard_on_a_wide_isolated_message_exits_two_quickly(tmp_path, capsys):
+    # the algebraic verifier's matrices would have 1,000,001 columns, one per message symbol
+    (tmp_path / "iso.net").write_text("message a@s\nmessage b@t\nedge e1 s r\ndemand r a\n")
+    path = tmp_path / "iso.json"
+    path.write_text(json.dumps({
+        "network": "iso", "network_file": "iso.net", "field": {"modulus": 3},
+        "message_dims": {"a": 1, "b": 10**6}, "edge_dim": 1,
+        "edges": {"e1": {"inputs": ["a"], "matrix": [[1]]}},
+    }))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: transfer matrices of 2 input symbols by 1000001 message symbols "
+        "exceed the guard of 1048576 entries\n"
+    )
+
+
 @pytest.mark.parametrize("line", ["Z", "-", " ", "3"])
 def test_verify_table_symbol_outside_digits_or_alphabet_exits_two(tmp_path, capsys, line):
     # "Z", "-" and " " are no symbol at all; "3" is outside the alphabet {0, 1}

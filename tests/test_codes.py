@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from typing import Iterable, Sequence
@@ -602,6 +603,78 @@ def test_exhaustive_guard_on_input_keys_comes_before_any_array(monkeypatch):
         verify_solution_exhaustive(net, code)
 
 
+@pytest.mark.parametrize("p, k, n", [(2, 0, 15), (2, 1, 15), (7, 1, 5), (11, 1, 4)])
+def test_exhaustive_matches_the_reference_across_the_int32_key_limit(p, k, n):
+    # r joins message b and two n-symbol edges, p^(k + 2n) input keys:
+    # 2^30 and 7^11 are just below 2^31, 2^31 and 11^9 just above it
+    net = parse_network(
+        "message a@s\nmessage b@r\nedge e1 s r\nedge e2 s r\ndemand r a\n", name="keys"
+    )
+    rng = random.Random(p * 100 + k)
+    fld = PrimeField(p)
+    code = _random_linear_code(net, fld, {"a": 1, "b": k}, n, rng)
+    blind = LinearCode(code.network, fld, code.rates, {
+        label: mat(fld, [[0] * fn.cols] * fn.rows, cols=fn.cols)
+        for label, fn in code.edge_functions.items()
+    })
+    transfer, select = _transfer(net, code)
+    # decoders on r read its inputs digit by digit: one reproduces a, its double gives 2a
+    decoder = synthesize_decoder(transfer("r"), select("a"))
+    decoders = [decoder, mat(fld, [[2 * x % p for x in decoder.row(0)]], cols=decoder.cols)]
+    cases = [code, blind] + [
+        LinearCode(code.network, fld, code.rates, code.edge_functions, {("r", "a"): decoder})
+        for decoder in decoders
+    ]
+    reports = [verify_solution_exhaustive(net, case) for case in cases]
+    assert reports == [_reference_exhaustive(net, case) for case in cases]
+    assert [report.valid for report in reports] == [True, False, True, False]
+
+
+def test_exhaustive_matches_the_reference_on_a_label_read_by_a_relay_and_a_receiver():
+    # e1 fans out to m, a relay that is also a receiver, and to r, which
+    # joins it after m has
+    net = parse_network(
+        "message a@s\nmessage b@s\nedge e1 s m\nedge e1 s r\nedge e2 m r\n"
+        "demand m b\ndemand r a\n",
+        name="relay",
+    )
+    rng = random.Random(11)
+    for p in (2, 3):
+        for _ in range(6):
+            code = _random_linear_code(net, PrimeField(p), {"a": 2, "b": 1}, 2, rng)
+            assert verify_solution_exhaustive(net, code) == _reference_exhaustive(net, code)
+
+
+def _traced_peak_per_assignment(net, code) -> float:
+    """Bytes traced at the peak of one exhaustive verification, per
+    assignment."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        report = verify_solution_exhaustive(net, code)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak / report.assignments_checked
+
+
+def test_exhaustive_traced_peak_per_assignment():
+    # int32 keys: 40 bytes is ten count-length arrays alive at once
+    fano_45_odd = read_code_file(DATA_DIR / "codes" / "fano_45_odd.json")
+    net = builtin_network("fano")
+    rng = random.Random(3)
+    dense = _random_linear_code(net, GF2, dict.fromkeys(net.messages, 6), 7, rng)  # 2^18
+    wide = _random_linear_code(net, GF2, dict.fromkeys(net.messages, 5), 9, rng)  # 2^15
+    assert _paths(*fano_45_odd) == _paths(net, dense) == {"dense"}
+    assert _paths(net, wide) == {"dense", "sort", "wide"}
+    for case, bound in ((fano_45_odd, 40), ((net, dense), 40), ((net, wide), 64)):
+        assert _traced_peak_per_assignment(*case) <= bound
+
+
 @st.composite
 def _fuzz_networks(draw):
     """A builtin network (these have fan-outs) or a small random DAG."""
@@ -1131,6 +1204,27 @@ def test_code_file_for_custom_network(tmp_path):
     net, code = read_code_file(path)
     assert net.name == "relay"
     assert verify_solution(net, code).valid
+
+
+def test_code_file_is_written_only_for_a_bundled_network(tmp_path):
+    # a code read against a network-file copy of a bundled network is
+    # written for, and reads back as, the bundled network
+    fano = builtin_network("fano")
+    (tmp_path / "fano.net").write_text(network_to_text(fano))
+    _, code = _builtin("fano", "(1,1,1)")
+    (tmp_path / "copy.json").write_text(
+        json.dumps({**code_to_json(fano, code), "network_file": "fano.net"})
+    )
+    write_code_file(tmp_path / "out.json", *read_code_file(tmp_path / "copy.json"))
+    assert read_code_file(tmp_path / "out.json") == (fano, code)
+    # a file naming any other network would load a bundled one, or none
+    relay = parse_network("message a@src\nedge e1 src dst\ndemand dst a\n", name="relay")
+    impostor = parse_network(network_to_text(fano).replace("demand R14 a\n", ""), name="fano")
+    for net in (relay, impostor):
+        code = _random_linear_code(net, GF2, dict.fromkeys(net.messages, 1), 1, random.Random(0))
+        with pytest.raises(ValueError, match=f"^network '{net.name}' is not a bundled network"):
+            write_code_file(tmp_path / "refused.json", net, code)
+    assert not (tmp_path / "refused.json").exists()
 
 
 def test_bundled_code_files_load(tmp_path):
