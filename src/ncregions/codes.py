@@ -242,9 +242,8 @@ def _propagate(net: Network, message_value, apply_edge, concat, visit=None):
 
     With ``visit``, each receiver's inputs are joined in the same walk
     and passed to ``visit(node, inputs)`` before its own labels are
-    applied, and a label's value is held only while a tail or receiver
-    that joins it has yet to: it is computed only if one reads it and
-    dropped once the last has joined it.
+    applied, and a label's value is dropped once the last tail or
+    receiver that reads it has joined it.
     """
     values = {}
 
@@ -270,8 +269,7 @@ def _propagate(net: Network, message_value, apply_edge, concat, visit=None):
                 if node in receivers:
                     visit(node, inputs)
             for label in labels:
-                if not visit or unread[label]:
-                    values[label] = apply_edge(label, inputs)
+                values[label] = apply_edge(label, inputs)
             del inputs  # free them before the next node joins its own
     return values, gather
 
@@ -467,11 +465,10 @@ def _apply_keys(code: Code, fn, keys: np.ndarray, width: int, dtype) -> np.ndarr
     The function is tabulated once over its ``base^width`` input keys
     and gathered: a table code's stored table (one key per distinct
     output), or a linear function's forms on the high and low halves of
-    the input digits, outer-summed for every output symbol at once, or
-    one output symbol at a time when the sums of all of them would
-    outnumber ``keys``.  A linear function whose table would be longer
-    than ``keys`` is summed over the digits of each key instead, one
-    output symbol and one digit at a time.
+    the input digits, outer-summed one output symbol at a time.  A
+    linear function whose table would be longer than ``keys`` is summed
+    over the digits of each key instead, one output symbol and one digit
+    at a time.
     """
     base = _alphabet_size(code)
     if isinstance(code, TableCode):
@@ -496,16 +493,12 @@ def _apply_keys(code: Code, fn, keys: np.ndarray, width: int, dtype) -> np.ndarr
     half = width // 2
     high = _forms(np.arange(base ** (width - half), dtype=dtype), weights[:, : width - half], base)
     low = _forms(np.arange(base**half, dtype=dtype), weights[:, width - half :], base)
-    if base**width * fn.rows <= len(keys):  # every output symbol at once
-        radix = base ** np.arange(fn.rows - 1, -1, -1, dtype=dtype)
-        table = (high[:, None] + low).reshape(-1, fn.rows) % base @ radix
-    else:  # one output symbol at a time, so no sum outgrows the scan
-        table = np.zeros(base**width, dtype)
-        for high_symbol, low_symbol in zip(high.T, low.T):
-            symbol = np.add.outer(high_symbol, low_symbol).ravel()
-            symbol %= base
-            table *= base
-            table += symbol
+    table = np.zeros(base**width, dtype)
+    for high_symbol, low_symbol in zip(high.T, low.T):
+        symbol = np.add.outer(high_symbol, low_symbol).ravel()
+        symbol %= base
+        table *= base
+        table += symbol
     return table.take(keys)
 
 
@@ -537,10 +530,9 @@ def verify_solution_exhaustive(
             f"{base}^{total} assignments exceed the enumeration guard {guard}"
         )
     count = base**total
-    # every key is below base^widest: a label is computed only for a
-    # node that reads it among its inputs, and a message or a decoder's
-    # output is part of an assignment
-    widest = total
+    # every key is below base^widest: a label's below base^edge_dim,
+    # and a message's or a decoder output's below base^total
+    widest = max(total, rates.edge_dim)
     for node in _joined(net):
         width = node_input_width(net, rates, node)
         if power_exceeds(base, width, 2**62 - 1):
@@ -692,12 +684,13 @@ def evaluate_code(
     )
 
     decoded: dict[tuple[str, str], tuple[int, ...]] = {}
-    if linear:
-        transfer, select = _transfer(net, code)
+    transfer = None  # built for the first demand without a stored decoder
     for node, msg in net.demands:
         if (node, msg) in decoders:
             decoded[(node, msg)] = apply(decoders[(node, msg)], gather(node))
         elif linear:
+            if transfer is None:
+                transfer, select = _transfer(net, code)
             dec = synthesize_decoder(transfer(node), select(msg))
             if dec is not None:
                 decoded[(node, msg)] = apply(dec, gather(node))

@@ -95,6 +95,20 @@ def test_evaluate_rejects_bad_dimensions():
         evaluate_code(net, code, {"a": (1, 0), "b": (2,), "c": (1,)})
 
 
+def test_evaluate_builds_transfer_matrices_only_to_synthesize_a_decoder(monkeypatch):
+    # the matrices would be 2 input symbols by 11 message symbols, over
+    # the lowered guard; only a demand without a decoder needs them
+    monkeypatch.setattr(codes_module, "TRANSFER_ENTRY_GUARD", 16)
+    net = parse_network("message a@s\nmessage b@t\nedge e1 s r\ndemand r a\n", name="iso")
+    rates = rate_spec(net, {"a": 1, "b": 10}, 1)
+    edges = {"e1": mat(GF3, [[1]])}
+    assignment = {"a": (2,), "b": (0,) * 10}
+    decoded = LinearCode(net.name, GF3, rates, edges, {("r", "a"): mat(GF3, [[1]])})
+    assert evaluate_code(net, decoded, assignment).decoded == {("r", "a"): (2,)}
+    with pytest.raises(GuardExceededError, match="exceed the guard of 16 entries"):
+        evaluate_code(net, LinearCode(net.name, GF3, rates, edges), assignment)
+
+
 def test_synthesized_decoders_recover_messages():
     net, code = _builtin("fano", "(4/5,4/5,4/5)")
     assignment = {"a": (1, 2, 0, 1), "b": (2, 2, 1, 0), "c": (0, 1, 1, 2)}
