@@ -23,18 +23,19 @@ demand:
   into global transfer matrices from the full message vector, and each
   demand is a row space question.
 - :func:`verify_solution_exhaustive` is operational: the walk pushes
-  every message assignment at once through the edge functions, and each
-  receiver's inputs must determine its demands (or match its decoder
-  tables).  Every value is one radix key per assignment, int32 unless
-  the widest key needs int64; each edge function and decoder is
-  tabulated once over its input keys and gathered, and receivers group
-  equal input keys by a first-occurrence table (or a stable sort when
-  the table would outgrow the scan).  The walk checks each receiver as
-  soon as its inputs are joined and drops each label's keys after
-  their last reader, so only a few count-length arrays are alive at
-  once.  It uses no linear algebra, so it is the brute-force oracle for
-  the algebraic path, and it is the only route for nonlinear table
-  codes.
+  the message assignments through the edge functions one aligned block
+  at a time, and each receiver's inputs must determine its demands (or
+  match its decoder tables).  Every value is one radix key per
+  assignment, int32 unless the widest key needs int64; each edge
+  function and decoder is tabulated once over its input keys and
+  gathered in every block, and receivers group equal input keys by a
+  first-occurrence table kept across blocks (or by a stable sort of
+  their collected keys when the table would outgrow the scan).  A
+  block's arrays stay within a core's L2 cache, so apart from the
+  tables and the sorted receivers' keys the verifier's memory does not
+  grow with the number of assignments.  It uses no linear algebra, so
+  it is the brute-force oracle for the algebraic path, and it is the
+  only route for nonlinear table codes.
 
 Bundled with the four networks is the catalog of achieving codes for
 the cataloged regions, each tagged with the field characteristic class
@@ -75,6 +76,9 @@ DEFAULT_ENUMERATION_GUARD = 2**20
 # entries of the algebraic verifier's transfer matrices: one row per
 # input symbol of every tail and receiver, one column per message symbol
 TRANSFER_ENTRY_GUARD = 2**20
+# assignments per block of the exhaustive verifier's walk: the few
+# int32 arrays of one block fit in a core's L2 cache
+_EXHAUSTIVE_BLOCK = 1 << 16
 
 
 class GuardExceededError(ValueError):
@@ -453,53 +457,94 @@ def _symbols_key(symbols: Iterable[int], base: int) -> int:
     return key
 
 
+def _reduce(values: np.ndarray, modulus: int) -> None:
+    """``values %= modulus`` for non-negative values, as a mask for a
+    power of two and else as ``values -= values // modulus * modulus``:
+    numpy's floor division by a scalar is several times faster than its
+    remainder."""
+    if not modulus & (modulus - 1):
+        values &= modulus - 1
+        return
+    quotient = values // modulus
+    quotient *= modulus
+    values -= quotient
+
+
 def _forms(keys: np.ndarray, weights: np.ndarray, base: int) -> np.ndarray:
-    """``weights @ digits`` of each radix key, before reduction mod base."""
+    """``weights @ digits`` of each radix key, mod base."""
     width = weights.shape[1]
-    return keys[:, None] // base ** np.arange(width - 1, -1, -1, dtype=keys.dtype) % base @ weights.T
+    digits = keys[:, None] // base ** np.arange(width - 1, -1, -1, dtype=keys.dtype) % base
+    return digits @ weights.T % base
 
 
-def _apply_keys(code: Code, fn, keys: np.ndarray, width: int, dtype) -> np.ndarray:
-    """Output key of an edge function or decoder on each input key.
+def _tabulate(code: Code, fn, width: int, count: int, dtype, lookups: dict):
+    """An edge function or decoder as a gather from input keys to output
+    keys.
 
-    The function is tabulated once over its ``base^width`` input keys
-    and gathered: a table code's stored table (one key per distinct
-    output), or a linear function's forms on the high and low halves of
-    the input digits, outer-summed one output symbol at a time.  A
-    linear function whose table would be longer than ``keys`` is summed
-    over the digits of each key instead, one output symbol and one digit
-    at a time.
+    The function is tabulated once over its ``base^width`` input keys,
+    and the gather is the table's ``take``.  A table code's table is its
+    stored table, one key per distinct output.  A linear function's
+    table is an outer sum of its forms on the high and low halves of the
+    input digits: written in radix ``2*base - 1``, output symbols add
+    without carries, and a lookup table no longer than the ``count``
+    keys or one block (kept in ``lookups`` for the next function)
+    reduces each digit of a sum mod base, for as many output symbols at
+    a time as it covers.  A linear function whose table would be longer
+    than ``count`` is summed over the digits of each key instead, one
+    output symbol and one digit at a time.
     """
     base = _alphabet_size(code)
-    if isinstance(code, TableCode):
+    linear = isinstance(code, LinearCode)
+    # the table lasts the whole walk: uint8 or uint16 where its keys fit
+    limit = base ** (fn.rows if linear else len(fn[0]))
+    compact = np.uint8 if limit <= 2**8 else np.uint16 if limit <= 2**16 else dtype
+    if not linear:
         distinct = {out: _symbols_key(out, base) for out in set(fn)}
-        table = np.fromiter(map(distinct.__getitem__, fn), dtype=dtype, count=len(fn))
-        return table.take(keys)
-    if base**width > len(keys):
-        out = np.zeros(len(keys), dtype)
-        for row in fn.entries:
-            symbol = np.zeros(len(keys), dtype)
-            for j, weight in enumerate(row):
-                if weight:
-                    digit = keys // base ** (width - 1 - j)
-                    digit %= base
-                    digit *= weight
-                    symbol += digit
-            symbol %= base
-            out *= base
-            out += symbol
-        return out
-    weights = np.array(fn.entries, dtype=dtype).reshape(fn.rows, fn.cols)
+        return np.fromiter(map(distinct.__getitem__, fn), dtype=compact, count=len(fn)).take
+    if base**width > count:
+
+        def digitwise(keys: np.ndarray) -> np.ndarray:
+            out = np.zeros(len(keys), dtype)
+            for row in fn.entries:
+                symbol = np.zeros(len(keys), dtype)
+                for j, weight in enumerate(row):
+                    if weight:
+                        digit = keys // base ** (width - 1 - j)
+                        _reduce(digit, base)
+                        digit *= weight
+                        symbol += digit
+                _reduce(symbol, base)
+                out *= base
+                out += symbol
+            return out
+
+        return digitwise
+    weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
     half = width // 2
-    high = _forms(np.arange(base ** (width - half), dtype=dtype), weights[:, : width - half], base)
-    low = _forms(np.arange(base**half, dtype=dtype), weights[:, width - half :], base)
-    table = np.zeros(base**width, dtype)
-    for high_symbol, low_symbol in zip(high.T, low.T):
-        symbol = np.add.outer(high_symbol, low_symbol).ravel()
-        symbol %= base
-        table *= base
-        table += symbol
-    return table.take(keys)
+    high = _forms(np.arange(base ** (width - half)), weights[:, : width - half], base)
+    low = _forms(np.arange(base**half), weights[:, width - half :], base)
+    radix = 2 * base - 1
+    chunk = 1
+    while chunk < fn.rows and radix ** (chunk + 1) <= min(count, _EXHAUSTIVE_BLOCK):
+        chunk += 1
+    for first in range(0, fn.rows, chunk):
+        symbols = min(chunk, fn.rows - first)
+        if (symbols, compact) not in lookups:
+            digit = (np.arange(radix) % base).astype(compact)
+            lookup = digit
+            for _ in range(symbols - 1):
+                lookup = np.add.outer(lookup * base, digit).ravel()
+            lookups[(symbols, compact)] = lookup
+        places = radix ** np.arange(symbols - 1, -1, -1)
+        part = slice(first, first + symbols)
+        sums = np.add.outer(high[:, part] @ places, low[:, part] @ places).ravel()
+        keys = lookups[(symbols, compact)].take(sums)
+        if first:
+            table *= base**symbols
+            table += keys
+        else:
+            table = keys
+    return table.take
 
 
 def verify_solution_exhaustive(
@@ -516,9 +561,15 @@ def verify_solution_exhaustive(
     Assignment ``a`` is the radix-``|A|`` number of its symbols, and
     every value (a message, an edge's symbols, a node's joined inputs)
     is one radix key per assignment: int32 when every key and
-    assignment index is below 2^31, else int64.  A message's keys are
-    added where they are read, a receiver's demands are checked as soon
-    as its inputs are joined, and a label's keys are dropped once every
+    assignment index is below 2^31, else int64.  The walk runs once per
+    aligned block of assignments, in order: a block fixes the leading
+    symbols and enumerates the trailing ones, so a message's keys in it
+    are a constant plus a ramp.  Each edge function and decoder is
+    tabulated once and gathered in every block.  A receiver's demands
+    are checked in each block as soon as its inputs are joined, against
+    first-occurrence tables kept across blocks; a receiver with more
+    input keys than assignments collects its keys instead, and they are
+    sorted once the walk is done.  A label's keys are dropped once every
     node that reads them has joined them.
     """
     validate_code(net, code)
@@ -533,8 +584,9 @@ def verify_solution_exhaustive(
     # every key is below base^widest: a label's below base^edge_dim,
     # and a message's or a decoder output's below base^total
     widest = max(total, rates.edge_dim)
+    widths = {}
     for node in _joined(net):
-        width = node_input_width(net, rates, node)
+        widths[node] = width = node_input_width(net, rates, node)
         if power_exceeds(base, width, 2**62 - 1):
             raise GuardExceededError(
                 f"inputs of node {node} ({base}^{width} values) are too wide "
@@ -544,15 +596,29 @@ def verify_solution_exhaustive(
     dtype = np.int64 if power_exceeds(base, widest, 2**31 - 1) else np.int32
     offsets = _offsets(_message_layout(net, rates))
 
+    # A block enumerates the last ``span`` symbols of an assignment, at
+    # least one and at most _EXHAUSTIVE_BLOCK assignments where it can.
+    span = min(total, 1)
+    while span < total and base ** (span + 1) <= _EXHAUSTIVE_BLOCK:
+        span += 1
+    size = base**span
+    local = {}  # message -> its (start, width) among a block's enumerated symbols
+    for msg, (start, k) in offsets.items():
+        lo = max(0, start - total + span)
+        local[msg] = lo, max(0, start + k - total + span) - lo
+    first_index = 0  # of the current block
+    ramps = {}  # message -> its keys in the current block, as by_message broadcasts them
+
     def by_message(keys: np.ndarray, msg: str) -> tuple[np.ndarray, np.ndarray]:
-        """``keys`` viewed as (base^start, base^k, rest), where an
-        assignment's middle index is its key of ``msg``, and the ramp of
-        those keys that broadcasts over the view."""
-        start, k = offsets[msg]
-        return keys.reshape(base**start, base**k, -1), np.arange(base**k, dtype=dtype)[:, None]
+        """``keys`` of a block viewed as (base^start, base^k, rest),
+        where an assignment's middle index is the varying part of its
+        key of ``msg``, and that message's keys, which broadcast over
+        the view."""
+        start, k = local[msg]
+        return keys.reshape(base**start, base**k, -1), ramps[msg]
 
     def concat(blocks):  # a message's block is its name, a label's its keys
-        key, width = np.zeros(count, dtype), 0
+        key, width = np.zeros(size, dtype), 0
         for block in blocks:
             message = isinstance(block, str)
             block_width = offsets[block][1] if message else rates.edge_dim
@@ -570,60 +636,101 @@ def verify_solution_exhaustive(
         """The first assignment whose ``keys`` differ from its key of ``msg``."""
         view, ramp = by_message(keys, msg)
         bad = view != ramp
-        return int(bad.argmax()) if bad.any() else None
+        return first_index + int(bad.argmax()) if bad.any() else None
 
     functions, decoders = _functions(code)
-    demanded: dict[str, list[str]] = {}
+    lookups = {}
+    gathers = {
+        label: _tabulate(code, fn, widths[_tail(net, label)], count, dtype, lookups)
+        for label, fn in functions.items()
+    }
+    decoding: dict[str, list] = {}  # receiver -> (message, gather) of its decoders
+    demanded: dict[str, list[str]] = {}  # receiver -> its demands without a decoder
     for node, msg in net.demands:
-        demanded.setdefault(node, []).append(msg)
-    failures = {}  # (receiver, message) -> (reason, first failing assignment or None)
+        if not offsets[msg][1]:
+            continue
+        if (node, msg) in decoders:
+            gather = _tabulate(code, decoders[(node, msg)], widths[node], count, dtype, lookups)
+            decoding.setdefault(node, []).append((msg, gather))
+        else:
+            demanded.setdefault(node, []).append(msg)
+    lookups.clear()
+    # Each assignment is compared with the first one that gives the
+    # receiver the same inputs: first[v] is the first assignment so far
+    # with input key v, updated with a block's assignments before they
+    # are compared.  A receiver with more input keys than assignments
+    # collects its keys over the blocks and groups them by a sort.
+    firsts, collected = {}, {}
+    for node in demanded:
+        if base ** widths[node] <= count:
+            firsts[node] = np.full(base ** widths[node], count, dtype=dtype)
+        elif size < count:
+            collected[node] = np.empty(count, dtype)
+    failures = {}  # (receiver, message) -> (reason, first failing assignment)
+    conflict = "two assignments share receiver inputs but differ in the demand"
 
     def check(node: str, inputs) -> None:
-        key, width = inputs
-        first = order = None  # how the receiver's equal inputs are grouped
+        key, _ = inputs
+        for msg, gather in decoding.get(node, ()):
+            if (node, msg) not in failures:
+                a = first_differing(gather(key), msg)
+                if a is not None:
+                    failures[(node, msg)] = "decoder output differs from the message", a
+        if node not in demanded:
+            return
+        if node not in firsts:  # grouped by a sort once the walk is done
+            if size < count:
+                collected[node][first_index : first_index + size] = key
+            else:
+                collected[node] = key  # one block holds every key
+            return
+        pending = [msg for msg in demanded[node] if (node, msg) not in failures]
+        if not pending:
+            return
+        first = firsts[node]
+        np.minimum.at(first, key, np.arange(first_index, first_index + size, dtype=dtype))
+        # divide the table or the block's gather from it, whichever is shorter
+        gathered = len(first) > size
+        seen = first.take(key) if gathered else first
+        for msg in pending:
+            start, k = offsets[msg]
+            demand = seen // base ** (total - start - k)
+            _reduce(demand, base**k)
+            a = first_differing(demand if gathered else demand.take(key), msg)
+            if a is not None:
+                failures[(node, msg)] = conflict, a
+
+    for first_index in range(0, count, size):
+        for msg, (start, k) in offsets.items():
+            constant = first_index // base ** (total - start - k) % base**k
+            ramps[msg] = np.arange(constant, constant + base ** local[msg][1], dtype=dtype)[:, None]
+        _propagate(
+            net, lambda msg: msg, lambda label, inputs: gathers[label](inputs[0]), concat, check
+        )
+    gathers.clear()
+    firsts.clear()
+
+    for node in list(collected):
+        # A stable sort lists equal inputs in assignment order.  In such
+        # a run, the first assignment whose demand differs from its
+        # predecessor's is the first to differ from the run's first
+        # assignment, and any later such one comes after it.
+        key = collected.pop(node)
+        order = np.argsort(key, kind="stable")
+        sorted_key = key.take(order)  # before the cast: an intp index is taken without a copy
+        tie = sorted_key[1:] == sorted_key[:-1]
+        del key, sorted_key
+        order = order.astype(dtype, copy=False)
         for msg in demanded[node]:
             start, k = offsets[msg]
-            if k == 0:
-                continue
-            if (node, msg) in decoders:
-                reason = "decoder output differs from the message"
-                outputs = _apply_keys(code, decoders[(node, msg)], key, width, dtype)
-                failures[(node, msg)] = reason, first_differing(outputs, msg)
-                continue
-            # Each assignment is compared with the first one that gives
-            # the receiver the same inputs.
-            reason = "two assignments share receiver inputs but differ in the demand"
-            shift = base ** (total - start - k)
-            if base**width <= count:
-                if first is None:  # first[v]: the first assignment with input key v
-                    first = np.full(base**width, count, dtype=dtype)
-                    np.minimum.at(first, key, np.arange(count, dtype=dtype))
-                first_demand = first // shift % base**k
-                failures[(node, msg)] = reason, first_differing(first_demand.take(key), msg)
-                continue
-            # A stable sort lists equal inputs in assignment order.  In
-            # such a run, the first assignment whose demand differs from
-            # its predecessor's is the first to differ from the run's
-            # first assignment, and any later such one comes after it.
-            if order is None:
-                order = np.argsort(key, kind="stable").astype(dtype, copy=False)
-                sorted_key = key.take(order)
-                tie = sorted_key[1:] == sorted_key[:-1]
-                del sorted_key
-            demand = order // shift
-            demand %= base**k
+            demand = order // base ** (total - start - k)
+            _reduce(demand, base**k)
             step = demand[1:] != demand[:-1]
             step &= tie
             del demand
-            failures[(node, msg)] = reason, int(order[1:][step].min()) if step.any() else None
-
-    _propagate(
-        net,
-        lambda msg: msg,
-        lambda label, inputs: _apply_keys(code, functions[label], *inputs, dtype),
-        concat,
-        check,
-    )
+            if step.any():
+                failures[(node, msg)] = conflict, int(order[1:][step].min())
+        del order, tie  # before the next receiver's sort
 
     statuses = []
     for node, msg in net.demands:
@@ -1225,8 +1332,9 @@ def _json_typed(value, kind: type, what: str):
 
 def _json_list(value, kind: type, what: str) -> list:
     """A JSON list whose items all have the JSON type ``kind``."""
-    for item in _json_typed(value, list, what):
-        _json_typed(item, kind, f"an entry of {what}")
+    if not all(type(item) is kind for item in _json_typed(value, list, what)):
+        for item in value:  # name the first item of the wrong type
+            _json_typed(item, kind, f"an entry of {what}")
     return value
 
 

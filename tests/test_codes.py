@@ -25,6 +25,7 @@ from ncregions.codes import (
     _split_assignment,
     _tail,
     _transfer,
+    build_code,
     builtin_code_specs,
     builtin_codes,
     code_to_json,
@@ -644,6 +645,14 @@ def test_exhaustive_matches_the_reference_across_the_int32_key_limit(p, k, n):
     assert [report.valid for report in reports] == [True, False, True, False]
 
 
+def test_exhaustive_matches_the_reference_across_the_int32_key_limit_in_blocks_of_p(monkeypatch):
+    # one symbol per block: int64 keys and decoders over several blocks,
+    # and tables built from one-symbol lookup tables
+    monkeypatch.setattr(codes_module, "_EXHAUSTIVE_BLOCK", 1)
+    for p, k, n in [(2, 1, 15), (7, 1, 5), (11, 1, 4)]:
+        test_exhaustive_matches_the_reference_across_the_int32_key_limit(p, k, n)
+
+
 def test_exhaustive_matches_the_reference_on_a_label_read_by_a_relay_and_a_receiver():
     # e1 fans out to m, a relay that is also a receiver, and to r, which
     # joins it after m has
@@ -659,7 +668,7 @@ def test_exhaustive_matches_the_reference_on_a_label_read_by_a_relay_and_a_recei
             assert verify_solution_exhaustive(net, code) == _reference_exhaustive(net, code)
 
 
-def _traced_peak_per_assignment(net, code) -> float:
+def _traced_peak_per_assignment(net, code, guard=DEFAULT_ENUMERATION_GUARD) -> float:
     """Bytes traced at the peak of one exhaustive verification, per
     assignment."""
     tracing = tracemalloc.is_tracing()
@@ -668,7 +677,7 @@ def _traced_peak_per_assignment(net, code) -> float:
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        report = verify_solution_exhaustive(net, code)
+        report = verify_solution_exhaustive(net, code, guard)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
@@ -677,7 +686,9 @@ def _traced_peak_per_assignment(net, code) -> float:
 
 
 def test_exhaustive_traced_peak_per_assignment():
-    # int32 keys: 40 bytes is ten count-length arrays alive at once
+    # A code that spans several blocks keeps its tables, compact, and
+    # one block's arrays; a receiver grouped by a sort collects its
+    # int32 keys, four bytes per assignment, until the walk is done.
     fano_45_odd = read_code_file(DATA_DIR / "codes" / "fano_45_odd.json")
     net = builtin_network("fano")
     rng = random.Random(3)
@@ -685,8 +696,82 @@ def test_exhaustive_traced_peak_per_assignment():
     wide = _random_linear_code(net, GF2, dict.fromkeys(net.messages, 5), 9, rng)  # 2^15
     assert _paths(*fano_45_odd) == _paths(net, dense) == {"dense"}
     assert _paths(net, wide) == {"dense", "sort", "wide"}
-    for case, bound in ((fano_45_odd, 40), ((net, dense), 40), ((net, wide), 64)):
+    for case, bound in ((fano_45_odd, 8), ((net, dense), 12), ((net, wide), 64)):
         assert _traced_peak_per_assignment(*case) <= bound
+    # 2^21 assignments, twice the default guard, in a few MiB: memory
+    # no longer grows with the assignment count
+    net = builtin_network("gbutterfly")
+    big = _random_linear_code(net, GF2, {"a": 6, "b": 5, "c": 5, "d": 5}, 6, rng)
+    assert _paths(net, big) == {"dense"}
+    assert _traced_peak_per_assignment(net, big, 2**21) * 2**21 < 4 * 2**20
+
+
+def _assignment_index(net, base, witness) -> int:
+    """The radix-``base`` number of a witness assignment's symbols."""
+    index = 0
+    for msg in net.messages:
+        for symbol in witness[msg]:
+            index = index * base + symbol
+    return index
+
+
+def _first_failures_by_block(net, code, block) -> dict:
+    """(receiver, message) -> the block of its witness, for each failing
+    demand of the reference verifier."""
+    report = _reference_exhaustive(net, code)
+    base = _alphabet_size(code)
+    return {
+        (s.receiver, s.message): _assignment_index(net, base, s.witness) // block
+        for s in report.statuses
+        if not s.ok
+    }
+
+
+_TWO_MESSAGES = "message a@s\nmessage b@s\n"
+
+
+@pytest.mark.parametrize(
+    "text, edge_dim, formulas, decoders, blocks",
+    [
+        # e forgets a1: a = 10 repeats a = 00's inputs, first in block 2
+        (_TWO_MESSAGES + "edge e s r\ndemand r a\n", 2, {"e": ["a2", "0"]}, None,
+         {("r", "a"): 2}),
+        # the same conflict on the sort path: r has 2^6 input keys for 2^4 assignments
+        (_TWO_MESSAGES + "edge e1 s r\nedge e2 s r\ndemand r a\n", 3,
+         {"e1": ["a2", "0", "0"], "e2": ["0", "0", "0"]}, None, {("r", "a"): 2}),
+        # a linear decoder is right on block 0 (a = 00); this one first fails at a = 10
+        (_TWO_MESSAGES + "edge e s r\ndemand r a\n", 2, {"e": ["a1", "a2"]},
+         {("r", "a"): ["e1", "e1+e2"]}, {("r", "a"): 2}),
+        # r demands a and b; e forgets b1 (fails in block 2) and a1 (block 8)
+        (_TWO_MESSAGES + "message c@s\nedge e s r\ndemand r a\ndemand r b\n", 2,
+         {"e": ["a2", "b2"]}, None, {("r", "a"): 8, ("r", "b"): 2}),
+    ],
+    ids=["dense", "sort", "decoder", "two-demands"],
+)
+def test_exhaustive_matches_the_reference_when_a_demand_first_fails_in_a_later_block(
+    monkeypatch, text, edge_dim, formulas, decoders, blocks
+):
+    monkeypatch.setattr(codes_module, "_EXHAUSTIVE_BLOCK", 4)  # 2^2 assignments
+    net = parse_network(text, name="blocks")
+    code = build_code(net, GF2, dict.fromkeys(net.messages, 2), edge_dim, formulas, decoders)
+    assert _first_failures_by_block(net, code, 4) == blocks
+    for variant in (code, to_table_code(net, code)):
+        assert verify_solution_exhaustive(net, variant) == _reference_exhaustive(net, variant)
+
+
+def test_exhaustive_matches_the_reference_on_benchmark_shaped_codes_over_small_blocks(monkeypatch):
+    # every code spans many blocks: 2^6 assignments, or 3^3 or 5^2
+    monkeypatch.setattr(codes_module, "_EXHAUSTIVE_BLOCK", 2**6)
+    rng = random.Random(20240602)
+    paths = set()
+    for shapes in (_BENCH_SHAPES, _WIDE_SHAPES):
+        for (net_id, p), (k, n) in shapes.items():
+            net = builtin_network(net_id)
+            code = _random_linear_code(net, PrimeField(p), dict.fromkeys(net.messages, k), n, rng)
+            paths |= _paths(net, code)
+            report = verify_solution_exhaustive(net, code)
+            assert report == _reference_exhaustive(net, code), (net_id, p)
+    assert paths == {"dense", "sort", "wide"}
 
 
 @st.composite
@@ -1320,6 +1405,19 @@ def test_table_code_file_rejects_malformed_tables(tmp_path, mutate):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError):
         read_code_file(path)
+
+
+@pytest.mark.parametrize("line", [1, None, ["1"]])
+def test_table_code_file_names_a_table_line_that_is_not_a_string(tmp_path, line):
+    net, code = _builtin("fano", "(1,1,1)", GF2)
+    doc = code_to_json(net, to_table_code(net, code))
+    doc["edges"]["w"]["table"][2] = line
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    kind = {int: "an integer", type(None): "null", list: "a list"}[type(line)]
+    with pytest.raises(ValueError) as raised:
+        read_code_file(path)
+    assert str(raised.value) == f"an entry of edge 'w' table must be a string, not {kind}"
 
 
 def test_mis_shaped_decoder_is_rejected_by_both_verifiers():
