@@ -51,10 +51,11 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"modulus {self.p} is not prime")
+        # the bound first: trial division of a huge modulus would not finish
         if self.p > MAX_MODULUS:
             raise ValueError(f"modulus {self.p} exceeds supported bound {MAX_MODULUS}")
+        if not is_prime(self.p):
+            raise ValueError(f"modulus {self.p} is not prime")
 
     @property
     def characteristic_class(self) -> str:

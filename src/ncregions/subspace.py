@@ -9,20 +9,22 @@ usable as table indices.
 For bulk scans, :class:`SubspaceLattice` enumerates all subspaces of an
 ambient space once and precomputes the pairwise join table; evaluating
 an entropy then folds indices through the table instead of doing linear
-algebra per query.  The table is built without pairwise linear algebra:
-each subspace is stored as a bitmask of its member vectors and gets one
-orthogonal complement, and A + B = (A^perp & B^perp)^perp becomes an
-AND of two masks plus a dict lookup.  :func:`lattice_size` owns the
-limits of a lattice (the enumeration, join-table and mask guards) and
-checks them without enumerating, before any build.
+algebra per query.  The table is built without elimination: every RREF
+basis is generated directly, each subspace is recorded by the points
+(lines) it contains, and A + B is reached by adding A's basis points to
+B one at a time, each step a table row of a single point.
+:func:`lattice_size` owns the limits of a lattice (the field, the
+enumeration, join-table and mask guards) and checks them without
+enumerating, before any build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from itertools import combinations, groupby, product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -42,10 +44,14 @@ from .ff import (
 ENUMERATION_GUARD = 2**20
 # Bound on count_subspaces(q, d)^2, the entries of a lattice's join table.
 LATTICE_TABLE_GUARD = 2**24
-# Bound on count_subspaces(q, d)^2 * q^d, twice the mask bits ANDed while
-# filling the table: GF(7)^4 (3.2e10) builds in ~2 s, GF(43)^3 (1.1e12) in ~41 s.
+# Bound on count_subspaces(q, d)^2 * q^d.  The table is built from point
+# lists, not q^d-bit masks, so this no longer tracks the build's cost; it
+# keeps the admitted spaces, and each refusal's line, as they were.
+# GF(7)^4 (3.2e10) builds in ~0.1 s; GF(43)^3 (1.1e12, refused) would take ~0.15 s.
 LATTICE_MASK_GUARD = 2**36
-_BITMAP_BYTES = 1 << 22
+# Bytes of the containment test a lattice build gathers at a time: at 1 MiB
+# the traced peak of GF(2)^6, GF(3)^5 or GF(7)^4 is its join table plus 2-4 MiB.
+_BITMAP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -183,10 +189,20 @@ def check_enumeration_guard(q: int, d: int) -> None:
         raise ValueError(f"{q}^{d} exceeds the enumeration guard {ENUMERATION_GUARD}")
 
 
-def lattice_size(q: int, d: int) -> int:
-    """Subspace count of GF(q)^d once it passes the enumeration, join-table
-    and mask guards of :class:`SubspaceLattice`; nothing is enumerated."""
+def _ambient_field(q: int, d: int) -> PrimeField:
+    """GF(q), once d is non-negative, q^d passes the enumeration guard and
+    q is a supported prime, checked in that order."""
+    if d < 0:
+        raise ValueError(f"ambient dimension must be non-negative, got {d}")
     check_enumeration_guard(q, d)
+    return PrimeField(q)
+
+
+def lattice_size(q: int, d: int) -> int:
+    """Subspace count of GF(q)^d once it passes the field check and the
+    enumeration, join-table and mask guards of :class:`SubspaceLattice`;
+    nothing is enumerated."""
+    _ambient_field(q, d)
     size = count_subspaces(q, d)
     if size * size > LATTICE_TABLE_GUARD:
         raise ValueError(
@@ -201,36 +217,49 @@ def lattice_size(q: int, d: int) -> int:
     return size
 
 
-def enumerate_subspaces(q: int, d: int) -> list[Subspace]:
-    """All subspaces of GF(q)^d in a deterministic order.
+def _digits(values: np.ndarray, q: int, k: int) -> np.ndarray:
+    """The k base-q digits of each value, most significant first."""
+    return values[:, None] // q ** np.arange(k - 1, -1, -1) % q
 
-    Enumerates RREF bases directly: dimension ascending, pivot columns
+
+def _rref_bases(q: int, d: int) -> np.ndarray:
+    """Every RREF basis of a subspace of GF(q)^d as one ``(n, d, d)``
+    array, each basis padded with zero rows below its dimension.
+
+    Order: dimension ascending, pivot columns lexicographic, then free
+    entries counted lexicographically with the first free position most
+    significant.
+    """
+    blocks = []
+    for k in range(d + 1):
+        for pivots in combinations(range(d), k):
+            free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, d) if j not in pivots]
+            block = np.zeros((q ** len(free), d, d), dtype=np.int64)
+            block[:, range(k), list(pivots)] = 1
+            if free:
+                rows, cols = zip(*free)
+                block[:, rows, cols] = _digits(np.arange(q ** len(free)), q, len(free))
+            blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _dims(bases: np.ndarray) -> np.ndarray:
+    """Dimension of each padded RREF basis: its count of nonzero rows."""
+    return bases.any(axis=2).sum(axis=1, dtype=np.int64)
+
+
+def enumerate_subspaces(q: int, d: int) -> list[Subspace]:
+    """All subspaces of GF(q)^d in a deterministic order, that of
+    :func:`_rref_bases`: dimension ascending, pivot columns
     lexicographic, then free entries counted lexicographically with the
     first free position most significant.  Guarded by q^d <= 2^20.
     """
-    fld = PrimeField(q)
-    if d < 0:
-        raise ValueError(f"ambient dimension must be non-negative, got {d}")
-    check_enumeration_guard(q, d)
-    out: list[Subspace] = []
-    for k in range(d + 1):
-        for pivots in combinations(range(d), k):
-            pivot_set = set(pivots)
-            free_positions = [
-                (i, j)
-                for i in range(k)
-                for j in range(pivots[i] + 1, d)
-                if j not in pivot_set
-            ]
-            for values in product(range(q), repeat=len(free_positions)):
-                rows = [[0] * d for _ in range(k)]
-                for i, pc in enumerate(pivots):
-                    rows[i][pc] = 1
-                for (i, j), v in zip(free_positions, values):
-                    rows[i][j] = v
-                basis = mat(fld, rows, cols=d)
-                out.append(Subspace(fld, d, basis))
-    return out
+    fld = _ambient_field(q, d)
+    bases = _rref_bases(q, d)
+    return [
+        Subspace(fld, d, mat(fld, basis[:k].tolist(), cols=d))
+        for basis, k in zip(bases, _dims(bases))
+    ]
 
 
 @dataclass(frozen=True)
@@ -274,67 +303,98 @@ def apply_ambient_transform(assign: SubspaceAssignment, m: PrimeFieldMatrix) -> 
     )
 
 
-def _member_masks(q: int, d: int, spaces: Sequence[Subspace]) -> list[int]:
-    """Bitmask of each subspace's q^dim member vectors.
+def _points(q: int, d: int, bases: np.ndarray, starts: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The points of every subspace, each named by the index of its line.
 
-    Vector v sets bit sum_j v_j q^(d-1-j).  Subspaces of one dimension
-    are expanded together with numpy, at most ``_BITMAP_BYTES`` of
-    membership bitmap at a time.
+    ``bases`` are padded RREF bases in ascending dimension, and those of
+    dimension k run from ``starts[k]`` to ``starts[k + 1]``.  A point is
+    represented by its vector whose first nonzero entry is 1.  Applied to
+    an RREF basis, the coefficient vectors of that form give exactly the
+    subspace's vectors of that form, so ``points[k]`` (one row per
+    subspace of dimension k) needs no elimination.  Also returns the
+    point of each basis row, with 0 (the zero subspace) for padding rows.
     """
-    width = q**d
-    place = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    rows_per_chunk = max(1, _BITMAP_BYTES // width)
-    masks: list[int] = []
-    for k, same_dim in groupby(spaces, key=lambda s: s.dim):
-        group = list(same_dim)
-        coeffs = np.array(list(product(range(q), repeat=k)), dtype=np.int64).reshape(q**k, k)
-        for start in range(0, len(group), rows_per_chunk):
-            chunk = group[start : start + rows_per_chunk]
-            bases = np.array([s.basis.entries for s in chunk], dtype=np.int64)
-            codes = ((coeffs @ bases.reshape(len(chunk), k, d)) % q) @ place
-            bits = np.zeros((len(chunk), width), dtype=bool)
-            np.put_along_axis(bits, codes, True, axis=1)
-            packed = np.packbits(bits, axis=1, bitorder="little")
-            masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
-    return masks
+    place = q ** np.arange(d - 1, -1, -1)
+    codes = bases @ place  # base-q code of every basis row
+    line_of = np.zeros(q**d, dtype=np.int64)  # code of a point -> index of its line
+    line_of[codes[starts[1] : starts[2], :1]] = np.arange(starts[1], starts[2])[:, None]
+    points = [np.zeros((1, 0), dtype=np.int64)]  # the zero subspace has none
+    for k in range(1, d + 1):
+        # the codes of the vectors of GF(q)^k whose first nonzero entry is 1
+        normalized = np.concatenate([np.arange(q**t, 2 * q**t) for t in range(k)])
+        coeffs = _digits(normalized, q, k)
+        points.append(line_of[(coeffs @ bases[starts[k] : starts[k + 1], :k]) % q @ place])
+    return points, line_of[codes]
+
+
+def _join_table(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dimensions and pairwise join table of the subspaces of GF(q)^d, in
+    the :func:`_rref_bases` order.
+
+    Row p of a point is j where p lies in j, and otherwise the cover of
+    j (a subspace one dimension up) through p.  The covers of j hold the
+    points outside j once each, so each cover K of j writes K at its
+    points in column j.  Every other row adds the subspace's basis points
+    to each column one at a time: A + B = p1 + (p2 + ... + (pk + B)).
+    """
+    bases = _rref_bases(q, d)
+    dims = _dims(bases)
+    n = len(dims)
+    starts = np.searchsorted(dims, np.arange(d + 3))  # first index of each dimension, or n
+    points, basis_points = _points(q, d, bases, starts)
+    del bases
+    member = np.zeros((n, starts[2]), dtype=bool)  # member[K, p]: point p lies in K
+    for k in range(1, d + 1):
+        member[np.arange(starts[k], starts[k + 1])[:, None], points[k]] = True
+    table = np.empty((n, n), dtype=np.int32)
+    table[0] = np.arange(n)
+    for m in range(d):
+        low, mid, high = starts[m : m + 3]
+        inner = basis_points[low:mid, :m]
+        per = max(1, _BITMAP_BYTES // max(inner.size, 1))
+        for start in range(mid, high, per):
+            # K contains j when K holds the basis points of j
+            covers, parts = np.nonzero(member[start : min(start + per, high)][:, inner].all(axis=2))
+            rows, parts, covers = covers + start - mid, parts + low, covers + start
+            for column in points[m + 1].T:
+                table[column[rows], parts] = covers
+    for k in range(1, d + 1):
+        own = np.arange(starts[k], starts[k + 1])[:, None]
+        table[points[k], own] = own  # p + j = j for the points p of j
+    for i in range(starts[2], n):
+        row = table[basis_points[i, 0]]
+        for p in basis_points[i, 1 : dims[i]]:
+            row = table[p].take(row)
+        table[i] = row
+    return dims, table
 
 
 class SubspaceLattice:
     """All subspaces of GF(q)^d with a precomputed pairwise join table.
 
-    ``spaces`` is the :func:`enumerate_subspaces` order, so the zero
-    subspace is index 0; ``masks`` holds their member bitmasks.
-    ``join_table`` (int32) and ``dims`` (int64) are read-only arrays
-    built once.
+    Indices follow the :func:`enumerate_subspaces` order, so the zero
+    subspace is index 0 and dimensions ascend.  ``join_table`` (int32)
+    and ``dims`` (int64) are read-only arrays built once from the RREF
+    bases as integer arrays (see :func:`_join_table`), with no
+    elimination and no :class:`Subspace` objects.  ``spaces``, the
+    subspaces themselves, is enumerated on first use: only witnesses and
+    tests read it.
     """
 
     def __init__(self, q: int, d: int):
-        size = lattice_size(q, d)
+        lattice_size(q, d)
         self.q = q
         self.d = d
-        self.spaces = enumerate_subspaces(q, d)
-        self.masks = _member_masks(q, d, self.spaces)
-        position = {s: i for i, s in enumerate(self.spaces)}
-        perp = [position[orthogonal_complement(s)] for s in self.spaces]
-        perp_masks = [self.masks[k] for k in perp]
-        # mask of X -> index of X^perp; X = A^perp & B^perp gives A + B
-        join_of = {self.masks[k]: perp[k] for k in range(size)}
-        table = np.empty((size, size), dtype=np.int32)
-        for i, pm in enumerate(perp_masks):
-            row = np.fromiter(
-                map(join_of.__getitem__, map(pm.__and__, perp_masks[i:])),
-                dtype=np.int32,
-                count=size - i,
-            )
-            table[i, i:] = row
-            table[i:, i] = row
-        table.flags.writeable = False
-        self.join_table = table
-        self.dims = np.array([s.dim for s in self.spaces], dtype=np.int64)
+        self.dims, self.join_table = _join_table(q, d)
         self.dims.flags.writeable = False
+        self.join_table.flags.writeable = False
+
+    @cached_property
+    def spaces(self) -> list[Subspace]:
+        return enumerate_subspaces(self.q, self.d)
 
     def __len__(self) -> int:
-        return len(self.spaces)
+        return len(self.dims)
 
     def join_indices(self, indices: Iterable[int]) -> int:
         acc = 0  # the zero subspace, the identity of join

@@ -262,6 +262,19 @@ def test_verify_input_keys_too_wide_exits_two_quickly(tmp_path, capsys):
     assert "too wide" in err
 
 
+def test_verify_huge_prime_modulus_exits_two_quickly(tmp_path, capsys):
+    doc = json.loads((DATA_DIR / "codes" / "fano_45_odd.json").read_text())
+    doc["field"] = {"modulus": 10**18 + 3}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", "error: cannot load code file: modulus 1000000000000000003 exceeds supported bound 257\n"
+    )
+
+
 def test_huge_table_domain_exits_two_quickly(tmp_path, capsys):
     # edge w reads a: a 3^(10^9 + 1)-line domain, refused without building 3^(10^9 + 1)
     path = tmp_path / "t.json"
@@ -456,6 +469,15 @@ def test_rank_budget_exceeded(capsys):
 def test_rank_rejects_composite_field(capsys):
     code, _, err = run(capsys, "rank", "oddLRI", "--field", "4", "--dim", "2")
     assert code == 2
+
+
+def test_rank_huge_prime_field_exits_two_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rank", "ingleton", "--field", str(10**18 + 3), "--dim", "3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (
+        2, "", "error: modulus 1000000000000000003 exceeds supported bound 257\n"
+    )
 
 
 def test_rank_lattice_guard_exits_two_quickly(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,6 +32,16 @@ def test_field_rejects_composites_and_large_moduli():
     with pytest.raises(ValueError):
         PrimeField(263)
     assert PrimeField(257).p == 257
+
+
+def test_field_checks_the_bound_before_primality():
+    # trial division of 10^18 + 3 would not finish
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^modulus 1000000000000000003 exceeds supported bound 257$"):
+        PrimeField(10**18 + 3)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="^modulus 1000 exceeds supported bound 257$"):
+        PrimeField(1000)
 
 
 def test_characteristic_class():

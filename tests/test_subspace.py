@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+import tracemalloc
+from itertools import combinations, groupby, product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ncregions import subspace as subspace_mod
 from ncregions.ff import GF2, GF3, PrimeField, mat, mat_rank, mat_stack
 from ncregions.subspace import (
     LinearMapBetweenSubspaces,
+    Subspace,
     apply_ambient_transform,
     assignment,
     assignment_to_text,
@@ -117,6 +119,7 @@ def test_lattice_checks_the_enumeration_guard_before_counting(monkeypatch):
         raise AssertionError("counted despite the guard")
 
     monkeypatch.setattr(subspace_mod, "count_subspaces", fail)
+    monkeypatch.setattr(subspace_mod, "_rref_bases", fail)
     for q, d in [(2, 21), (2, 800), (1_048_583, 1)]:
         for build in (subspace_mod.SubspaceLattice, lattice_size):
             with pytest.raises(ValueError, match="enumeration guard"):
@@ -145,12 +148,19 @@ def test_lattice_join_table_matches_direct_joins():
         assert lat.entropy_of([]) == 0
 
 
-@pytest.mark.parametrize("q,d", [(2, 3), (3, 2), (5, 2)])
-def test_lattice_masks_are_member_vectors(q, d):
-    lat = lattice(q, d)
-    for s, m in zip(lat.spaces, lat.masks):
-        codes = {sum(x * q ** (d - 1 - j) for j, x in enumerate(v)) for v in s.vectors()}
-        assert m == sum(1 << c for c in codes)
+@pytest.mark.parametrize("q,d", [(2, 3), (3, 2), (5, 2), (3, 3), (2, 4)])
+def test_lattice_points_are_member_vectors(q, d):
+    bases = subspace_mod._rref_bases(q, d)
+    starts = np.searchsorted(subspace_mod._dims(bases), np.arange(d + 3))
+    points, basis_points = subspace_mod._points(q, d, bases, starts)
+    spaces = enumerate_subspaces(q, d)
+    line_vector = {i: s.basis.entries[0] for i, s in enumerate(spaces) if s.dim == 1}
+    for i, s in enumerate(spaces):
+        # a point is the member vector whose first nonzero entry is 1
+        normalized = sorted(v for v in s.vectors() if any(v) and next(filter(None, v)) == 1)
+        assert sorted(line_vector[p] for p in points[s.dim][i - starts[s.dim]]) == normalized
+        assert [line_vector[p] for p in basis_points[i, : s.dim]] == list(s.basis.entries)
+        assert not basis_points[i, s.dim :].any()
 
 
 def test_lattice_table_guard_runs_before_enumeration(monkeypatch):
@@ -158,6 +168,7 @@ def test_lattice_table_guard_runs_before_enumeration(monkeypatch):
         raise AssertionError("enumerated despite the guard")
 
     monkeypatch.setattr(subspace_mod, "enumerate_subspaces", fail)
+    monkeypatch.setattr(subspace_mod, "_rref_bases", fail)
     for q, d in [(2, 7), (101, 3)]:
         assert count_subspaces(q, d) ** 2 > subspace_mod.LATTICE_TABLE_GUARD
         for build in (subspace_mod.SubspaceLattice, lattice_size):
@@ -174,6 +185,93 @@ def test_lattice_table_guard_runs_before_enumeration(monkeypatch):
         assert count_subspaces(q, d) ** 2 <= subspace_mod.LATTICE_TABLE_GUARD
         assert count_subspaces(q, d) ** 2 * q**d <= subspace_mod.LATTICE_MASK_GUARD
         assert lattice_size(q, d) == count_subspaces(q, d)
+
+
+@pytest.mark.parametrize("q", [-3, 0, 1, 4, 6])
+def test_lattice_checks_the_field(q):
+    for d in (2, 3):
+        for build in (subspace_mod.SubspaceLattice, lattice_size):
+            with pytest.raises(ValueError, match=f"^modulus {q} is not prime$"):
+                build(q, d)
+
+
+# ---------------------------------------------------------------------------
+# the lattice build used before the point-based one, kept as the reference:
+# a product loop over RREF free entries, a bitmask of member vectors per
+# subspace, and A + B = (A^perp & B^perp)^perp looked up by mask
+
+
+def _reference_enumeration(q, d):
+    fld = PrimeField(q)
+    out = []
+    for k in range(d + 1):
+        for pivots in combinations(range(d), k):
+            free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, d) if j not in pivots]
+            for values in product(range(q), repeat=len(free)):
+                rows = [[0] * d for _ in range(k)]
+                for i, pc in enumerate(pivots):
+                    rows[i][pc] = 1
+                for (i, j), v in zip(free, values):
+                    rows[i][j] = v
+                out.append(Subspace(fld, d, mat(fld, rows, cols=d)))
+    return out
+
+
+def _reference_masks(q, d, spaces):
+    """Bitmask of each subspace's member vectors: v sets bit sum_j v_j q^(d-1-j)."""
+    place = q ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    masks = []
+    for k, same_dim in groupby(spaces, key=lambda s: s.dim):
+        group = list(same_dim)
+        coeffs = np.array(list(product(range(q), repeat=k)), dtype=np.int64).reshape(q**k, k)
+        bases = np.array([s.basis.entries for s in group], dtype=np.int64)
+        codes = ((coeffs @ bases.reshape(len(group), k, d)) % q) @ place
+        bits = np.zeros((len(group), q**d), dtype=bool)
+        np.put_along_axis(bits, codes, True, axis=1)
+        packed = np.packbits(bits, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in packed)
+    return masks
+
+
+def _reference_lattice(q, d):
+    spaces = _reference_enumeration(q, d)
+    masks = _reference_masks(q, d, spaces)
+    position = {s: i for i, s in enumerate(spaces)}
+    perp = [position[orthogonal_complement(s)] for s in spaces]
+    join_of = {masks[k]: perp[k] for k in range(len(spaces))}  # mask of X -> X^perp
+    table = np.array(
+        [[join_of[masks[a] & masks[b]] for b in perp] for a in perp], dtype=np.int32
+    )
+    return spaces, table, np.array([s.dim for s in spaces], dtype=np.int64)
+
+
+RANK_COLD_SPACES = [(2, 3), (3, 3), (5, 3), (7, 3), (2, 4), (3, 4), (11, 3), (13, 3), (2, 5)]
+
+
+@pytest.mark.parametrize("q,d", [(2, 0), (3, 1), (3, 2), (5, 2), *RANK_COLD_SPACES, (23, 3)])
+def test_lattice_build_matches_the_mask_build(q, d, monkeypatch):
+    spaces, table, dims = _reference_lattice(q, d)
+    # the second build gathers the containment test a few bytes at a time
+    for chunk in (subspace_mod._BITMAP_BYTES, 64):
+        monkeypatch.setattr(subspace_mod, "_BITMAP_BYTES", chunk)
+        lat = subspace_mod.SubspaceLattice(q, d)
+        assert lat.join_table.dtype == np.int32 and lat.dims.dtype == np.int64
+        assert np.array_equal(lat.join_table, table)
+        assert np.array_equal(lat.dims, dims)
+        assert lat.spaces == spaces
+
+
+@pytest.mark.parametrize("q,d,parent_peak_mib", [(13, 3, 2.06), (2, 5, 0.85)])
+def test_lattice_build_memory(q, d, parent_peak_mib):
+    # the bounds are the traced peaks of the earlier mask build
+    subspace_mod.SubspaceLattice(q, d)
+    tracemalloc.start()
+    try:
+        subspace_mod.SubspaceLattice(q, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent_peak_mib * 2**20
 
 
 def test_join_meet_algebra():
