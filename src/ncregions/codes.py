@@ -1,4 +1,4 @@
-"""Fractional codes on networks: representation, evaluation, verification.
+"""Fractional codes on networks: representation and verification.
 
 A (k_1,...,k_m, n) fractional code assigns every edge label a function
 from its tail node's input symbols to n alphabet symbols; every edge
@@ -13,11 +13,10 @@ message by its name and an in-edge by its label, and :func:`_offsets`
 gives each block's (start, width): every column offset below comes from
 these two helpers.
 
-Both verifiers and :func:`evaluate_code` push values through the
-network by one shared walk, :func:`_propagate`; each supplies only what
-a message is, how an edge function applies and how input blocks join.
-The two verification routes stay independent in how they decide a
-demand:
+Both verifiers push values through the network by one shared walk,
+:func:`_propagate`; each supplies only what a message is, how an edge
+function applies and how input blocks join.  The two routes stay
+independent in how they decide a demand:
 
 - :func:`verify_solution` is algebraic: the walk composes edge matrices
   into global transfer matrices from the full message vector, and each
@@ -68,7 +67,6 @@ from .ff import (
     mat_zeros,
     power_exceeds,
     rowspace_contains,
-    solve,
 )
 from .netmodel import NETWORK_IDS, Network, builtin_network, topological_order
 
@@ -174,12 +172,6 @@ class VerificationReport:
         return None
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
-    edges: dict[str, tuple[int, ...]]
-    decoded: dict[tuple[str, str], tuple[int, ...]]
-
-
 # ---------------------------------------------------------------------------
 # symbol layout
 
@@ -240,9 +232,9 @@ def _propagate(net: Network, message_value, apply_edge, concat, visit=None):
     A node's inputs are ``concat`` of its blocks in :func:`_input_layout`
     order, ``message_value(name)`` for a message and the label's value
     for an in-edge.  Each label carries ``apply_edge(label, inputs)`` of
-    its tail's inputs, computed once for all of its edges.  Returns the
-    value of every label and ``gather(node)``, which joins any node's
-    inputs.
+    its tail's inputs, computed once for all of its edges.  Returns
+    ``gather(node)``, which joins any node's inputs from the labels'
+    values.
 
     With ``visit``, each receiver's inputs are joined in the same walk
     and passed to ``visit(node, inputs)`` before its own labels are
@@ -275,7 +267,7 @@ def _propagate(net: Network, message_value, apply_edge, concat, visit=None):
             for label in labels:
                 values[label] = apply_edge(label, inputs)
             del inputs  # free them before the next node joins its own
-    return values, gather
+    return gather
 
 
 def _functions(code: Code) -> tuple[dict, dict]:
@@ -353,7 +345,7 @@ def _transfer(net: Network, code: LinearCode):
         start, width = offsets[msg]
         return mat(fld, [[int(j == start + i) for j in range(total)] for i in range(width)], cols=total)
 
-    _, gather = _propagate(
+    gather = _propagate(
         net,
         select,
         lambda label, inputs: mat_mul(code.edge_functions[label], inputs),
@@ -379,24 +371,6 @@ def _algebraic_witness(
         if any(mat_vec(sel, row)):
             return _split_assignment(net, code.rates, row)
     return None
-
-
-def synthesize_decoder(
-    t_matrix: PrimeFieldMatrix, sel: PrimeFieldMatrix
-) -> PrimeFieldMatrix | None:
-    """Solve D . T = sel row by row; None when no decoder exists."""
-    decoder_rows = []
-    t_t = mat(
-        t_matrix.field,
-        [t_matrix.column(j) for j in range(t_matrix.cols)],
-        cols=t_matrix.rows,
-    )
-    for i in range(sel.rows):
-        x = solve(t_t, sel.row(i))
-        if x is None:
-            return None
-        decoder_rows.append(x)
-    return mat(t_matrix.field, decoder_rows, cols=t_matrix.rows)
 
 
 def verify_solution(net: Network, code: LinearCode) -> VerificationReport:
@@ -751,61 +725,6 @@ def verify_solution_exhaustive(
 
 
 # ---------------------------------------------------------------------------
-# single-assignment evaluation
-
-
-def evaluate_code(
-    net: Network, code: Code, assignment: Mapping[str, Sequence[int]]
-) -> EvaluationResult:
-    """Push one message assignment through the network.
-
-    Returns the symbols of every edge label plus decoded outputs for
-    each demand: stored decoders are applied where present, and for
-    linear codes a decoder is synthesized from the transfer matrices
-    when the demand is decodable.
-    """
-    validate_code(net, code)
-    rates = code.rates
-    base = _alphabet_size(code)
-    linear = isinstance(code, LinearCode)
-
-    normalized: dict[str, tuple[int, ...]] = {}
-    for m in net.messages:
-        k = rates.message_dims[m]
-        vec = tuple(int(x) % base for x in assignment.get(m, ()))
-        if len(vec) != k:
-            raise ValueError(f"message {m} needs {k} symbols, got {len(vec)}")
-        normalized[m] = vec
-
-    def apply(fn, vec: tuple[int, ...]) -> tuple[int, ...]:
-        if linear:
-            return mat_vec(fn, vec)
-        return fn[_symbols_key(vec, base)]
-
-    functions, decoders = _functions(code)
-    values, gather = _propagate(
-        net,
-        normalized.__getitem__,
-        lambda label, vec: apply(functions[label], vec),
-        lambda blocks: tuple(x for block in blocks for x in block),
-    )
-
-    decoded: dict[tuple[str, str], tuple[int, ...]] = {}
-    transfer = None  # built for the first demand without a stored decoder
-    for node, msg in net.demands:
-        if (node, msg) in decoders:
-            decoded[(node, msg)] = apply(decoders[(node, msg)], gather(node))
-        elif linear:
-            if transfer is None:
-                transfer, select = _transfer(net, code)
-            dec = synthesize_decoder(transfer(node), select(msg))
-            if dec is not None:
-                decoded[(node, msg)] = apply(dec, gather(node))
-
-    return EvaluationResult(edges=values, decoded=decoded)
-
-
-# ---------------------------------------------------------------------------
 # routing detection, concatenation, rates
 
 
@@ -817,34 +736,13 @@ def _is_routing_matrix(m: PrimeFieldMatrix) -> bool:
     return True
 
 
-def _is_routing_table(table, in_width: int, out_width: int, base: int) -> bool:
-    candidates: list[set] = [set(range(in_width)) | {"zero"} for _ in range(out_width)]
-    for digits, out in zip(product(range(base), repeat=in_width), table):
-        for j in range(out_width):
-            keep = set()
-            for c in candidates[j]:
-                if c == "zero":
-                    if out[j] == 0:
-                        keep.add(c)
-                elif digits[c] == out[j]:
-                    keep.add(c)
-            candidates[j] = keep
-            if not keep:
-                return False
-    return True
-
-
-def is_routing(code: Code, net: Network | None = None) -> bool:
+def is_routing(code: LinearCode) -> bool:
     """True iff every output coordinate of every edge and decoder
-    function copies a single input coordinate (or is identically zero)."""
-    if isinstance(code, LinearCode):
-        functions = list(code.edge_functions.values()) + list(code.decoders.values())
-        return all(_is_routing_matrix(m) for m in functions)
-    net = net or builtin_network(code.network)
-    return all(
-        _is_routing_table(table, node_input_width(net, code.rates, node), out_width, code.alphabet)
-        for _, table, node, out_width in _function_slots(net, code)
-    )
+    matrix copies a single input coordinate (or is identically zero)."""
+    if not isinstance(code, LinearCode):
+        raise TypeError("is_routing handles linear codes")
+    functions = list(code.edge_functions.values()) + list(code.decoders.values())
+    return all(_is_routing_matrix(m) for m in functions)
 
 
 def rate_vector(code: Code) -> dict[str, Fraction]:

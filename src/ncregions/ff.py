@@ -98,9 +98,6 @@ class PrimeFieldMatrix:
                 if not (0 <= x < self.field.p):
                     raise ValueError(f"entry {x} not reduced mod {self.field.p}")
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
@@ -124,10 +121,6 @@ def mat(field: PrimeField, rows: Iterable[Sequence[int]], cols: int | None = Non
     elif cols is None:
         raise ValueError("empty matrix needs an explicit column count")
     return PrimeFieldMatrix(field, len(reduced), cols, reduced)
-
-
-def mat_identity(field: PrimeField, n: int) -> PrimeFieldMatrix:
-    return mat(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
 
 def mat_zeros(field: PrimeField, rows: int, cols: int) -> PrimeFieldMatrix:

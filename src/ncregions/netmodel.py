@@ -87,13 +87,6 @@ class Network:
                 return e
         raise KeyError(label)
 
-    def receivers(self) -> tuple[str, ...]:
-        seen: list[str] = []
-        for node, _ in self.demands:
-            if node not in seen:
-                seen.append(node)
-        return tuple(seen)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -101,9 +94,9 @@ class Violation:
     detail: str
 
 
-# The bundled networks, each in the form network_to_text writes it: one
-# line per edge, listed so that every node's in-edges come in the order
-# its code-file columns name them.
+# The bundled networks, each in parse_network's format: message lines
+# grouped by message, then one line per edge, listed so that every node's
+# in-edges come in the order its code-file columns name them.
 _BUNDLED = {
     # Two two-message sources feed a shared bottleneck y through feeder
     # edges u, v; each receiver also has a direct side edge (x or z).
@@ -375,19 +368,3 @@ def parse_network(text: str, name: str = "custom") -> Network:
         source_attachments={k: frozenset(v) for k, v in attachments.items()},
         demands=tuple(demands),
     )
-
-
-def network_to_text(net: Network) -> str:
-    """The network in :func:`parse_network`'s format: message lines
-    grouped by message in network message order, then one line per edge
-    and per demand, so parsing the text gives the same messages, edges
-    and demands in the same orders."""
-    lines = [
-        f"message {msg}@{node}"
-        for msg in net.messages
-        for node in net.nodes
-        if msg in net.source_attachments.get(node, ())
-    ]
-    lines += [f"edge {e.label} {e.tail} {e.head}" for e in net.edges]
-    lines += [f"demand {node} {msg}" for node, msg in net.demands]
-    return "\n".join(lines) + "\n"

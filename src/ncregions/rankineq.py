@@ -17,8 +17,9 @@ even characteristic).  Violation search supports three modes:
   expression's variables, in lexicographic order, returning the first
   violator;
 - ``sample``: seeded uniform sampling with a reproducible generator
-  (see :class:`SplitMix64`; the i-th draw depends only on seed and i,
-  so runs are reproducible across implementations and chunk sizes).
+  (the splitmix sequence of :func:`_splitmix_block`; the i-th draw
+  depends only on seed and i, so runs are reproducible across
+  implementations and chunk sizes).
 
 Every mode hands its slack values, in order and in pieces, to one loop
 that names the first violator and takes the least slack over whole
@@ -46,7 +47,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ff import PrimeField, PrimeFieldMatrix, mat_rank, mat_stack, mat
-from .rateregion import frac_str
 from .subspace import (
     SubspaceAssignment,
     SubspaceLattice,
@@ -163,27 +163,6 @@ def evaluate(expr: EntropyExpression, assign: SubspaceAssignment) -> Fraction:
     return Fraction(_plan_value(plan, variables, assign), denom)
 
 
-def evaluate_atoms(expr: EntropyExpression, assign: SubspaceAssignment) -> Fraction:
-    """Term-by-term evaluation (no canonicalization); test oracle."""
-
-    def joint(s: frozenset[str]) -> int:
-        return entropy(assign, s)
-
-    total = Fraction(0)
-    for coeff, atom in expr.terms:
-        if isinstance(atom, HAtom):
-            value = joint(atom.subset | atom.given) - joint(atom.given)
-        else:
-            value = (
-                joint(atom.left | atom.given)
-                + joint(atom.right | atom.given)
-                - joint(atom.left | atom.right | atom.given)
-                - joint(atom.given)
-            )
-        total += coeff * value
-    return total
-
-
 # ---------------------------------------------------------------------------
 # bundled inequalities (slack orientation: RHS - LHS, nonnegative iff valid)
 
@@ -230,32 +209,11 @@ _EVEN_LRI = expression([
     h(7, "A"), h(7, "B"), h(7, "C"), h(-7, "A", "B", "C"),
 ])
 
-# Balanced variant of oddLRI: each unconditioned edge entropy H(E)
-# tightens to the mutual information of E with the other variables, and
-# each H(E|...) tightens accordingly.  Kept for reference; it carries no
-# validity claim of its own in this package.
-_ODD_LRI_BALANCED = expression([
-    h(-2, "A"), h(-1, "B"), h(-2, "C"),
-    i(1, ["W"], ["A", "B", "C", "X", "Y", "Z"]),
-    i(1, ["X"], ["A", "B", "C", "W", "Y", "Z"]),
-    i(1, ["Y"], ["A", "B", "C", "W", "X", "Z"]),
-    i(1, ["Z"], ["A", "B", "C", "W", "X", "Y"]),
-    h(2, "A", given=["Z", "Y"]),
-    h(1, "B", given=["X", "Z"]),
-    h(2, "C", given=["A", "X"]),
-    i(3, ["X"], ["A", "B", "C", "Z"], given=["W", "Y"]),
-    i(3, ["Z"], ["A", "B", "X", "Y"], given=["W", "C"]),
-    i(5, ["W"], ["C", "X", "Y", "Z"], given=["A", "B"]),
-    i(5, ["Y"], ["A", "W", "X", "Z"], given=["B", "C"]),
-    h(5, "A"), h(5, "B"), h(5, "C"), h(-5, "A", "B", "C"),
-])
-
 _BUILTINS = {
     "ingleton": _INGLETON,
     "zhang-yeung": _ZHANG_YEUNG,
     "oddLRI": _ODD_LRI,
     "evenLRI": _EVEN_LRI,
-    "oddLRI-balanced": _ODD_LRI_BALANCED,
 }
 
 
@@ -277,7 +235,7 @@ def expected_violation(ineq_id: str, characteristic_class: str, dim: int) -> boo
         return characteristic_class == "even" and dim >= 3
     if ineq_id == "evenLRI":
         return characteristic_class == "odd" and dim >= 3
-    if ineq_id in ("ingleton", "zhang-yeung", "oddLRI-balanced"):
+    if ineq_id in ("ingleton", "zhang-yeung"):
         return False
     raise KeyError(f"unknown inequality {ineq_id!r}")
 
@@ -324,35 +282,15 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _mix64(z: int) -> int:
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """The splitmix sequence: the i-th output (1-based) is
-    mix(seed + i * 0x9E3779B97F4A7C15) with the standard two-round
-    multiplicative mixer, so any output can be computed directly."""
-
-    def __init__(self, seed: int):
-        self.seed = seed & MASK64
-        self.calls = 0
-
-    def next_uint64(self) -> int:
-        self.calls += 1
-        return _mix64((self.seed + self.calls * _GAMMA) & MASK64)
-
-    def next_below(self, bound: int) -> int:
-        return self.next_uint64() % bound
-
-
 def _splitmix_block(seed: int, start_call: int, count: int, width: int = 1) -> np.ndarray:
-    """Outputs for call numbers start_call .. start_call+count*width-1, as a
-    (count, width) array filled row by row and stored column by column.
+    """Outputs for call numbers start_call .. start_call+count*width-1 of
+    the splitmix sequence, as a (count, width) array filled row by row
+    and stored column by column.
 
-    Call ``start_call + t*width + p`` has state ``seed + (start_call + p)
+    Call i (1-based) outputs mix(seed + i * gamma), with gamma
+    ``_GAMMA`` and the standard two-round multiplicative mixer, so any
+    output can be computed directly.  Call
+    ``start_call + t*width + p`` has state ``seed + (start_call + p)
     * gamma + t * (width * gamma)``, so the states are one arange scaled
     and shifted per column; they are then mixed in place with one
     scratch buffer.
@@ -610,21 +548,6 @@ def search_violation_detailed(
     )
 
 
-def search_violation(
-    expr: EntropyExpression,
-    q: int,
-    d: int,
-    mode: str = "catalog",
-    seed: int = 0,
-    samples: int = DEFAULT_SAMPLES,
-    budget: int = DEFAULT_BUDGET,
-) -> SubspaceAssignment | None:
-    """Violating assignment (slack < 0) or None; see the detailed variant."""
-    return search_violation_detailed(
-        expr, q, d, mode=mode, seed=seed, samples=samples, budget=budget
-    ).witness
-
-
 # ---------------------------------------------------------------------------
 # rank-sum lemma checker
 
@@ -677,70 +600,3 @@ def check_rank_sum_lemma(inst: RankLemmaInstance) -> RankSumResult:
         lhs += mat_rank(mat_stack(shifted, inst.n_matrix))
     rhs = (len(inst.lambdas) - 1) * k + mat_rank(inst.n_matrix)
     return RankSumResult(lhs, rhs, lhs >= rhs)
-
-
-# ---------------------------------------------------------------------------
-# expression files
-
-
-def _format_atom(atom: Atom) -> str:
-    def s(fs: frozenset[str]) -> str:
-        return ",".join(sorted(fs))
-
-    if isinstance(atom, HAtom):
-        return f"H({s(atom.subset)}|{s(atom.given)})" if atom.given else f"H({s(atom.subset)})"
-    body = f"{s(atom.left)};{s(atom.right)}"
-    return f"I({body}|{s(atom.given)})" if atom.given else f"I({body})"
-
-
-def expression_to_text(expr: EntropyExpression) -> str:
-    """Serialize a slack expression: negative terms become the LHS."""
-    lhs_lines = []
-    rhs_lines = []
-    for coeff, atom in expr.terms:
-        if coeff < 0:
-            lhs_lines.append(f"{frac_str(-coeff)} * {_format_atom(atom)}")
-        elif coeff > 0:
-            rhs_lines.append(f"{frac_str(coeff)} * {_format_atom(atom)}")
-    return "\n".join(["LHS:", *lhs_lines, "RHS:", *rhs_lines]) + "\n"
-
-
-def parse_expression(text: str) -> EntropyExpression:
-    """Parse the LHS:/RHS: expression format into slack orientation."""
-    import re
-
-    side = None
-    terms: list[tuple[Fraction, Atom]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line == "LHS:":
-            side = -1
-            continue
-        if line == "RHS:":
-            side = 1
-            continue
-        if side is None:
-            raise ValueError(f"line {lineno}: term before LHS:/RHS: section")
-        m = re.fullmatch(
-            r"([+-]?\d+(?:/\d+)?)\s*\*\s*([HI])\(([^)]*)\)", line
-        )
-        if not m:
-            raise ValueError(f"line {lineno}: cannot parse {raw.strip()!r}")
-        coeff = Fraction(m.group(1)) * side
-        kind, body = m.group(2), m.group(3)
-        cond_parts = body.split("|")
-        given = frozenset(v.strip() for v in cond_parts[1].split(",") if v.strip()) if len(cond_parts) > 1 else frozenset()
-        head = cond_parts[0]
-        if kind == "H":
-            subset = frozenset(v.strip() for v in head.split(",") if v.strip())
-            terms.append((coeff, HAtom(subset, given)))
-        else:
-            halves = head.split(";")
-            if len(halves) != 2:
-                raise ValueError(f"line {lineno}: I-atom needs two sides")
-            left = frozenset(v.strip() for v in halves[0].split(",") if v.strip())
-            right = frozenset(v.strip() for v in halves[1].split(",") if v.strip())
-            terms.append((coeff, IAtom(left, right, given)))
-    return EntropyExpression(tuple(terms))

@@ -49,10 +49,6 @@ class HalfSpace:
         if self.bound < 0 and not any(self.coeffs):
             raise ValueError("contradictory halfspace: 0 <= negative bound")
 
-    @property
-    def tautological(self) -> bool:
-        return not any(self.coeffs) and self.bound >= 0
-
 
 @dataclass(frozen=True)
 class HRep:
@@ -619,7 +615,3 @@ def hrep_to_text(h: HRep) -> str:
         for hs in h.halfspaces
     ]
     return "\n".join(lines) + "\n"
-
-
-def vrep_to_text(v: VRep) -> str:
-    return "\n".join(" ".join(frac_str(x) for x in vert) for vert in v.vertices) + "\n"

@@ -13,8 +13,8 @@ algebra per query.  The table is built without elimination: every RREF
 basis is generated directly, each subspace is recorded by the points
 (lines) it contains, and A + B is reached by adding A's basis points to
 B one at a time, each step a table row of a single point.
-:func:`lattice_size` owns the limits of a lattice (the field, the
-enumeration, join-table and mask guards) and checks them without
+:func:`lattice_size` owns the limits of a lattice (the enumeration
+guard, the field and the join-table guard) and checks them without
 enumerating, before any build.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -44,11 +44,6 @@ from .ff import (
 ENUMERATION_GUARD = 2**20
 # Bound on count_subspaces(q, d)^2, the entries of a lattice's join table.
 LATTICE_TABLE_GUARD = 2**24
-# Bound on count_subspaces(q, d)^2 * q^d.  The table is built from point
-# lists, not q^d-bit masks, so this no longer tracks the build's cost; it
-# keeps the admitted spaces, and each refusal's line, as they were.
-# GF(7)^4 (3.2e10) builds in ~0.1 s; GF(43)^3 (1.1e12, refused) would take ~0.15 s.
-LATTICE_MASK_GUARD = 2**36
 # Bytes of the containment test a lattice build gathers at a time: at 1 MiB
 # the traced peak of GF(2)^6, GF(3)^5 or GF(7)^4 is its join table plus 2-4 MiB.
 _BITMAP_BYTES = 1 << 20
@@ -74,18 +69,6 @@ class Subspace:
     def codim(self) -> int:
         return self.ambient_dim - self.dim
 
-    def vectors(self) -> list[tuple[int, ...]]:
-        """All q^dim member vectors (small spaces only)."""
-        p = self.field.p
-        out = []
-        for coeffs in product(range(p), repeat=self.dim):
-            v = [0] * self.ambient_dim
-            for c, row in zip(coeffs, self.basis.entries):
-                for j, x in enumerate(row):
-                    v[j] = (v[j] + c * x) % p
-            out.append(tuple(v))
-        return out
-
 
 def subspace_span(q: int, d: int, generators: Iterable[Sequence[int]]) -> Subspace:
     """Canonical subspace spanned by the given vectors of GF(q)^d."""
@@ -95,14 +78,6 @@ def subspace_span(q: int, d: int, generators: Iterable[Sequence[int]]) -> Subspa
         if len(v) != d:
             raise ValueError(f"generator {v} does not have length {d}")
     return Subspace(fld, d, mat_rref(mat(fld, rows, cols=d)))
-
-
-def zero_subspace(q: int, d: int) -> Subspace:
-    return subspace_span(q, d, [])
-
-
-def full_subspace(q: int, d: int) -> Subspace:
-    return subspace_span(q, d, [[1 if i == j else 0 for j in range(d)] for i in range(d)])
 
 
 def _same_ambient(a: Subspace, b: Subspace) -> None:
@@ -199,20 +174,15 @@ def _ambient_field(q: int, d: int) -> PrimeField:
 
 
 def lattice_size(q: int, d: int) -> int:
-    """Subspace count of GF(q)^d once it passes the field check and the
-    enumeration, join-table and mask guards of :class:`SubspaceLattice`;
-    nothing is enumerated."""
+    """Subspace count of GF(q)^d once it passes the enumeration guard, the
+    field check and the join-table guard of :class:`SubspaceLattice`, in
+    that order; nothing is enumerated."""
     _ambient_field(q, d)
     size = count_subspaces(q, d)
     if size * size > LATTICE_TABLE_GUARD:
         raise ValueError(
             f"GF({q})^{d} has {size} subspaces; its {size}^2-entry join table "
             f"exceeds the guard {LATTICE_TABLE_GUARD}"
-        )
-    if size * size * q**d > LATTICE_MASK_GUARD:
-        raise ValueError(
-            f"GF({q})^{d} has {size} subspaces of {q}^{d}-bit masks; "
-            f"{size}^2 * {q}^{d} exceeds the mask guard {LATTICE_MASK_GUARD}"
         )
     return size
 
@@ -401,9 +371,6 @@ class SubspaceLattice:
         for i in indices:
             acc = int(self.join_table[acc, i])
         return acc
-
-    def entropy_of(self, indices: Iterable[int]) -> int:
-        return int(self.dims[self.join_indices(indices)])
 
 
 _LATTICE_CACHE: dict[tuple[int, int], SubspaceLattice] = {}

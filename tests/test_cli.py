@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncregions import codes as codes_mod
-from ncregions import netmodel, rateregion
+from ncregions import netmodel, rateregion, subspace
 from ncregions.cli import EXIT_FAILURE, EXIT_OK, _achieve_field, build_parser, cmd_achieve, main
 from ncregions.rateregion import frac_str
 
@@ -481,8 +481,8 @@ def test_rank_huge_prime_field_exits_two_quickly(capsys):
 
 
 def test_rank_lattice_guard_exits_two_quickly(capsys):
-    # GF(2)^7 exceeds the table guard, GF(43)^3 the mask guard
-    for field, dim in (("2", "7"), ("43", "3")):
+    # GF(2)^7 and GF(101)^3 exceed the join-table guard
+    for field, dim in (("2", "7"), ("101", "3")):
         start = time.perf_counter()
         code, out, err = run(
             capsys, "rank", "ingleton", "--field", field, "--dim", dim, "--mode", "sample"
@@ -490,6 +490,15 @@ def test_rank_lattice_guard_exits_two_quickly(capsys):
         assert time.perf_counter() - start < 1.0
         assert code == 2 and out == ""
         assert err.startswith("error:") and "guard" in err and err.count("\n") == 1
+
+
+def test_rank_admits_gf29_cubed(capsys, monkeypatch):
+    # a fresh cache, so the lattice is not kept for the rest of the test run
+    monkeypatch.setattr(subspace, "_LATTICE_CACHE", {})
+    code, out, err = run(
+        capsys, "rank", "ingleton", "--field", "29", "--dim", "3", "--mode", "sample", "--samples", "1000"
+    )
+    assert code == EXIT_OK and err == ""
 
 
 @pytest.mark.parametrize(

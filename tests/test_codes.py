@@ -1,6 +1,7 @@
 import json
 import random
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations, permutations
 from typing import Iterable, Sequence
@@ -30,7 +31,6 @@ from ncregions.codes import (
     builtin_codes,
     code_to_json,
     concatenate_codes,
-    evaluate_code,
     formulas_to_matrix,
     RateSpec,
     instantiate_builtin,
@@ -39,7 +39,6 @@ from ncregions.codes import (
     rate_spec,
     rate_vector,
     read_code_file,
-    synthesize_decoder,
     to_table_code,
     validate_code,
     verify_solution,
@@ -47,11 +46,18 @@ from ncregions.codes import (
     write_code_file,
     zero_fix,
 )
-from ncregions.ff import GF2, GF3, GF5, PrimeField, PrimeFieldMatrix, mat
-from ncregions.netmodel import NETWORK_IDS, Network, builtin_network, network_to_text, parse_network
+from ncregions.ff import GF2, GF3, GF5, PrimeField, PrimeFieldMatrix, mat, mat_vec, solve
+from ncregions.netmodel import (
+    NETWORK_IDS,
+    Network,
+    builtin_network,
+    parse_network,
+    topological_order,
+)
 from ncregions.rateregion import builtin_region, contains
 
 from conftest import DATA_DIR
+from test_netmodel import network_to_text
 
 
 def _builtin(net_id, label, fld=None):
@@ -61,59 +67,77 @@ def _builtin(net_id, label, fld=None):
 
 
 # ---------------------------------------------------------------------------
-# evaluation
+# evaluation of one assignment, the witness oracle of the verifier tests:
+# it walks topological_order itself, so it checks independently the walk
+# that both verifiers share
 
 
-def test_evaluate_gbutterfly_crossing_code():
-    net, code = _builtin("gbutterfly", "(0,1,1,0)")
-    res = evaluate_code(net, code, {"b": (1,), "c": (1,)})
-    assert res.edges["x"] == (1,)
-    assert res.edges["y"] == (0,)
-    assert res.edges["z"] == (1,)
-    assert res.decoded[("R5", "c")] == (1,)
-    assert res.decoded[("R6", "b")] == (1,)
+def _synthesize_decoder(t_matrix, sel):
+    """Solve D . T = sel row by row; None when no decoder exists."""
+    t_t = mat(t_matrix.field, [t_matrix.column(j) for j in range(t_matrix.cols)], cols=t_matrix.rows)
+    decoder_rows = []
+    for i in range(sel.rows):
+        x = solve(t_t, sel.entries[i])
+        if x is None:
+            return None
+        decoder_rows.append(x)
+    return mat(t_matrix.field, decoder_rows, cols=t_matrix.rows)
 
 
-def test_evaluate_all_zero_messages_gives_all_zero_edges():
-    for net_id in NETWORK_IDS:
-        net = builtin_network(net_id)
-        for bc in builtin_codes(net_id):
-            assignment = {m: (0,) * k for m, k in bc.code.rates.message_dims.items()}
-            res = evaluate_code(net, bc.code, assignment)
-            assert all(all(x == 0 for x in v) for v in res.edges.values())
+@dataclass(frozen=True)
+class _Evaluation:
+    edges: dict  # label -> its symbols
+    decoded: dict  # (receiver, message) -> the decoded symbols
 
 
-def test_evaluate_nonfano_unit_code_over_gf3():
-    net, code = _builtin("nonfano", "(1,1,1)")
-    res = evaluate_code(net, code, {"a": (1,), "b": (2,), "c": (1,)})
-    assert res.edges == {"w": (0,), "x": (2,), "y": (0,), "z": (1,)}
-    assert res.decoded[("R15", "c")] == (1,)
+def _evaluate(net, code, assignment):
+    """Push one message assignment through the network: the symbols of
+    every edge label, and each demand decoded by its stored decoder or,
+    for a linear code, by one synthesized from the transfer matrices
+    when the demand is decodable."""
+    validate_code(net, code)
+    base = _alphabet_size(code)
+    linear = isinstance(code, LinearCode)
+    messages = {}
+    for m in net.messages:
+        messages[m] = tuple(int(x) % base for x in assignment.get(m, ()))
+        assert len(messages[m]) == code.rates.message_dims[m], m
 
+    def apply(fn, vec):
+        if linear:
+            return mat_vec(fn, vec)
+        key = 0
+        for s in vec:
+            key = key * base + s
+        return fn[key]
 
-def test_evaluate_rejects_bad_dimensions():
-    net, code = _builtin("nonfano", "(1,1,1)")
-    with pytest.raises(ValueError):
-        evaluate_code(net, code, {"a": (1, 0), "b": (2,), "c": (1,)})
+    edges = {}
 
+    def inputs(node):
+        blocks = [messages[m] for m in net.attached(node)] + [edges[e.label] for e in net.in_edges(node)]
+        return tuple(x for block in blocks for x in block)
 
-def test_evaluate_builds_transfer_matrices_only_to_synthesize_a_decoder(monkeypatch):
-    # the matrices would be 2 input symbols by 11 message symbols, over
-    # the lowered guard; only a demand without a decoder needs them
-    monkeypatch.setattr(codes_module, "TRANSFER_ENTRY_GUARD", 16)
-    net = parse_network("message a@s\nmessage b@t\nedge e1 s r\ndemand r a\n", name="iso")
-    rates = rate_spec(net, {"a": 1, "b": 10}, 1)
-    edges = {"e1": mat(GF3, [[1]])}
-    assignment = {"a": (2,), "b": (0,) * 10}
-    decoded = LinearCode(net.name, GF3, rates, edges, {("r", "a"): mat(GF3, [[1]])})
-    assert evaluate_code(net, decoded, assignment).decoded == {("r", "a"): (2,)}
-    with pytest.raises(GuardExceededError, match="exceed the guard of 16 entries"):
-        evaluate_code(net, LinearCode(net.name, GF3, rates, edges), assignment)
+    functions, decoders = _functions(code)
+    for node in topological_order(net):
+        for e in net.out_edges(node):
+            edges[e.label] = apply(functions[e.label], inputs(node))
+    decoded = {}
+    transfer = None  # built for the first demand without a stored decoder
+    for node, msg in net.demands:
+        dec = decoders.get((node, msg))
+        if dec is None and linear:
+            if transfer is None:
+                transfer, select = _transfer(net, code)
+            dec = _synthesize_decoder(transfer(node), select(msg))
+        if dec is not None:
+            decoded[(node, msg)] = apply(dec, inputs(node))
+    return _Evaluation(edges, decoded)
 
 
 def test_synthesized_decoders_recover_messages():
     net, code = _builtin("fano", "(4/5,4/5,4/5)")
     assignment = {"a": (1, 2, 0, 1), "b": (2, 2, 1, 0), "c": (0, 1, 1, 2)}
-    res = evaluate_code(net, code, assignment)
+    res = _evaluate(net, code, assignment)
     for (node, msg), value in res.decoded.items():
         assert value == assignment[msg], (node, msg)
 
@@ -149,8 +173,8 @@ def test_fano_unit_code_fails_only_in_odd_characteristic():
     assert (failure.receiver, failure.message) == ("R12", "c")
     assert failure.witness is not None
     # witness: nonzero demanded message, receiver inputs identical to zero
-    res = evaluate_code(net, code, failure.witness)
-    zero = evaluate_code(net, code, {m: (0,) * k for m, k in code.rates.message_dims.items()})
+    res = _evaluate(net, code, failure.witness)
+    zero = _evaluate(net, code, {m: (0,) * k for m, k in code.rates.message_dims.items()})
     assert res.edges["x"] == zero.edges["x"]
     assert failure.witness["c"] != (0,)
 
@@ -254,7 +278,7 @@ def test_exhaustive_agrees_on_invalid_codes():
     assert w is not None
 
     def receiver_view(assignment):
-        res = evaluate_code(net, code, assignment)
+        res = _evaluate(net, code, assignment)
         return assignment["a"], res.edges["x"]
 
     import itertools
@@ -316,7 +340,7 @@ def test_oracle_equivalence_on_random_codes():
             assert w is not None and any(x for x in w[failure.message])
 
             def receiver_view(assignment):
-                res = evaluate_code(net, code, assignment)
+                res = _evaluate(net, code, assignment)
                 view = []
                 for kind, name in _node_blocks(net, failure.receiver):
                     if kind == "m":
@@ -359,7 +383,7 @@ def test_corrupted_decoder_table_is_caught_with_witness():
     assert (failure.receiver, failure.message) == ("R15", "c")
     assert failure.witness is not None
     # the witness assignment really does hit the corrupted entry
-    res = evaluate_code(net, corrupted, failure.witness)
+    res = _evaluate(net, corrupted, failure.witness)
     assert res.decoded[("R15", "c")] != failure.witness["c"]
 
 
@@ -449,7 +473,7 @@ def _reference_exhaustive(net, code, guard=DEFAULT_ENUMERATION_GUARD):
         return assignments[:, offsets[msg] : offsets[msg] + rates.message_dims[msg]]
 
     functions, decoders = _functions(code)
-    _, gather = _propagate(
+    gather = _propagate(
         net,
         message_block,
         lambda label, block: _ref_apply_array(code, functions[label], block),
@@ -634,8 +658,8 @@ def test_exhaustive_matches_the_reference_across_the_int32_key_limit(p, k, n):
     })
     transfer, select = _transfer(net, code)
     # decoders on r read its inputs digit by digit: one reproduces a, its double gives 2a
-    decoder = synthesize_decoder(transfer("r"), select("a"))
-    decoders = [decoder, mat(fld, [[2 * x % p for x in decoder.row(0)]], cols=decoder.cols)]
+    decoder = _synthesize_decoder(transfer("r"), select("a"))
+    decoders = [decoder, mat(fld, [[2 * x % p for x in decoder.entries[0]]], cols=decoder.cols)]
     cases = [code, blind] + [
         LinearCode(code.network, fld, code.rates, code.edge_functions, {("r", "a"): decoder})
         for decoder in decoders
@@ -801,7 +825,7 @@ def _random_decoders(net, code, rng):
         k = code.rates.message_dims[msg]
         if rng.random() < 0.5:
             continue
-        dec = synthesize_decoder(transfer(node), select(msg))
+        dec = _synthesize_decoder(transfer(node), select(msg))
         width = node_input_width(net, code.rates, node)
         rows = [list(r) for r in dec.entries] if dec is not None else [
             [rng.randrange(code.field.p) for _ in range(width)] for _ in range(k)
@@ -893,12 +917,10 @@ def test_routing_verdict_is_field_oblivious():
             assert verdicts == {True}
 
 
-def test_routing_table_code():
+def test_routing_refuses_a_table_code():
     net, code = _builtin("gbutterfly", "(1/2,1/2,1/2,1/2)")
-    table = to_table_code(net, code)
-    assert is_routing(table, net)
-    _, mixing = _builtin("gbutterfly", "(0,1,1,0)")
-    assert not is_routing(to_table_code(net, mixing), net)
+    with pytest.raises(TypeError, match="linear codes"):
+        is_routing(to_table_code(net, code))
 
 
 # ---------------------------------------------------------------------------
@@ -1268,7 +1290,7 @@ def test_code_file_layouts_of_the_bundled_networks(net_id):
     assert net.coded_labels() == tuple(labels.split())
     assert {label: _tail(net, label) for label in net.coded_labels()} == tails
     rates = rate_spec(net, {m: 1 for m in net.messages}, 1)
-    nodes = dict.fromkeys(list(tails.values()) + list(net.receivers()))
+    nodes = dict.fromkeys(list(tails.values()) + [node for node, _ in net.demands])
     assert {node: " ".join(name for name, _ in _input_layout(net, rates, node)) for node in nodes} == layouts
 
 

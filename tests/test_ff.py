@@ -10,7 +10,6 @@ from ncregions.ff import (
     GF5,
     PrimeField,
     mat,
-    mat_identity,
     mat_mul,
     mat_nullspace,
     mat_rank,
@@ -22,6 +21,10 @@ from ncregions.ff import (
     rowspace_contains,
     solve,
 )
+
+
+def mat_identity(field, n):
+    return mat(field, [[int(i == j) for j in range(n)] for i in range(n)], cols=n)
 
 
 def test_field_rejects_composites_and_large_moduli():

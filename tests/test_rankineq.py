@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ncregions import subspace as subspace_mod
-from ncregions.ff import GF3, GF5, mat, mat_identity, mat_zeros
+from ncregions.ff import GF3, GF5, PrimeField, mat, mat_zeros
 from ncregions.rankineq import (
     DEFAULT_BUDGET,
     INEQUALITY_IDS,
@@ -13,21 +13,16 @@ from ncregions.rankineq import (
     IAtom,
     RankLemmaInstance,
     SearchOutcome,
-    SplitMix64,
     builtin_inequality,
     canonicalize,
     catalog_assignments,
     check_rank_sum_lemma,
     coordinate_assignment,
     evaluate,
-    evaluate_atoms,
     expected_violation,
     expression,
-    expression_to_text,
     h,
     i,
-    parse_expression,
-    search_violation,
     search_violation_detailed,
 )
 from ncregions import rankineq as rankineq_mod
@@ -35,10 +30,13 @@ from ncregions.rankineq import _integer_plan, _slack_block, _splitmix_block, _te
 from ncregions.subspace import (
     assignment,
     count_subspaces,
+    entropy,
     enumerate_subspaces,
     lattice,
     subspace_span,
 )
+
+from test_ff import mat_identity
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +122,23 @@ def _random_expression(rng, names):
     return expression(terms)
 
 
+def _evaluate_atoms(expr, assign):
+    """Term-by-term evaluation, with no canonicalization."""
+    total = Fraction(0)
+    for coeff, atom in expr.terms:
+        if isinstance(atom, HAtom):
+            value = entropy(assign, atom.subset | atom.given) - entropy(assign, atom.given)
+        else:
+            value = (
+                entropy(assign, atom.left | atom.given)
+                + entropy(assign, atom.right | atom.given)
+                - entropy(assign, atom.left | atom.right | atom.given)
+                - entropy(assign, atom.given)
+            )
+        total += coeff * value
+    return total
+
+
 def test_atom_and_canonical_evaluation_agree():
     rng = random.Random(17)
     spaces = enumerate_subspaces(2, 3)
@@ -133,36 +148,33 @@ def test_atom_and_canonical_evaluation_agree():
         assign = assignment(
             2, 3, {n: spaces[rng.randrange(len(spaces))] for n in names}
         )
-        assert evaluate(expr, assign) == evaluate_atoms(expr, assign)
-
-
-def test_balanced_variant_matches_plain_on_the_witness():
-    # On assignments where the edge variables already sit inside the
-    # span of everything else, the balanced tightening changes nothing.
-    balanced = builtin_inequality("oddLRI-balanced")
-    assert evaluate(balanced, coordinate_assignment(2, 3)) == -1
+        assert evaluate(expr, assign) == _evaluate_atoms(expr, assign)
 
 
 # ---------------------------------------------------------------------------
 # search
 
 
+def _catalog_witness(expr, q, d):
+    return search_violation_detailed(expr, q, d, "catalog").witness
+
+
 def test_catalog_search_finds_both_witnesses():
     odd = builtin_inequality("oddLRI")
     even = builtin_inequality("evenLRI")
-    w = search_violation(odd, 2, 3, "catalog")
+    w = _catalog_witness(odd, 2, 3)
     assert w is not None and evaluate(odd, w) < 0
     assert w.spaces == coordinate_assignment(2, 3).spaces
-    w = search_violation(even, 3, 3, "catalog")
+    w = _catalog_witness(even, 3, 3)
     assert w is not None and evaluate(even, w) < 0
-    assert search_violation(odd, 3, 3, "catalog") is None
-    assert search_violation(even, 2, 3, "catalog") is None
+    assert _catalog_witness(odd, 3, 3) is None
+    assert _catalog_witness(even, 2, 3) is None
     assert catalog_assignments(2, 2) == []
 
 
 def test_catalog_search_embeds_in_higher_dimension():
     odd = builtin_inequality("oddLRI")
-    w = search_violation(odd, 2, 4, "catalog")
+    w = _catalog_witness(odd, 2, 4)
     assert w is not None and w.ambient_dim == 4 and evaluate(odd, w) < 0
 
 
@@ -200,7 +212,7 @@ def _reference_catalog(expr, q, d):
 
 
 _CATALOG_EXPRESSIONS = {
-    **{name: builtin_inequality(name) for name in (*INEQUALITY_IDS, "oddLRI-balanced")},
+    **{name: builtin_inequality(name) for name in INEQUALITY_IDS},
     # evenLRI halved: slack -1/2 over odd characteristic, denominator 2
     "evenLRI/2": expression((c / 2, a) for c, a in builtin_inequality("evenLRI").terms),
 }
@@ -489,7 +501,7 @@ def test_exhaustive_budget_is_checked_before_the_lattice_is_built(monkeypatch):
 
 def test_unknown_mode_rejected():
     with pytest.raises(ValueError):
-        search_violation(builtin_inequality("ingleton"), 2, 2, "montecarlo")
+        search_violation_detailed(builtin_inequality("ingleton"), 2, 2, "montecarlo")
 
 
 def test_expected_violation_table():
@@ -502,8 +514,39 @@ def test_expected_violation_table():
     assert not expected_violation("zhang-yeung", "odd", 4)
 
 
+@pytest.mark.parametrize("ineq", sorted(rankineq_mod._BUILTINS))
+def test_expected_violation_agrees_with_the_catalog_search(ineq):
+    expr = builtin_inequality(ineq)
+    for q in (2, 3, 5, 7):
+        characteristic_class = PrimeField(q).characteristic_class
+        for d in range(5):
+            found = _catalog_witness(expr, q, d) is not None
+            assert expected_violation(ineq, characteristic_class, d) == found, (q, d)
+
+
 # ---------------------------------------------------------------------------
 # splitmix reference sequence
+
+
+class SplitMix64:
+    """The splitmix sequence one call at a time: the i-th output
+    (1-based) mixes seed + i * 0x9E3779B97F4A7C15."""
+
+    MASK = (1 << 64) - 1
+
+    def __init__(self, seed):
+        self.seed = seed & self.MASK
+        self.calls = 0
+
+    def next_uint64(self):
+        self.calls += 1
+        z = (self.seed + self.calls * 0x9E3779B97F4A7C15) & self.MASK
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self.MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self.MASK
+        return z ^ (z >> 31)
+
+    def next_below(self, bound):
+        return self.next_uint64() % bound
 
 
 def test_splitmix_reference_values():
@@ -561,26 +604,3 @@ def test_rank_sum_random_instances():
         assert check_rank_sum_lemma(RankLemmaInstance(m, n, tuple(lams))).holds
 
 
-# ---------------------------------------------------------------------------
-# expression files
-
-
-def test_expression_file_round_trip():
-    for name in ("ingleton", "zhang-yeung", "oddLRI", "evenLRI"):
-        expr = builtin_inequality(name)
-        text = expression_to_text(expr)
-        again = parse_expression(text)
-        assert canonicalize(again) == canonicalize(expr)
-        # the round-trip preserves values too
-        a = coordinate_assignment(3, 3)
-        if expr.variables() <= set(a.spaces):
-            assert evaluate(again, a) == evaluate(expr, a)
-
-
-def test_parse_expression_errors():
-    with pytest.raises(ValueError):
-        parse_expression("1 * H(A)")  # no section header
-    with pytest.raises(ValueError):
-        parse_expression("RHS:\n1 * J(A)")
-    with pytest.raises(ValueError):
-        parse_expression("RHS:\n1 * I(A)")  # missing right side

@@ -16,7 +16,6 @@ from ncregions.subspace import (
     count_subspaces,
     entropy,
     enumerate_subspaces,
-    full_subspace,
     gaussian_binomial,
     image,
     join,
@@ -27,8 +26,20 @@ from ncregions.subspace import (
     parse_assignment,
     preimage,
     subspace_span,
-    zero_subspace,
 )
+
+
+def _member_vectors(s):
+    """All q^dim member vectors of a subspace."""
+    p = s.field.p
+    out = []
+    for coeffs in product(range(p), repeat=s.dim):
+        v = [0] * s.ambient_dim
+        for c, row in zip(coeffs, s.basis.entries):
+            for j, x in enumerate(row):
+                v[j] = (v[j] + c * x) % p
+        out.append(tuple(v))
+    return out
 
 
 def test_span_examples():
@@ -50,7 +61,7 @@ def test_join_examples():
     w = subspace_span(2, 3, [(1, 1, 0)])
     x = subspace_span(2, 3, [(1, 0, 1)])
     j = join(w, x)
-    assert j.dim == 2 and (0, 1, 1) in j.vectors()
+    assert j.dim == 2 and (0, 1, 1) in _member_vectors(j)
     assert join(w, w) == w
 
 
@@ -74,9 +85,9 @@ def test_preimage_examples():
     b = subspace_span(2, 2, [(1, 1)])
     assert preimage(ident, b) == b
     f = LinearMapBetweenSubspaces(GF2, 2, 1, mat(GF2, [(1, 1)]))
-    assert preimage(f, zero_subspace(2, 1)) == subspace_span(2, 2, [(1, 1)])
+    assert preimage(f, subspace_span(2, 1, [])) == subspace_span(2, 2, [(1, 1)])
     zero_map = LinearMapBetweenSubspaces(GF2, 2, 1, mat(GF2, [(0, 0)]))
-    assert preimage(zero_map, zero_subspace(2, 1)) == full_subspace(2, 2)
+    assert preimage(zero_map, subspace_span(2, 1, [])) == subspace_span(2, 2, [(1, 0), (0, 1)])
 
 
 def test_enumeration_counts():
@@ -144,8 +155,8 @@ def test_lattice_join_table_matches_direct_joins():
                 k = table[idx1, idx2]
                 assert lat.spaces[k] == join(s1, s2)
                 assert lat.dims[k] == mat_rank(mat_stack(s1.basis, s2.basis))
-        assert lat.spaces[0] == zero_subspace(q, d)
-        assert lat.entropy_of([]) == 0
+        assert lat.spaces[0] == subspace_span(q, d, [])
+        assert lat.join_indices([]) == 0 and lat.dims[0] == 0
 
 
 @pytest.mark.parametrize("q,d", [(2, 3), (3, 2), (5, 2), (3, 3), (2, 4)])
@@ -157,7 +168,7 @@ def test_lattice_points_are_member_vectors(q, d):
     line_vector = {i: s.basis.entries[0] for i, s in enumerate(spaces) if s.dim == 1}
     for i, s in enumerate(spaces):
         # a point is the member vector whose first nonzero entry is 1
-        normalized = sorted(v for v in s.vectors() if any(v) and next(filter(None, v)) == 1)
+        normalized = sorted(v for v in _member_vectors(s) if any(v) and next(filter(None, v)) == 1)
         assert sorted(line_vector[p] for p in points[s.dim][i - starts[s.dim]]) == normalized
         assert [line_vector[p] for p in basis_points[i, : s.dim]] == list(s.basis.entries)
         assert not basis_points[i, s.dim :].any()
@@ -174,17 +185,25 @@ def test_lattice_table_guard_runs_before_enumeration(monkeypatch):
         for build in (subspace_mod.SubspaceLattice, lattice_size):
             with pytest.raises(ValueError, match="guard"):
                 build(q, d)
-    # GF(43)^3 has a small enough table but ANDs 79,507-bit masks
-    for q, d in [(43, 3), (37, 3)]:
-        assert count_subspaces(q, d) ** 2 <= subspace_mod.LATTICE_TABLE_GUARD
-        for build in (subspace_mod.SubspaceLattice, lattice_size):
-            with pytest.raises(ValueError, match="mask guard"):
-                build(q, d)
     # the spaces the tests, the README and the benchmark use stay admitted
-    for q, d in [(2, 6), (3, 5), (7, 4), (2, 5), (3, 4), (11, 3), (13, 3), (5, 3)]:
+    for q, d in [(2, 6), (3, 5), (7, 4), (2, 5), (3, 4), (11, 3), (13, 3), (5, 3), (43, 3)]:
         assert count_subspaces(q, d) ** 2 <= subspace_mod.LATTICE_TABLE_GUARD
-        assert count_subspaces(q, d) ** 2 * q**d <= subspace_mod.LATTICE_MASK_GUARD
         assert lattice_size(q, d) == count_subspaces(q, d)
+
+
+def test_largest_admitted_cubic_lattice():
+    # built directly, not through lattice(), so the per-process cache
+    # does not keep its 55 MB join table
+    q, d = 43, 3
+    lat = subspace_mod.SubspaceLattice(q, d)
+    spaces = lat.spaces
+    assert len(lat) == count_subspaces(q, d) == 3788
+    assert np.array_equal(lat.dims, [s.dim for s in spaces])
+    assert np.bincount(lat.dims).tolist() == [gaussian_binomial(d, k, q) for k in range(d + 1)]
+    rng = random.Random(43)
+    for _ in range(200):
+        a, b = rng.randrange(len(lat)), rng.randrange(len(lat))
+        assert spaces[lat.join_table[a, b]] == join(spaces[a], spaces[b])
 
 
 @pytest.mark.parametrize("q", [-3, 0, 1, 4, 6])
@@ -396,7 +415,7 @@ def test_ambient_transform_preserves_dimensions():
 
 def test_image_of_full_space_is_column_space():
     f = LinearMapBetweenSubspaces(GF3, 2, 3, mat(GF3, [(1, 0), (0, 1), (1, 1)]))
-    img = image(f, full_subspace(3, 2))
+    img = image(f, subspace_span(3, 2, [(1, 0), (0, 1)]))
     assert img.dim == 2
 
 
@@ -407,7 +426,7 @@ def test_assignment_file_round_trip():
         {
             "A": subspace_span(2, 3, [(1, 0, 0)]),
             "Z": subspace_span(2, 3, [(1, 1, 1)]),
-            "O": zero_subspace(2, 3),
+            "O": subspace_span(2, 3, []),
         },
     )
     text = assignment_to_text(a)
