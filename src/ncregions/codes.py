@@ -3,8 +3,8 @@
 A (k_1,...,k_m, n) fractional code assigns every edge label a function
 from its tail node's input symbols to n alphabet symbols; every edge
 with that label delivers the same n symbols.  Linear codes store a
-matrix per label; table codes store a full lookup table per label and
-work over arbitrary alphabets.
+matrix per label; table codes store a full lookup table of radix keys
+per label and work over arbitrary alphabets.
 
 A node's inputs are its attached messages (network message order, k_m
 symbols each) then its in-edges (network edge order, n symbols each).
@@ -19,8 +19,9 @@ function applies and how input blocks join.  The two routes stay
 independent in how they decide a demand:
 
 - :func:`verify_solution` is algebraic: the walk composes edge matrices
-  into global transfer matrices from the full message vector, and each
-  demand is a row space question.
+  into global transfer matrices from the full message vector, and a
+  demand passes iff every vector of the receiver's kernel is zero on the
+  demanded message's symbols.
 - :func:`verify_solution_exhaustive` is operational: the walk pushes
   the message assignments through the edge functions one aligned block
   at a time, and each receiver's inputs must determine its demands (or
@@ -46,7 +47,6 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from itertools import product
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
@@ -63,10 +63,8 @@ from .ff import (
     mat_mul,
     mat_nullspace,
     mat_stack,
-    mat_vec,
     mat_zeros,
     power_exceeds,
-    rowspace_contains,
 )
 from .netmodel import NETWORK_IDS, Network, builtin_network, topological_order
 
@@ -127,23 +125,23 @@ class LinearCode:
 class TableCode:
     """Lookup-table code over an arbitrary alphabet {0, ..., A-1}.
 
-    ``edge_tables[label][i]`` is the output tuple for input index i,
-    where input tuples are indexed lexicographically with the first
-    symbol most significant.  Decoder tables are indexed the same way
-    over the receiver's input symbols.
+    ``edge_tables[label]`` is a read-only integer array, uint8 or uint16
+    where the keys fit, whose entry i is the radix-A key of the output
+    for input key i, first symbol most significant.  Decoder tables are
+    keyed the same way over the receiver's input symbols.
     """
 
     network: str
     alphabet: int
     rates: RateSpec
-    edge_tables: dict[str, tuple[tuple[int, ...], ...]]
-    decoder_tables: dict[tuple[str, str], tuple[tuple[int, ...], ...]] = dc_field(
-        default_factory=dict
-    )
+    edge_tables: dict[str, np.ndarray]
+    decoder_tables: dict[tuple[str, str], np.ndarray] = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.alphabet < 2:
             raise ValueError("alphabet size must be at least 2")
+        for table in [*self.edge_tables.values(), *self.decoder_tables.values()]:
+            table.flags.writeable = False
 
 
 Code = LinearCode | TableCode
@@ -312,11 +310,8 @@ def validate_code(net: Network, code: Code) -> None:
         else:
             if power_exceeds(code.alphabet, width, len(fn)) or code.alphabet**width != len(fn):
                 raise ValueError(f"{what} table has wrong domain size")
-            outputs = set(fn)
-            if any(len(out) != out_width for out in outputs):
-                raise ValueError(f"{what} table has wrong output width")
-            if any(not 0 <= s < code.alphabet for out in outputs for s in out):
-                raise ValueError(f"{what} table has a symbol outside the alphabet")
+            if fn.min() < 0 or not power_exceeds(code.alphabet, out_width, int(fn.max())):
+                raise ValueError(f"{what} table has an output key out of range")
 
 
 # ---------------------------------------------------------------------------
@@ -361,23 +356,13 @@ def _split_assignment(net: Network, rates: RateSpec, vector: Sequence[int]) -> d
     }
 
 
-def _algebraic_witness(
-    net: Network, code: LinearCode, t_matrix: PrimeFieldMatrix, sel: PrimeFieldMatrix
-) -> dict[str, tuple[int, ...]] | None:
-    """A message assignment indistinguishable from zero at the receiver
-    but with a nonzero demanded message, when one exists."""
-    kernel = mat_nullspace(t_matrix)
-    for row in kernel.entries:
-        if any(mat_vec(sel, row)):
-            return _split_assignment(net, code.rates, row)
-    return None
-
-
 def verify_solution(net: Network, code: LinearCode) -> VerificationReport:
-    """Algebraic, witness-free verification of a linear code.
+    """Algebraic verification of a linear code.
 
-    A demand (r, m) passes iff the selector rows of m lie in the row
-    space of r's input transfer matrix; a supplied decoder must in
+    A demand (r, m) passes iff every vector of the kernel of r's input
+    transfer matrix, computed once per receiver, is zero on m's columns:
+    over GF(p) the row space is the kernel's annihilator.  The witness
+    is the first kernel vector nonzero on m.  A supplied decoder must in
     addition reproduce the selector exactly.
     """
     if not isinstance(code, LinearCode):
@@ -385,28 +370,26 @@ def verify_solution(net: Network, code: LinearCode) -> VerificationReport:
     validate_code(net, code)
     rates = code.rates
     total = rates.total_message_width
+    offsets = _offsets(_message_layout(net, rates))
     gather, select = _transfer(net, code)
+    kernels = {node: mat_nullspace(gather(node)) for node, _ in net.demands}
     statuses = []
     for node, msg in net.demands:
-        t_matrix = gather(node)
-        sel = select(msg)
-        ok = rowspace_contains(t_matrix, sel)
-        reason = None
-        witness = None
+        start, k = offsets[msg]
+        row = next((row for row in kernels[node].entries if any(row[start : start + k])), None)
+        ok, reason, witness = row is None, None, None
         if not ok:
             reason = "demand is not a function of the receiver inputs"
-            witness = _algebraic_witness(net, code, t_matrix, sel)
+            witness = _split_assignment(net, rates, row)
         elif (node, msg) in code.decoders:
-            product = mat_mul(code.decoders[(node, msg)], t_matrix)
+            sel = select(msg)
+            product = mat_mul(code.decoders[(node, msg)], gather(node))
             if product != sel:
                 ok = False
                 reason = "supplied decoder does not reproduce the demand"
-                for j in range(total):
-                    if product.column(j) != sel.column(j):
-                        unit = [0] * total
-                        unit[j] = 1
-                        witness = _split_assignment(net, rates, unit)
-                        break
+                # the unit assignment of the first message symbol it gets wrong
+                j = next(j for j in range(total) if product.column(j) != sel.column(j))
+                witness = _split_assignment(net, rates, [int(i == j) for i in range(total)])
         statuses.append(DemandStatus(node, msg, ok, reason, witness))
     return VerificationReport(
         valid=all(s.ok for s in statuses),
@@ -421,14 +404,6 @@ def verify_solution(net: Network, code: LinearCode) -> VerificationReport:
 
 def _alphabet_size(code: Code) -> int:
     return code.field.p if isinstance(code, LinearCode) else code.alphabet
-
-
-def _symbols_key(symbols: Iterable[int], base: int) -> int:
-    """Radix-``base`` key of a symbol tuple, first symbol most significant."""
-    key = 0
-    for s in symbols:
-        key = key * base + s
-    return key
 
 
 def _reduce(values: np.ndarray, modulus: int) -> None:
@@ -451,49 +426,23 @@ def _forms(keys: np.ndarray, weights: np.ndarray, base: int) -> np.ndarray:
     return digits @ weights.T % base
 
 
-def _tabulate(code: Code, fn, width: int, count: int, dtype, lookups: dict):
-    """An edge function or decoder as a gather from input keys to output
-    keys.
+def _compact(limit: int, dtype):
+    """uint8 or uint16 where keys below ``limit`` fit, else ``dtype``."""
+    return np.uint8 if limit <= 2**8 else np.uint16 if limit <= 2**16 else dtype
 
-    The function is tabulated once over its ``base^width`` input keys,
-    and the gather is the table's ``take``.  A table code's table is its
-    stored table, one key per distinct output.  A linear function's
-    table is an outer sum of its forms on the high and low halves of the
-    input digits: written in radix ``2*base - 1``, output symbols add
-    without carries, and a lookup table no longer than the ``count``
-    keys or one block (kept in ``lookups`` for the next function)
-    reduces each digit of a sum mod base, for as many output symbols at
-    a time as it covers.  A linear function whose table would be longer
-    than ``count`` is summed over the digits of each key instead, one
-    output symbol and one digit at a time.
-    """
-    base = _alphabet_size(code)
-    linear = isinstance(code, LinearCode)
-    # the table lasts the whole walk: uint8 or uint16 where its keys fit
-    limit = base ** (fn.rows if linear else len(fn[0]))
-    compact = np.uint8 if limit <= 2**8 else np.uint16 if limit <= 2**16 else dtype
-    if not linear:
-        distinct = {out: _symbols_key(out, base) for out in set(fn)}
-        return np.fromiter(map(distinct.__getitem__, fn), dtype=compact, count=len(fn)).take
-    if base**width > count:
 
-        def digitwise(keys: np.ndarray) -> np.ndarray:
-            out = np.zeros(len(keys), dtype)
-            for row in fn.entries:
-                symbol = np.zeros(len(keys), dtype)
-                for j, weight in enumerate(row):
-                    if weight:
-                        digit = keys // base ** (width - 1 - j)
-                        _reduce(digit, base)
-                        digit *= weight
-                        symbol += digit
-                _reduce(symbol, base)
-                out *= base
-                out += symbol
-            return out
-
-        return digitwise
-    weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
+def _linear_table(fn: PrimeFieldMatrix, count: int, dtype, lookups: dict) -> np.ndarray:
+    """A linear function's output key for each input key, in uint8 or
+    uint16 where they fit, else ``dtype``: the outer sum of its forms on
+    the input digits' high and low halves, written in radix ``2*p - 1``
+    so that output symbols add without carries, each digit reduced mod p
+    by a lookup table no longer than ``count`` or one block (kept in
+    ``lookups``) for as many output symbols at a time as it covers."""
+    base, width = fn.field.p, fn.cols
+    compact = _compact(base**fn.rows, dtype)
+    if not fn.rows:  # every input has the empty output, key 0
+        return np.zeros(base**width, compact)
+    weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, width)
     half = width // 2
     high = _forms(np.arange(base ** (width - half)), weights[:, : width - half], base)
     low = _forms(np.arange(base**half), weights[:, width - half :], base)
@@ -518,7 +467,38 @@ def _tabulate(code: Code, fn, width: int, count: int, dtype, lookups: dict):
             table += keys
         else:
             table = keys
-    return table.take
+    return table
+
+
+def _tabulate(code: Code, fn, out_width: int, count: int, dtype, lookups: dict):
+    """An edge function or decoder as a gather from input keys to output
+    keys: the ``take`` of a table code's stored keys or of
+    :func:`_linear_table`, in uint8 or uint16 where they fit, or for a
+    linear function whose table would outgrow the ``count`` assignments,
+    a sum over each key's digits, one output symbol and digit at a time."""
+    base = _alphabet_size(code)
+    if isinstance(code, TableCode):
+        return fn.astype(_compact(base**out_width, dtype), copy=False).take
+    width = fn.cols
+    if base**width > count:
+
+        def digitwise(keys: np.ndarray) -> np.ndarray:
+            out = np.zeros(len(keys), dtype)
+            for row in fn.entries:
+                symbol = np.zeros(len(keys), dtype)
+                for j, weight in enumerate(row):
+                    if weight:
+                        digit = keys // base ** (width - 1 - j)
+                        _reduce(digit, base)
+                        digit *= weight
+                        symbol += digit
+                _reduce(symbol, base)
+                out *= base
+                out += symbol
+            return out
+
+        return digitwise
+    return _linear_table(fn, count, dtype, lookups).take
 
 
 def verify_solution_exhaustive(
@@ -615,7 +595,7 @@ def verify_solution_exhaustive(
     functions, decoders = _functions(code)
     lookups = {}
     gathers = {
-        label: _tabulate(code, fn, widths[_tail(net, label)], count, dtype, lookups)
+        label: _tabulate(code, fn, rates.edge_dim, count, dtype, lookups)
         for label, fn in functions.items()
     }
     decoding: dict[str, list] = {}  # receiver -> (message, gather) of its decoders
@@ -624,7 +604,7 @@ def verify_solution_exhaustive(
         if not offsets[msg][1]:
             continue
         if (node, msg) in decoders:
-            gather = _tabulate(code, decoders[(node, msg)], widths[node], count, dtype, lookups)
+            gather = _tabulate(code, decoders[(node, msg)], offsets[msg][1], count, dtype, lookups)
             decoding.setdefault(node, []).append((msg, gather))
         else:
             demanded.setdefault(node, []).append(msg)
@@ -845,20 +825,15 @@ def zero_fix(net: Network, code: LinearCode, zero_messages: Iterable[str]) -> Li
 
 
 def to_table_code(net: Network, code: LinearCode) -> TableCode:
-    """Tabulate a linear code (used to exercise the table-code path)."""
+    """Tabulate a linear code (used to exercise the table-code path) by
+    the exhaustive verifier's table builder."""
     validate_code(net, code)
-    base = code.field.p
-    rates = code.rates
-
-    def tabulate(matrix: PrimeFieldMatrix) -> tuple[tuple[int, ...], ...]:
-        # product() runs over input tuples in table index order
-        return tuple(
-            mat_vec(matrix, digits) for digits in product(range(base), repeat=matrix.cols)
-        )
-
-    edge_tables = {label: tabulate(m) for label, m in code.edge_functions.items()}
-    decoder_tables = {key: tabulate(m) for key, m in code.decoders.items()}
-    return TableCode(code.network, base, rates, edge_tables, decoder_tables)
+    lookups = {}
+    edge_tables, decoder_tables = (
+        {key: _linear_table(m, code.field.p**m.cols, np.int64, lookups) for key, m in fns.items()}
+        for fns in _functions(code)
+    )
+    return TableCode(code.network, code.field.p, code.rates, edge_tables, decoder_tables)
 
 
 # ---------------------------------------------------------------------------
@@ -1170,19 +1145,27 @@ def code_to_json(net: Network, code: Code) -> dict:
     }
     if isinstance(code, LinearCode):
         doc["field"] = {"modulus": code.field.p}
-        kind, dump = "matrix", lambda m: [list(row) for row in m.entries]
+        kind, dump = "matrix", lambda m, _: [list(row) for row in m.entries]
     else:
-        doc["alphabet"] = code.alphabet
-        kind, dump = "table", lambda t: ["".join(_DIGITS[s] for s in out) for out in t]
+        doc["alphabet"] = base = code.alphabet
+        kind = "table"
 
-    def entry(node: str, fn) -> dict:
-        return {"inputs": [name for name, _ in _input_layout(net, rates, node)], kind: dump(fn)}
+        def dump(table: np.ndarray, width: int) -> list[str]:  # one line per distinct key
+            keys = table.tolist()
+            places = [base**j for j in reversed(range(width))]
+            line = {k: "".join(_DIGITS[k // place % base] for place in places) for k in set(keys)}
+            return list(map(line.__getitem__, keys))
+
+    def entry(node: str, fn, width: int) -> dict:
+        return {"inputs": [name for name, _ in _input_layout(net, rates, node)], kind: dump(fn, width)}
 
     functions, decoders = _functions(code)
-    doc["edges"] = {label: entry(_tail(net, label), fn) for label, fn in functions.items()}
+    n = rates.edge_dim
+    doc["edges"] = {label: entry(_tail(net, label), fn, n) for label, fn in functions.items()}
     if decoders:
         doc["decoders"] = {
-            f"{node}/{msg}": entry(node, fn) for (node, msg), fn in decoders.items()
+            f"{node}/{msg}": entry(node, fn, rates.message_dims[msg])
+            for (node, msg), fn in decoders.items()
         }
     return doc
 
@@ -1268,8 +1251,10 @@ def code_from_json(
             raise ValueError("field must give a modulus or a characteristic")
     else:
         alphabet = _json_typed(doc.get("alphabet", _MISSING), int, "alphabet")
+        if alphabet < 2:  # before any line is decoded with it
+            raise ValueError("alphabet size must be at least 2")
 
-    def parse(entry: dict, node: str, what: str):
+    def parse(entry: dict, node: str, what: str, slot: str, out_width: int):
         _json_typed(entry, dict, what)
         inputs = _json_list(entry.get("inputs", _MISSING), str, f"{what} inputs")
         layout = _input_layout(net, rates, node)
@@ -1287,22 +1272,36 @@ def code_from_json(
                 f"table inputs {inputs} must be listed in the node's input order {names}"
             )
         table = _json_list(entry.get("table", _MISSING), str, f"{what} table")
-        decoded = {}
-        for line in set(table):
+        if power_exceeds(alphabet, out_width, 2**63 - 1):  # keys are int64
+            raise ValueError(f"{slot} table outputs ({alphabet}^{out_width} values) are too wide")
+        keys = dict.fromkeys(table)  # each distinct line, decoded once to its key
+        for line in keys:
             if not set(line).issubset(_DIGITS):
                 raise ValueError(f"{what} table line {line!r} is not digits and lowercase letters")
-            decoded[line] = tuple(map(_DIGITS.index, line))
-        return tuple(map(decoded.__getitem__, table))
+            if len(line) != out_width:
+                raise ValueError(f"{slot} table has wrong output width")
+            key = 0
+            for symbol in map(_DIGITS.index, line):
+                if symbol >= alphabet:
+                    raise ValueError(f"{slot} table has a symbol outside the alphabet")
+                key = key * alphabet + symbol
+            keys[line] = key
+        dtype = _compact(alphabet**out_width, np.int64)  # as the verifier gathers from it
+        return np.fromiter(map(keys.__getitem__, table), dtype=dtype, count=len(table))
 
     functions = {}
     for label, entry in _json_typed(doc.get("edges", _MISSING), dict, "edges").items():
         if label not in net.coded_labels():
             raise ValueError(f"unknown edge label {label!r}")
-        functions[label] = parse(entry, _tail(net, label), f"edge {label!r}")
+        what = f"edge {label!r}"
+        functions[label] = parse(entry, _tail(net, label), what, what, rates.edge_dim)
     decoders = {}
     for key, entry in _json_typed(doc.get("decoders") or {}, dict, "decoders").items():
         node, _, msg = key.partition("/")
-        decoders[(node, msg)] = parse(entry, node, f"decoder {key!r}")
+        if (node, msg) not in net.demands:  # before its table's width is looked up
+            raise ValueError(f"decoder {node}/{msg} is not a demand of the network")
+        width = rates.message_dims[msg]
+        decoders[(node, msg)] = parse(entry, node, f"decoder {key!r}", f"decoder {key}", width)
     code: Code = (
         LinearCode(net.name, fld, rates, functions, decoders)
         if is_linear

@@ -163,14 +163,6 @@ def mat_transpose(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     )
 
 
-def mat_vec(m: PrimeFieldMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    """Apply m to a column vector, returning the reduced result."""
-    if len(v) != m.cols:
-        raise ValueError("vector length does not match column count")
-    p = m.field.p
-    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in m.entries)
-
-
 def _rref_core(field: PrimeField, rows_in: Sequence[Sequence[int]], cols: int):
     """Gauss-Jordan elimination; returns (nonzero reduced rows, pivot cols)."""
     p = field.p
@@ -215,22 +207,6 @@ def mat_rank(m: PrimeFieldMatrix) -> int:
     """Dimension of the row space; the input matrix is unchanged."""
     _, pivots = _rref_core(m.field, m.entries, m.cols)
     return len(pivots)
-
-
-def rowspace_contains(m: PrimeFieldMatrix, target: PrimeFieldMatrix) -> bool:
-    """True iff every row of ``target`` lies in the row space of ``m``.
-
-    Decodability in disguise: a receiver with input transfer matrix m
-    can compute a linear function exactly when the function's rows sit
-    inside m's row space.  An empty target is vacuously contained.
-    """
-    if m.field != target.field:
-        raise ValueError("field mismatch")
-    if m.cols != target.cols:
-        raise ValueError("column mismatch")
-    if target.rows == 0:
-        return True
-    return mat_rank(m) == mat_rank(mat_stack(m, target))
 
 
 def mat_nullspace(m: PrimeFieldMatrix) -> PrimeFieldMatrix:

@@ -29,7 +29,7 @@ Every mode weighs joint entropies by the integers of one plan
 (:func:`_integer_plan`); catalog mode sums them per assignment
 (:func:`_plan_value`, which :func:`evaluate` shares).  In the exhaustive
 and sample modes each term small enough is tabulated once per search
-over its own variables (:func:`_term_tables`): up to ``chunk`` entries
+over its own variables (:func:`_term_tables`): up to ``_CHUNK`` entries
 when exhaustive, up to one block's trials when sampling.  A table is
 read by one gather per assignment, and larger terms walk the join table
 from shared prefixes.  Sample mode draws and evaluates its trials in
@@ -64,6 +64,9 @@ INEQUALITY_IDS = ("ingleton", "zhang-yeung", "oddLRI", "evenLRI")
 # Sample mode draws and evaluates a block in tiles of this many trials,
 # so that a tile's index columns, scratch and slack stay in cache.
 _SAMPLE_TILE = 1 << 13
+# Assignments per exhaustive block and largest tabulated term; a sample
+# block is _CHUNK // nvars trials (at least one).
+_CHUNK = 1 << 21
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +480,6 @@ def search_violation_detailed(
     seed: int = 0,
     samples: int = DEFAULT_SAMPLES,
     budget: int = DEFAULT_BUDGET,
-    chunk: int = 1 << 21,
 ) -> SearchOutcome:
     """Search for an assignment with negative slack; see module docs.
 
@@ -492,8 +494,8 @@ def search_violation_detailed(
 
     In every mode ``min_slack`` is the least slack over consecutive
     blocks through the block that holds the witness: blocks of one
-    assignment in catalog mode, of ``chunk`` assignments when
-    exhaustive, and of ``chunk // nvars`` trials (at least one) when
+    assignment in catalog mode, of ``_CHUNK`` assignments when
+    exhaustive, and of ``_CHUNK // nvars`` trials (at least one) when
     sampling.
     """
     if mode not in ("catalog", "exhaustive", "sample"):
@@ -501,8 +503,6 @@ def search_violation_detailed(
     for name, value in (("dimension", d), ("samples", samples), ("budget", budget)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    if chunk < 1:
-        raise ValueError(f"chunk must be positive, got {chunk}")
     variables = sorted(expr.variables())
     plan, denom = _integer_plan(expr, variables)
     if mode == "catalog":
@@ -517,11 +517,11 @@ def search_violation_detailed(
             raise ValueError(f"{size}^{nvars} = {total} assignments exceed the budget {budget}")
         lat = lattice(q, d)
         if mode == "exhaustive":
-            pieces = _slack_slabs(plan, lat, nvars, chunk)
-            block, end = chunk, total
+            pieces = _slack_slabs(plan, lat, nvars, _CHUNK)
+            block, end = _CHUNK, total
             indices = lambda g: [(g // size ** (nvars - 1 - k)) % size for k in range(nvars)]
         else:
-            block, end = max(chunk // max(nvars, 1), 1), samples
+            block, end = max(_CHUNK // max(nvars, 1), 1), samples
             pieces = _sample_tiles(plan, lat, nvars, seed, samples, block)
             indices = lambda g: _splitmix_block(seed, g * nvars + 1, 1, nvars)[0] % np.uint64(size)
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ncregions import codes as codes_mod
 from ncregions import netmodel, rateregion, subspace
 from ncregions.cli import EXIT_FAILURE, EXIT_OK, _achieve_field, build_parser, cmd_achieve, main
+from ncregions.ff import GF3
 from ncregions.rateregion import frac_str
 
 from conftest import DATA_DIR
@@ -345,6 +346,49 @@ def test_verify_table_symbol_outside_digits_or_alphabet_exits_two(tmp_path, caps
     assert code == 2 and out == ""
     _assert_one_error_line(err)
     assert ("alphabet" if line == "3" else "not digits") in err
+
+
+def _table_file(tmp_path, name, mutate):
+    """A table copy of a bundled code file, changed by ``mutate``."""
+    net, code = codes_mod.read_code_file(DATA_DIR / "codes" / name)
+    path = tmp_path / "t.json"
+    codes_mod.write_code_file(path, net, codes_mod.to_table_code(net, code))
+    doc = json.loads(path.read_text())
+    mutate(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "mutate, error",
+    [
+        # gbutterfly_23_uniform has edge dimension 3: "000" is the right width
+        (lambda d: d["edges"]["x"]["table"].__setitem__(1, "00"),
+         "edge 'x' table has wrong output width"),
+        (lambda d: d["edges"]["x"]["table"].__setitem__(1, "0000"),
+         "edge 'x' table has wrong output width"),
+        # 3 symbols of 22 bits each: an output key would not fit 63 bits
+        (lambda d: d.update(alphabet=2**22),
+         "edge 'u' table outputs (4194304^3 values) are too wide"),
+        (lambda d: d.update(alphabet=1), "alphabet size must be at least 2"),
+    ],
+    ids=["one-symbol-short", "one-symbol-long", "keys-too-wide", "alphabet-1"],
+)
+def test_verify_table_of_the_wrong_width_exits_two(tmp_path, capsys, mutate, error):
+    path = _table_file(tmp_path, "gbutterfly_23_uniform.json", mutate)
+    assert run(capsys, "verify", str(path)) == (2, "", f"error: cannot load code file: {error}\n")
+
+
+def test_verify_table_with_a_zero_rate_decoder(tmp_path, capsys):
+    # with c at rate zero, nonfano's decoders of c are tables of empty lines
+    net = netmodel.builtin_network("nonfano")
+    spec = next(s for s in codes_mod.builtin_code_specs("nonfano") if s.label == "(1,1,1)")
+    code = codes_mod.zero_fix(net, codes_mod.instantiate_builtin(net, spec, GF3).code, ["c"])
+    path = tmp_path / "t.json"
+    codes_mod.write_code_file(path, net, codes_mod.to_table_code(net, code))
+    assert set(json.loads(path.read_text())["decoders"]["R15/c"]["table"]) == {""}
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, err) == (0, "") and out.endswith("valid: yes\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import tracemalloc
@@ -46,7 +47,7 @@ from ncregions.codes import (
     write_code_file,
     zero_fix,
 )
-from ncregions.ff import GF2, GF3, GF5, PrimeField, PrimeFieldMatrix, mat, mat_vec, solve
+from ncregions.ff import GF2, GF3, GF5, PrimeField, PrimeFieldMatrix, mat, solve
 from ncregions.netmodel import (
     NETWORK_IDS,
     Network,
@@ -57,6 +58,7 @@ from ncregions.netmodel import (
 from ncregions.rateregion import builtin_region, contains
 
 from conftest import DATA_DIR
+from test_ff import mat_vec, rowspace_contains
 from test_netmodel import network_to_text
 
 
@@ -103,13 +105,14 @@ def _evaluate(net, code, assignment):
         messages[m] = tuple(int(x) % base for x in assignment.get(m, ()))
         assert len(messages[m]) == code.rates.message_dims[m], m
 
-    def apply(fn, vec):
+    def apply(fn, vec, width):
         if linear:
             return mat_vec(fn, vec)
         key = 0
         for s in vec:
             key = key * base + s
-        return fn[key]
+        out = int(fn[key])  # the output's radix key, first symbol most significant
+        return tuple(out // base ** (width - 1 - j) % base for j in range(width))
 
     edges = {}
 
@@ -120,7 +123,7 @@ def _evaluate(net, code, assignment):
     functions, decoders = _functions(code)
     for node in topological_order(net):
         for e in net.out_edges(node):
-            edges[e.label] = apply(functions[e.label], inputs(node))
+            edges[e.label] = apply(functions[e.label], inputs(node), code.rates.edge_dim)
     decoded = {}
     transfer = None  # built for the first demand without a stored decoder
     for node, msg in net.demands:
@@ -130,7 +133,7 @@ def _evaluate(net, code, assignment):
                 transfer, select = _transfer(net, code)
             dec = _synthesize_decoder(transfer(node), select(msg))
         if dec is not None:
-            decoded[(node, msg)] = apply(dec, inputs(node))
+            decoded[(node, msg)] = apply(dec, inputs(node), code.rates.message_dims[msg])
     return _Evaluation(edges, decoded)
 
 
@@ -366,16 +369,15 @@ def test_corrupted_decoder_table_is_caught_with_witness():
     table = to_table_code(net, code)
     assert verify_solution_exhaustive(net, table).valid
     key = ("R15", "c")
-    rows = list(table.decoder_tables[key])
+    keys = table.decoder_tables[key].copy()  # one symbol per output: its key
     target = 5  # some mid-table entry
-    original = rows[target][0]
-    rows[target] = ((original + 1) % 3,)
+    keys[target] = (keys[target] + 1) % 3
     corrupted = TableCode(
         table.network,
         table.alphabet,
         table.rates,
         table.edge_tables,
-        {**table.decoder_tables, key: tuple(rows)},
+        {**table.decoder_tables, key: keys},
     )
     report = verify_solution_exhaustive(net, corrupted)
     assert not report.valid
@@ -410,12 +412,15 @@ def _ref_enumerate_assignments(total, base):
     return out
 
 
-def _ref_apply_array(code, fn, block):
+def _ref_apply_array(code, fn, block, width):
     base = _alphabet_size(code)
     if isinstance(code, LinearCode):
         weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
         return ((block.astype(np.int64) @ weights.T) % base).astype(np.int16)
-    return np.array(fn, dtype=np.int16)[_ref_radix_key(block, base)]
+    # a table maps input keys to output keys: split each output key into its symbols
+    out = np.asarray(fn, dtype=np.int64)[_ref_radix_key(block, base)]
+    places = base ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return (out[:, None] // places % base).astype(np.int16)
 
 
 # The parent revision's layout helpers, kept verbatim as references for
@@ -476,7 +481,7 @@ def _reference_exhaustive(net, code, guard=DEFAULT_ENUMERATION_GUARD):
     gather = _propagate(
         net,
         message_block,
-        lambda label, block: _ref_apply_array(code, functions[label], block),
+        lambda label, block: _ref_apply_array(code, functions[label], block, rates.edge_dim),
         lambda blocks: np.hstack(blocks) if blocks else np.zeros((count, 0), dtype=np.int16),
     )
 
@@ -489,7 +494,7 @@ def _reference_exhaustive(net, code, guard=DEFAULT_ENUMERATION_GUARD):
         reason = None
 
         if (node, msg) in decoders and k > 0:
-            decoded = _ref_apply_array(code, decoders[(node, msg)], inputs)
+            decoded = _ref_apply_array(code, decoders[(node, msg)], inputs, k)
             bad = np.nonzero((decoded != msg_block).any(axis=1))[0]
             if bad.size:
                 fail_index = int(bad[0])
@@ -601,11 +606,11 @@ def test_exhaustive_matches_the_reference_on_wrong_decoders():
     net, code = _builtin("nonfano", "(1,1,1)", GF3)
     table = to_table_code(net, code)
     key = ("R15", "c")
-    rows = list(table.decoder_tables[key])
-    rows[5] = ((rows[5][0] + 1) % 3,)
+    keys = table.decoder_tables[key].copy()
+    keys[5] = (keys[5] + 1) % 3
     corrupted_table = TableCode(
         table.network, table.alphabet, table.rates, table.edge_tables,
-        {**table.decoder_tables, key: tuple(rows)},
+        {**table.decoder_tables, key: keys},
     )
     corrupted_linear = LinearCode(
         code.network, code.field, code.rates, code.edge_functions,
@@ -836,13 +841,13 @@ def _random_decoders(net, code, rng):
     return decoders
 
 
-def _redrawn(fn, p, rng, share):
-    """A table with one output, and each other one with probability
-    ``share``, drawn again at random."""
-    rows = list(fn)
-    for i in {rng.randrange(len(rows))} | {i for i in range(len(rows)) if rng.random() < share}:
-        rows[i] = tuple(rng.randrange(p) for _ in rows[i])
-    return tuple(rows)
+def _redrawn(fn, outputs, rng, share):
+    """A table with one output key, and each other one with probability
+    ``share``, drawn again at random from ``range(outputs)``."""
+    keys = fn.copy()
+    for i in {rng.randrange(len(keys))} | {i for i in range(len(keys)) if rng.random() < share}:
+        keys[i] = rng.randrange(outputs)
+    return keys
 
 
 @given(net=_fuzz_networks(), data=st.data())
@@ -872,16 +877,52 @@ def test_fuzz_exhaustive_against_algebraic_and_reference(net, data):
         code = to_table_code(net, code)
         share = rng.choice((None, 0.0, 1.0))  # linear, one output changed, or random
         if share is not None:
-            code = TableCode(code.network, p, code.rates, *(
-                {key: _redrawn(fn, p, rng, share) for key, fn in functions.items()}
-                for functions in (code.edge_tables, code.decoder_tables)
-            ))
+            code = TableCode(
+                code.network, p, code.rates,
+                {label: _redrawn(fn, p**n, rng, share) for label, fn in code.edge_tables.items()},
+                {
+                    key: _redrawn(fn, p ** code.rates.message_dims[key[1]], rng, share)
+                    for key, fn in code.decoder_tables.items()
+                },
+            )
     report = verify_solution_exhaustive(net, code)
     assert report == _reference_exhaustive(net, code)
     if not table:
         assert [s.ok for s in report.statuses] == [
             s.ok for s in verify_solution(net, code).statuses
         ]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_kernel_verdict_matches_the_rank_criterion(p):
+    # verify_solution decides a demand from the receiver's kernel; the
+    # reference decides it by rank(T) == rank([T; selector])
+    rng = random.Random(4100 + p)
+    fld = PrimeField(p)
+    verdicts = set()
+    for net_id in NETWORK_IDS:
+        net = builtin_network(net_id)
+        for trial in range(16):
+            dims = {m: rng.randrange(3) for m in net.messages}
+            code = _random_linear_code(net, fld, dims, rng.randrange(1, 3), rng)
+            if trial % 2:
+                code = LinearCode(code.network, fld, code.rates, code.edge_functions,
+                                  _random_decoders(net, code, rng))
+            transfer, select = _transfer(net, code)
+            for status in verify_solution(net, code).statuses:
+                t_matrix = transfer(status.receiver)
+                decodable = rowspace_contains(t_matrix, select(status.message))
+                verdicts.add((decodable, (status.receiver, status.message) in code.decoders))
+                if decodable:
+                    assert status.ok or status.reason == "supplied decoder does not reproduce the demand"
+                    continue
+                assert not status.ok
+                assert status.reason == "demand is not a function of the receiver inputs"
+                # the witness is a kernel vector that is nonzero on the message
+                vector = [x for m in net.messages for x in status.witness[m]]
+                assert not any(mat_vec(t_matrix, vector))
+                assert any(status.witness[status.message])
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -1227,7 +1268,14 @@ def test_table_code_file_round_trip(tmp_path):
         path = tmp_path / "table.json"
         write_code_file(path, net, table)
         _, loaded = read_code_file(path)
-        assert loaded == table
+        assert (loaded.network, loaded.alphabet, loaded.rates) == (
+            table.network, table.alphabet, table.rates
+        )
+        for stored, written in ((loaded.edge_tables, table.edge_tables),
+                                (loaded.decoder_tables, table.decoder_tables)):
+            assert stored.keys() == written.keys()
+            for key, keys in stored.items():
+                assert not keys.flags.writeable and np.array_equal(keys, written[key])
         assert verify_solution_exhaustive(net, loaded).valid
 
 
@@ -1440,6 +1488,37 @@ def test_table_code_file_names_a_table_line_that_is_not_a_string(tmp_path, line)
     with pytest.raises(ValueError) as raised:
         read_code_file(path)
     assert str(raised.value) == f"an entry of edge 'w' table must be a string, not {kind}"
+
+
+def test_zero_rate_decoder_tabulates_to_zero_keys_and_round_trips(tmp_path):
+    # with c at rate zero, the decoders of c have no rows: every input
+    # has the empty output, key 0, written as the line ""
+    net, code = _builtin("nonfano", "(1,1,1)", GF3)
+    fixed = zero_fix(net, code, ["c"])
+    table = to_table_code(net, fixed)
+    for key in (("R12", "c"), ("R15", "c")):
+        assert fixed.decoders[key].rows == 0
+        keys = table.decoder_tables[key]
+        assert len(keys) == 3 ** fixed.decoders[key].cols and not keys.any()
+    path = tmp_path / "zero.json"
+    write_code_file(path, net, table)
+    assert set(json.loads(path.read_text())["decoders"]["R12/c"]["table"]) == {""}
+    _, loaded = read_code_file(path)
+    assert not loaded.decoder_tables[("R12", "c")].any()
+    assert verify_solution_exhaustive(net, loaded) == _reference_exhaustive(net, loaded)
+    assert verify_solution_exhaustive(net, loaded).valid
+
+
+def test_benchmark_table_fixture_bytes(tmp_path):
+    # perfbench's verify-table job reads this table copy of fano_45_odd
+    # from a cache, and its goldens key the job by the file's digest: a
+    # change in the written bytes must show here, not only in a fresh checkout
+    net, code = read_code_file(DATA_DIR / "codes" / "fano_45_odd.json")
+    path = tmp_path / "fano_45_odd_table.json"
+    write_code_file(path, net, to_table_code(net, code))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4d5fd6c92a38b983411995170a9ca544dc96c1a97958be5a4657d93c5deb461e"
+    )
 
 
 def test_mis_shaped_decoder_is_rejected_by_both_verifiers():

@@ -15,16 +15,36 @@ from ncregions.ff import (
     mat_rank,
     mat_rref,
     mat_stack,
-    mat_vec,
     mat_zeros,
     power_exceeds,
-    rowspace_contains,
     solve,
 )
 
 
 def mat_identity(field, n):
     return mat(field, [[int(i == j) for j in range(n)] for i in range(n)], cols=n)
+
+
+def mat_vec(m, v):
+    """Apply m to a column vector, returning the reduced result."""
+    if len(v) != m.cols:
+        raise ValueError("vector length does not match column count")
+    p = m.field.p
+    return tuple(sum(x * y for x, y in zip(row, v)) % p for row in m.entries)
+
+
+def rowspace_contains(m, target):
+    """True iff every row of ``target`` lies in the row space of ``m``,
+    by the rank criterion rank(m) == rank([m; target]): the reference
+    for the algebraic verifier's kernel test.  An empty target is
+    vacuously contained."""
+    if m.field != target.field:
+        raise ValueError("field mismatch")
+    if m.cols != target.cols:
+        raise ValueError("column mismatch")
+    if target.rows == 0:
+        return True
+    return mat_rank(m) == mat_rank(mat_stack(m, target))
 
 
 def test_field_rejects_composites_and_large_moduli():

@@ -310,22 +310,24 @@ def _differential_cases():
 
 
 @pytest.mark.parametrize("name,q,d,chunk", _differential_cases())
-def test_exhaustive_scan_matches_the_chunk_loop(name, q, d, chunk):
+def test_exhaustive_scan_matches_the_chunk_loop(name, q, d, chunk, monkeypatch):
+    monkeypatch.setattr(rankineq_mod, "_CHUNK", chunk)
     expr = _DIFFERENTIAL_EXPRESSIONS[name]
-    out = search_violation_detailed(expr, q, d, "exhaustive", chunk=chunk)
+    out = search_violation_detailed(expr, q, d, "exhaustive")
     witness, checked, min_slack = _reference_exhaustive(expr, q, d, chunk)
     assert (out.witness.spaces if out.witness else None) == witness
     assert out.checked == checked
     assert out.min_slack == min_slack
 
 
-def test_exhaustive_min_slack_stops_inside_the_witness_slab():
+def test_exhaustive_min_slack_stops_inside_the_witness_slab(monkeypatch):
     # over GF(2)^2 a slab holds the 5 assignments that share A; the first
     # violator, A = the first line and B = 0, is flat index 5, so with
     # chunk 6 its block ends one assignment into its slab, just before
     # B = A, where the slack is lower
+    monkeypatch.setattr(rankineq_mod, "_CHUNK", 6)
     expr = expression([h(2, "A", "B"), h(-3, "A"), h(-1, "B")])
-    out = search_violation_detailed(expr, 2, 2, "exhaustive", chunk=6)
+    out = search_violation_detailed(expr, 2, 2, "exhaustive")
     assert (out.checked, out.min_slack) == (6, -1)
     assert out.witness.spaces == _reference_exhaustive(expr, 2, 2, 6)[0]
     line = lattice(2, 2).spaces[1]
@@ -429,8 +431,9 @@ def _sample_cases():
 def test_sample_mode_matches_the_block_loop(name, q, d, chunk, samples, tile, seed, monkeypatch):
     if tile is not None:
         monkeypatch.setattr(rankineq_mod, "_SAMPLE_TILE", tile)
+    monkeypatch.setattr(rankineq_mod, "_CHUNK", chunk)
     expr = _DIFFERENTIAL_EXPRESSIONS[name]
-    out = search_violation_detailed(expr, q, d, "sample", seed=seed, samples=samples, chunk=chunk)
+    out = search_violation_detailed(expr, q, d, "sample", seed=seed, samples=samples)
     witness, checked, min_slack = _reference_sample(expr, q, d, seed, samples, chunk)
     assert (out.witness.spaces if out.witness else None) == witness
     assert out.checked == checked
@@ -444,8 +447,9 @@ def test_sample_witness_in_the_middle_of_a_tiled_block(chunk, monkeypatch):
     # the first tile and inside its block (the second block of 250 when
     # there are several), and a lower slack follows later in that block
     monkeypatch.setattr(rankineq_mod, "_SAMPLE_TILE", 100)
+    monkeypatch.setattr(rankineq_mod, "_CHUNK", chunk)
     expr = expression([h(3, "B"), h(3, "C"), h(-1, "A")])
-    out = search_violation_detailed(expr, 3, 3, "sample", seed=27, samples=5_000, chunk=chunk)
+    out = search_violation_detailed(expr, 3, 3, "sample", seed=27, samples=5_000)
     witness, checked, min_slack = _reference_sample(expr, 3, 3, 27, 5_000, chunk)
     assert out.witness is not None and out.witness.spaces == witness
     assert (out.checked, out.min_slack) == (checked, min_slack)
@@ -453,16 +457,17 @@ def test_sample_witness_in_the_middle_of_a_tiled_block(chunk, monkeypatch):
     assert min_slack < evaluate(expr, out.witness)
 
 
-def test_sample_mode_with_chunk_below_the_variable_count():
+def test_sample_mode_with_chunk_below_the_variable_count(monkeypatch):
     # chunk // nvars is 0 here: each block must still draw one trial
     odd = builtin_inequality("oddLRI")
-    small = search_violation_detailed(odd, 3, 3, "sample", seed=4, samples=300, chunk=3)
-    whole = search_violation_detailed(odd, 3, 3, "sample", seed=4, samples=300)
-    assert small.witness is None and small.checked == 300
-    assert small == whole  # no witness: min_slack is the minimum over every trial
     expr = expression([h(1, "A", given="BCWXY"), h(1, "W"), h(1, "X"), h(-1, "Z")])
-    small = search_violation_detailed(expr, 2, 3, "sample", seed=0, samples=300, chunk=3)
+    whole_odd = search_violation_detailed(odd, 3, 3, "sample", seed=4, samples=300)
     whole = search_violation_detailed(expr, 2, 3, "sample", seed=0, samples=300)
+    monkeypatch.setattr(rankineq_mod, "_CHUNK", 3)
+    small = search_violation_detailed(odd, 3, 3, "sample", seed=4, samples=300)
+    assert small.witness is None and small.checked == 300
+    assert small == whole_odd  # no witness: min_slack is the minimum over every trial
+    small = search_violation_detailed(expr, 2, 3, "sample", seed=0, samples=300)
     assert small.witness is not None and small.witness == whole.witness
     assert small.checked == whole.checked == 17
     assert small.min_slack == evaluate(expr, small.witness)
