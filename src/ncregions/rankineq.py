@@ -26,20 +26,27 @@ that names the first violator and takes the least slack over whole
 blocks through the violator's block (:func:`search_violation_detailed`).
 
 Every mode weighs joint entropies by the integers of one plan
-(:func:`_integer_plan`); catalog mode sums them per assignment
-(:func:`_plan_value`, which :func:`evaluate` shares).  In the exhaustive
-and sample modes each term small enough is tabulated once per search
-over its own variables (:func:`_term_tables`): up to ``_CHUNK`` entries
-when exhaustive, up to one block's trials when sampling.  A table is
-read by one gather per assignment, and larger terms walk the join table
-from shared prefixes.  Sample mode draws and evaluates its trials in
-cache-sized tiles, one index column per variable.
+(:func:`_integer_plan`, computed once per expression and variable
+tuple); catalog mode sums them per assignment (:func:`_plan_value`,
+which :func:`evaluate` shares).  In the exhaustive and sample modes each
+term small enough is tabulated once per search over its own variables
+(:func:`_term_tables`): up to ``_CHUNK`` entries when exhaustive, up to
+one block's trials when sampling.  Tables and slack are summed in the
+narrowest of int16, int32 and int64 that a bound on the slack proves
+safe (:func:`_slack_dtype`).  A table is read by one gather per
+assignment; a larger term walks the join table from shared prefixes and
+ends with one gather of the lattice's int8 ``join_dims``.  Sample mode
+compiles each search once into a fixed list of numpy calls over buffers
+allocated once (:func:`_slack_program`), which draws and evaluates one
+cache-sized tile of trials at a time, one index row per variable, and
+allocates nothing per tile.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import product
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -161,7 +168,7 @@ def evaluate(expr: EntropyExpression, assign: SubspaceAssignment) -> Fraction:
     missing = expr.variables() - set(assign.spaces)
     if missing:
         raise KeyError(f"assignment lacks variables {sorted(missing)}")
-    variables = sorted(expr.variables())
+    variables = tuple(sorted(expr.variables()))
     plan, denom = _integer_plan(expr, variables)
     return Fraction(_plan_value(plan, variables, assign), denom)
 
@@ -302,13 +309,21 @@ def _splitmix_block(seed: int, start_call: int, count: int, width: int = 1) -> n
     steps *= np.uint64(width * _GAMMA & MASK64)
     starts = [(seed + (start_call + p) * _GAMMA) & MASK64 for p in range(width)]
     z = np.add(np.array(starts, dtype=np.uint64)[:, None], steps)
-    scratch = np.empty_like(z)
-    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
-        np.right_shift(z, np.uint64(shift), out=scratch)
-        z ^= scratch
-        if mix is not None:
-            z *= np.uint64(mix)
+    for step in _mix_steps(z, np.empty_like(z)):
+        step()
     return z.T
+
+
+def _mix_steps(z: np.ndarray, scratch: np.ndarray) -> list[partial]:
+    """The mixer of the splitmix sequence as steps that mix the states
+    ``z`` in place, through ``scratch`` of the same shape."""
+    steps = []
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        steps.append(partial(np.right_shift, z, np.uint64(shift), scratch))
+        steps.append(partial(np.bitwise_xor, z, scratch, z))
+        if mix is not None:
+            steps.append(partial(np.multiply, z, np.uint64(mix), z))
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +337,17 @@ class SearchOutcome:
     min_slack: Fraction | None
 
 
-def _integer_plan(expr: EntropyExpression, variables: Sequence[str]):
-    """Canonical form as integer weights over variable-position tuples."""
+@cache
+def _integer_plan(expr: EntropyExpression, variables: tuple[str, ...]):
+    """Canonical form as integer weights over variable-position tuples,
+    computed once per (expression, variable tuple)."""
     canon = canonicalize(expr)
     denom = math.lcm(*(c.denominator for c in canon.values())) if canon else 1
     position = {v: k for k, v in enumerate(variables)}
-    plan = []
-    for subset, coeff in canon.items():
-        weight = int(coeff * denom)
-        plan.append((weight, tuple(sorted(position[v] for v in subset))))
+    plan = tuple(
+        (int(coeff * denom), tuple(sorted(position[v] for v in subset)))
+        for subset, coeff in canon.items()
+    )
     return plan, denom
 
 
@@ -339,18 +356,36 @@ def _plan_value(plan, variables: Sequence[str], assign: SubspaceAssignment) -> i
     return sum(w * entropy(assign, [variables[k] for k in pos]) for w, pos in plan)
 
 
-def _term_tables(plan, lat: SubspaceLattice, limit: int):
+def _slack_dtype(plan, d: int):
+    """The narrowest of int16, int32 and int64 that holds every partial
+    sum of the plan's terms over GF(q)^d.
+
+    Every dimension lies between 0 and d, so no partial sum exceeds
+    B = sum |weight| * max(d, 1) in absolute value; the max keeps every
+    weight representable when d is 0.
+    """
+    bound = sum(abs(w) for w, _ in plan) * max(d, 1)
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return dtype
+    return np.int64
+
+
+def _term_tables(plan, lat: SubspaceLattice, limit: int, dtype):
     """Tabulate every term of at most ``limit`` entries over its own variables.
 
     Terms are taken largest first; each tabulated term is summed into
     the table of an earlier term whose variables contain its own (its
-    host), or starts a table of its own.  Returns the tables, each
-    ``weight * dims[k-fold join]`` summed over its terms and keyed by
-    the host's sorted variable positions (one axis per position), and
-    the ``(weight, positions)`` terms too large to tabulate.
+    host), or starts a table of its own.  A k-variable term is one
+    gather of ``join_dims`` at the (k-1)-fold join indices, cast to
+    ``dtype`` (:func:`_slack_dtype`) before its weight multiplies it.
+    Returns the tables, each ``weight * dims[k-fold join]`` summed over
+    its terms and keyed by the host's sorted variable positions (one
+    axis per position), and the ``(weight, positions)`` terms too large
+    to tabulate.
     """
     size = len(lat)
-    jt, dims = lat.join_table, lat.dims
+    jt, jd = lat.join_table, lat.join_dims
     joined = [np.zeros((), dtype=np.int32)]  # joined[k]: join index of k variables, (size,)*k
     tables: dict[tuple[int, ...], np.ndarray] = {}
     large = []
@@ -358,10 +393,10 @@ def _term_tables(plan, lat: SubspaceLattice, limit: int):
         if size ** len(positions) > limit:
             large.append((weight, positions))
             continue
-        while len(joined) <= len(positions):
+        while len(joined) < len(positions):
             joined.append(jt[joined[-1]])
         host = next((t for t in tables if set(positions) <= set(t)), positions)
-        term = weight * dims[joined[len(positions)]]
+        term = np.multiply(jd[joined[len(positions) - 1]], dtype(weight), dtype=dtype)
         if host in tables:
             tables[host] += term.reshape([size if p in positions else 1 for p in host])
         else:
@@ -369,37 +404,92 @@ def _term_tables(plan, lat: SubspaceLattice, limit: int):
     return tables, large
 
 
-def _slack_block(tables, large, lat: SubspaceLattice, idx: np.ndarray) -> np.ndarray:
-    """Slack values (scaled by the plan's denominator) for a tile of
-    assignments, one row of subspace indices per assignment.
+def _slack_program(tables, large, lat: SubspaceLattice, idx: np.ndarray, dtype):
+    """Compile the slack (scaled by the plan's denominator) of a batch of
+    assignments into a fixed list of steps.
 
-    Each table of :func:`_term_tables` is read by one gather at the flat
-    index of its variables.  The large terms are taken in sorted
-    position order, so the terms sharing a leading run of positions are
-    adjacent and each distinct join prefix is gathered once, then
-    dropped when no later term extends it.
+    ``idx`` holds one int64 row of subspace indices per variable.  Returns
+    the steps, argument-free calls that read ``idx`` and write only into
+    buffers allocated here, and the ``dtype`` buffer that they fill with
+    the batch's slack; running the steps again after new indices are
+    written into ``idx`` allocates nothing.  The tables of
+    :func:`_term_tables` and the large terms are taken in sorted position
+    order:
+
+    - the first variable of a key of two or more positions is scaled by
+      the lattice size once, and each leading pair is flattened once;
+    - a table is read by one gather at the flat index of its variables;
+    - a large term gathers (int32) the join index of each prefix that it
+      does not share with the large terms before it, then ends with one
+      gather of ``join_dims`` (int8) at its last pair, times its weight.
     """
     size = len(lat)
-    slack = np.zeros(len(idx), dtype=np.int64)
-    for host, table in tables.items():
-        flat = idx[:, host[0]]
-        for p in host[1:]:
-            flat = flat * size
-            flat += idx[:, p]
-        slack += table.take(flat)
-    jt = lat.join_table.ravel()
-    prefix: tuple[int, ...] = ()
-    joins: list[np.ndarray] = []  # joins[k]: join of the first k + 1 prefix positions
-    for weight, positions in sorted(large, key=lambda term: term[1]):
-        keep = 0
-        while keep < min(len(prefix), len(positions)) and prefix[keep] == positions[keep]:
+    n = idx.shape[1]
+    jt, jd = lat.join_table.ravel(), lat.join_dims.ravel()
+    slack, term = np.empty(n, dtype), np.empty(n, dtype)
+    dims8 = np.empty(n, np.int8)
+    scaled, pair, flat = np.empty((3, n), np.int64)
+    joins: list[np.ndarray] = []  # joins[j]: join index of chain[: j + 2]
+    steps: list[partial] = []
+    started = False
+
+    def fold(table, at, weight=None):
+        # slack (+)= table[at] for a table, or weight * join_dims[at]
+        nonlocal started
+        out = term if started else slack
+        if weight is None:
+            steps.append(partial(table.take, at, None, out, "clip"))
+        else:
+            steps.append(partial(jd.take, at, None, dims8, "clip"))
+            if started and weight in (1, -1):
+                steps.append(partial(np.add if weight == 1 else np.subtract, slack, dims8, slack, dtype=dtype))
+                return
+            steps.append(partial(np.multiply, dims8, dtype(weight), out, dtype=dtype))
+        if started:
+            steps.append(partial(np.add, slack, term, slack))
+        started = True
+
+    def extend(prefix, p):
+        # flat = prefix * size + idx[p]: one position past a join or a flat index
+        steps.append(partial(np.multiply, prefix, size, flat, dtype=np.int64))
+        steps.append(partial(np.add, flat, idx[p], flat))
+        return flat
+
+    keys = [(host, table, None) for host, table in tables.items()]
+    keys += [(positions, jd, weight) for weight, positions in large]
+    scaled_for, chain, live = None, (), 0
+    for positions, table, weight in sorted(keys, key=lambda key: key[0]):
+        if len(positions) == 1:  # row 0 of join_dims is dims
+            fold(table, idx[positions[0]], weight)
+            continue
+        if positions[0] != scaled_for:
+            scaled_for = positions[0]
+            steps.append(partial(np.multiply, idx[positions[0]], size, scaled))
+        if positions[:2] != chain[:2]:
+            chain, live = positions[:2], 0
+            steps.append(partial(np.add, scaled, idx[positions[1]], pair))
+        at = pair
+        if weight is None:
+            for p in positions[2:]:
+                at = extend(at, p)
+            fold(table, at)
+            continue
+        keep = 0  # joins[:keep] hold the prefixes shared with chain
+        while keep < min(live, len(positions) - 2) and chain[: keep + 2] == positions[: keep + 2]:
             keep += 1
-        del joins[keep:]
-        for p in positions[keep:]:
-            joins.append(jt.take(joins[-1] * size + idx[:, p]) if joins else idx[:, p])
-        prefix = positions
-        slack += weight * lat.dims.take(joins[-1])
-    return slack
+        for j in range(len(positions) - 2):
+            if j == len(joins):
+                joins.append(np.empty(n, np.int32))
+            if j >= keep:
+                steps.append(partial(jt.take, at, None, joins[j], "clip"))
+            if j + 1 >= keep:
+                at = extend(joins[j], positions[j + 2])
+        if len(positions) > 2:
+            chain, live = positions[:-1], len(positions) - 2
+        fold(jd, at, weight)
+    if not started:
+        steps.append(partial(slack.fill, 0))
+    return steps, slack
 
 
 def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
@@ -410,19 +500,21 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
     as ``chunk`` allows.  The terms of at most ``chunk`` entries come
     tabulated from :func:`_term_tables` and reach a slab as views
     indexed by the slab's outer indices.  A larger term joins its outer
-    subspaces once per slab and gathers over the inner ones.  No array
-    holds more than ``chunk`` entries.  Yields the flat index of each
-    slab's first assignment and the slab's flat slack values, in one
-    buffer reused from slab to slab.
+    subspaces once per slab and gathers ``join_dims`` of that join over
+    the inner ones.  Slabs and tables are summed in the type of
+    :func:`_slack_dtype`, and no array holds more than ``chunk``
+    entries.  Yields the flat index of each slab's first assignment and
+    the slab's flat slack values, in one buffer reused from slab to slab.
     """
     size = len(lat)
-    jt, dims = lat.join_table, lat.dims
+    jt, jd = lat.join_table, lat.join_dims
+    dtype = _slack_dtype(plan, lat.d)
     inner = 0
     while inner < nvars and size ** (inner + 1) <= chunk:
         inner += 1
     outer = nvars - inner
 
-    tables, large_terms = _term_tables(plan, lat, chunk)
+    tables, large_terms = _term_tables(plan, lat, chunk, dtype)
     large = []
     for weight, positions in large_terms:
         outer_pos = [p for p in positions if p < outer]
@@ -430,7 +522,7 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
         inner_joins = np.zeros((), dtype=np.int32)
         for _ in range(len(positions) - len(outer_pos)):
             inner_joins = jt[inner_joins]
-        large.append((weight, outer_pos, inner_joins, shape))
+        large.append((dtype(weight), outer_pos, inner_joins, shape))
     # each table spread over all nvars axes (length 1 off its variables),
     # with the outer axes it is indexed by
     spread = [
@@ -439,7 +531,7 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
         for host, table in tables.items()
     ]
 
-    slab = np.empty((size,) * inner, dtype=np.int64)
+    slab = np.empty((size,) * inner, dtype=dtype)
     flat = slab.reshape(-1)
     for k, at in enumerate(product(range(size), repeat=outer)):
         slab.fill(0)
@@ -447,7 +539,7 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
             slab += table[tuple(a if u else 0 for a, u in zip(at, used))]
         for weight, outer_pos, inner_joins, shape in large:
             s = lat.join_indices(at[p] for p in outer_pos)
-            slab += (weight * dims[jt[s][inner_joins]]).reshape(shape)
+            slab += np.multiply(jd[s][inner_joins], weight, dtype=dtype).reshape(shape)
         yield k * flat.size, flat
 
 
@@ -455,21 +547,47 @@ def _sample_tiles(plan, lat: SubspaceLattice, nvars: int, seed: int, samples: in
     """Slack of trials 0 .. samples-1 in draw order, in tiles of at most
     ``_SAMPLE_TILE`` trials.  Terms of at most one block's trials
     (``block``) come tabulated from :func:`_term_tables`, built once.
-    Yields each tile's first trial index and its slack values."""
+
+    One program is compiled per search: it draws a tile's indices into
+    one ``(nvars, tile)`` buffer (splitmix states from a step column and
+    per-variable starts advanced by one tile, mixed in place with one
+    scratch buffer, then reduced mod the lattice size), then runs
+    :func:`_slack_program` over them.  The tiles are of equal length, so
+    the last may evaluate up to one trial per tile past ``samples``;
+    those are never yielded.  Yields each tile's first trial index and
+    its slack values.
+    """
+    if samples == 0:
+        return
     size = len(lat)
+    dtype = _slack_dtype(plan, lat.d)
     # a table larger than one block's trials would cost more to build than it saves
-    tables, large = _term_tables(plan, lat, min(block, samples))
-    done = 0
-    while done < samples:
-        count = min(_SAMPLE_TILE, samples - done)
-        raw = _splitmix_block(seed, done * nvars + 1, count, nvars)
-        # raw % size, as raw - raw // size * size: numpy's floor division
-        # by a scalar is about three times faster than its remainder
-        quot = raw // np.uint64(size)
-        quot *= np.uint64(size)
-        raw -= quot
-        yield done, _slack_block(tables, large, lat, raw.view(np.int64))
-        done += count
+    tables, large = _term_tables(plan, lat, min(block, samples), dtype)
+    tile = -(-samples // -(-samples // _SAMPLE_TILE))
+    # trial t of the tile from trial ``done`` draws call (done + t) * nvars + 1 + p
+    # for variable p, whose state is starts[p] + t * (nvars * gamma)
+    starts = np.array([(seed + (1 + p) * _GAMMA) & MASK64 for p in range(nvars)], dtype=np.uint64)[:, None]
+    stride = np.arange(tile, dtype=np.uint64)
+    stride *= np.uint64(nvars * _GAMMA & MASK64)
+    draws = np.empty((nvars, tile), dtype=np.uint64)
+    scratch = np.empty_like(draws)
+    # draws mod size, as draws - draws // size * size: numpy's floor division
+    # by a scalar is about three times faster than its remainder
+    modulus = np.uint64(size)
+    steps = [
+        partial(np.add, starts, stride, draws),
+        *_mix_steps(draws, scratch),
+        partial(np.floor_divide, draws, modulus, scratch),
+        partial(np.multiply, scratch, modulus, scratch),
+        partial(np.subtract, draws, scratch, draws),
+    ]
+    program, slack = _slack_program(tables, large, lat, draws.view(np.int64), dtype)
+    steps += program
+    steps.append(partial(np.add, starts, np.uint64(tile * nvars * _GAMMA & MASK64), starts))
+    for done in range(0, samples, tile):
+        for step in steps:
+            step()
+        yield done, slack[: samples - done]
 
 
 def search_violation_detailed(
@@ -503,7 +621,7 @@ def search_violation_detailed(
     for name, value in (("dimension", d), ("samples", samples), ("budget", budget)):
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
-    variables = sorted(expr.variables())
+    variables = tuple(sorted(expr.variables()))
     plan, denom = _integer_plan(expr, variables)
     if mode == "catalog":
         held = [a for a in catalog_assignments(q, d) if set(variables) <= set(a.spaces)]

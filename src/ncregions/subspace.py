@@ -346,9 +346,10 @@ class SubspaceLattice:
     subspace is index 0 and dimensions ascend.  ``join_table`` (int32)
     and ``dims`` (int64) are read-only arrays built once from the RREF
     bases as integer arrays (see :func:`_join_table`), with no
-    elimination and no :class:`Subspace` objects.  ``spaces``, the
-    subspaces themselves, is enumerated on first use: only witnesses and
-    tests read it.
+    elimination and no :class:`Subspace` objects.  ``join_dims``, the
+    int8 dimension of each join (N^2 bytes), is gathered on first use by
+    a rank search.  ``spaces``, the subspaces themselves, is enumerated
+    on first use: only witnesses and tests read it.
     """
 
     def __init__(self, q: int, d: int):
@@ -362,6 +363,14 @@ class SubspaceLattice:
     @cached_property
     def spaces(self) -> list[Subspace]:
         return enumerate_subspaces(self.q, self.d)
+
+    @cached_property
+    def join_dims(self) -> np.ndarray:
+        """``dims[join_table]`` as a read-only int8 array: the dimension of
+        each pairwise join (d <= 20 under the enumeration guard)."""
+        out = self.dims.astype(np.int8)[self.join_table]
+        out.flags.writeable = False
+        return out
 
     def __len__(self) -> int:
         return len(self.dims)

@@ -3,6 +3,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import random
 import time
 from fractions import Fraction
 
@@ -1081,3 +1082,44 @@ def test_fuzz_polytope_exit_codes(tmp_path_factory, text, point):
         code, _, err = _main_exit(["polytope", "--hrep", str(path), *action])
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+
+
+_CODE_FILES = sorted(p.name for p in (DATA_DIR / "codes").glob("*.json"))
+_WRONG_TYPES = ("1", 1.5, None, True, [], {}, [[1]], {"a": 1})
+_OUT_OF_RANGE = (-1, 0, 4, 7, 10**6, 2**64, "", "nosuch")
+
+
+def _mutated_code(doc, rng):
+    """One seeded mutation of a code document: a field's type changed, a
+    value out of range, or a field deleted.  Returns what was done."""
+    slots = []
+
+    def walk(node):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+        for key, child in items:
+            slots.append((node, key))
+            walk(child)
+
+    walk(doc)
+    parent, key = rng.choice(slots)
+    kind = rng.choice(("type", "range", "delete"))
+    if kind == "delete":
+        del parent[key]
+    else:
+        parent[key] = rng.choice(_WRONG_TYPES if kind == "type" else _OUT_OF_RANGE)
+    return kind, key
+
+
+@pytest.mark.parametrize("name", _CODE_FILES)
+def test_fuzz_verify_exit_codes(tmp_path, name):
+    text = (DATA_DIR / "codes" / name).read_text()
+    path = tmp_path / name
+    for k in range(100):
+        doc = json.loads(text)
+        mutation = _mutated_code(doc, random.Random(f"{name}-{k}"))
+        path.write_text(json.dumps(doc))
+        argv = ["verify", str(path)] + (["--exhaustive"] if k % 2 else [])
+        code, _, err = _main_exit(argv)
+        assert code in (0, 1, 2), (mutation, code, err)
+        if code == 2:
+            assert err.count("\n") == 1 and err.strip(), (mutation, err)

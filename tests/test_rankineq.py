@@ -26,7 +26,13 @@ from ncregions.rankineq import (
     search_violation_detailed,
 )
 from ncregions import rankineq as rankineq_mod
-from ncregions.rankineq import _integer_plan, _slack_block, _splitmix_block, _term_tables
+from ncregions.rankineq import (
+    _integer_plan,
+    _slack_dtype,
+    _slack_program,
+    _splitmix_block,
+    _term_tables,
+)
 from ncregions.subspace import (
     assignment,
     count_subspaces,
@@ -197,7 +203,7 @@ def test_ingleton_exhaustive_over_gf2_squared():
 
 def _reference_catalog(expr, q, d):
     """The catalog search as it ran before the modes shared one loop."""
-    variables = sorted(expr.variables())
+    variables = tuple(sorted(expr.variables()))
     best: Fraction | None = None
     checked = 0
     for assign in catalog_assignments(q, d):
@@ -253,7 +259,7 @@ def _reference_exhaustive(expr, q, d, chunk):
     """The chunked per-term gather loop that exhaustive mode used to run:
     decode each chunk of flat indices, walk the join table per term, and
     stop at the first chunk holding a negative slack."""
-    variables = sorted(expr.variables())
+    variables = tuple(sorted(expr.variables()))
     lat = lattice(q, d)
     plan, denom = _integer_plan(expr, variables)
     size, nvars = len(lat), len(variables)
@@ -334,10 +340,24 @@ def test_exhaustive_min_slack_stops_inside_the_witness_slab(monkeypatch):
     assert evaluate(expr, assignment(2, 2, {"A": line, "B": line})) == -2
 
 
+def _program_slack(plan, lat, idx, limit):
+    """Slack of each row of ``idx`` from a compiled program, run twice
+    over the same buffers."""
+    dtype = _slack_dtype(plan, lat.d)
+    tables, large = _term_tables(plan, lat, limit, dtype)
+    rows = np.ascontiguousarray(idx.T, dtype=np.int64)
+    steps, slack = _slack_program(tables, large, lat, rows, dtype)
+    for _ in range(2):
+        for step in steps:
+            step()
+    assert slack.dtype == dtype
+    return slack
+
+
 @pytest.mark.parametrize("ineq", sorted(INEQUALITY_IDS))
-def test_slack_block_matches_evaluate(ineq):
+def test_slack_program_matches_evaluate(ineq):
     expr = builtin_inequality(ineq)
-    variables = sorted(expr.variables())
+    variables = tuple(sorted(expr.variables()))
     plan, denom = _integer_plan(expr, variables)
     lat = lattice(3, 3)
     rng = np.random.default_rng(5)
@@ -348,8 +368,7 @@ def test_slack_block_matches_evaluate(ineq):
     ]
     # every term joined, the terms of up to two variables tabulated, every term tabulated
     for limit in (0, 28**2, 28**4):
-        tables, large = _term_tables(plan, lat, limit)
-        slack = _slack_block(tables, large, lat, idx)
+        slack = _program_slack(plan, lat, idx, limit)
         assert [Fraction(int(x), denom) for x in slack] == values
 
 
@@ -384,7 +403,7 @@ def _reference_sample(expr, q, d, seed, samples, chunk):
     """The block loop that sample mode used to run: draw a whole block of
     ``chunk // nvars`` trials, walk every term's joins, and stop at the
     first block holding a negative slack."""
-    variables = sorted(expr.variables())
+    variables = tuple(sorted(expr.variables()))
     lat = lattice(q, d)
     plan, denom = _integer_plan(expr, variables)
     size, nvars = len(lat), len(variables)
@@ -471,6 +490,132 @@ def test_sample_mode_with_chunk_below_the_variable_count(monkeypatch):
     assert small.witness is not None and small.witness == whole.witness
     assert small.checked == whole.checked == 17
     assert small.min_slack == evaluate(expr, small.witness)
+
+
+# One expression per slack type; each is violated over GF(2)^3, where a
+# dimension reaches 3.  The int32 and int64 weights are past int16 and
+# int32, but every slack value fits int64.
+_TYPED_EXPRESSIONS = {
+    "oddLRI": (builtin_inequality("oddLRI"), np.int16),
+    "20000h(A|B)-20000h(C)": (
+        expression([h(20_000, "A", given=["B"]), h(-20_000, "C"), h(3, "B", "C")]),
+        np.int32,
+    ),
+    "2^40h(A)-2^40h(B)": (expression([h(2**40, "A"), h(-(2**40), "B")]), np.int64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TYPED_EXPRESSIONS))
+def test_slack_dtype_is_the_narrowest_the_bound_allows(name):
+    expr, dtype = _TYPED_EXPRESSIONS[name]
+    plan, _ = _integer_plan(expr, tuple(sorted(expr.variables())))
+    assert _slack_dtype(plan, 3) == dtype
+    bound = sum(abs(w) for w, _ in plan)
+    # B = sum |w| * max(d, 1): the same type for d = 0 and d = 1
+    assert _slack_dtype(plan, 0) == _slack_dtype(plan, 1)
+    assert _slack_dtype(plan, 32_767 // bound) == (np.int16 if bound <= 32_767 else dtype)
+
+
+def test_slack_dtype_boundaries():
+    assert _slack_dtype(((32_767, (0,)),), 1) == np.int16
+    assert _slack_dtype(((16_384, (0,)), (-16_384, (1,))), 1) == np.int32
+    assert _slack_dtype(((2**31 - 1, (0,)),), 1) == np.int32
+    assert _slack_dtype(((2**30, (0,)),), 2) == np.int64
+    assert _slack_dtype((), 5) == np.int16
+
+
+def _chain_expression():
+    # four-variable terms sharing prefixes of two and three positions,
+    # beside a two-variable term on a shared leading pair
+    return expression([
+        h(1, "A", "B", "C", "D"), h(-2, "A", "B", "C", "E"), h(3, "A", "B", "D", "E"),
+        h(-1, "A", "B"), h(1, "B", "C", "D", "E"), h(-1, "C", "E"), h(2, "D"),
+    ])
+
+
+@pytest.mark.parametrize("name", sorted(_TYPED_EXPRESSIONS) + ["chains"])
+def test_slack_program_matches_the_reference_gather(name):
+    expr = _chain_expression() if name == "chains" else _TYPED_EXPRESSIONS[name][0]
+    variables = tuple(sorted(expr.variables()))
+    plan, _ = _integer_plan(expr, variables)
+    lat = lattice(2, 3)
+    size = len(lat)
+    idx = np.random.default_rng(11).integers(0, size, size=(500, len(variables)))
+    expected = _reference_slack_block(plan, lat, idx)
+    # every term large (singletons too), up to pairs tabulated, up to triples, all
+    for limit in (0, size - 1, size, size**2, size**3, size ** len(variables)):
+        slack = _program_slack(plan, lat, idx, limit)
+        assert slack.tolist() == expected.tolist()
+
+
+def _typed_sample_cases():
+    for name in sorted(_TYPED_EXPRESSIONS) + ["chains"]:
+        # samples 0 and 1; below the 16 subspaces of GF(2)^3, so every
+        # term is large; below one tile; tiles of 97 ending inside
+        # blocks of 250 trials (chunk 3 * 250 over 3 variables, fewer
+        # trials for more variables)
+        for samples, tile, chunk in [(0, None, None), (1, None, None), (10, None, None),
+                                     (300, None, None), (3_000, 97, 750)]:
+            yield pytest.param(name, samples, tile, chunk, id=f"{name}-samples{samples}-tile{tile}-chunk{chunk}")
+
+
+@pytest.mark.parametrize("name,samples,tile,chunk", _typed_sample_cases())
+def test_sample_mode_of_every_slack_type_matches_the_block_loop(name, samples, tile, chunk, monkeypatch):
+    if tile is not None:
+        monkeypatch.setattr(rankineq_mod, "_SAMPLE_TILE", tile)
+    if chunk is not None:
+        monkeypatch.setattr(rankineq_mod, "_CHUNK", chunk)
+    expr = _chain_expression() if name == "chains" else _TYPED_EXPRESSIONS[name][0]
+    out = search_violation_detailed(expr, 2, 3, "sample", seed=samples, samples=samples)
+    witness, checked, min_slack = _reference_sample(expr, 2, 3, samples, samples, rankineq_mod._CHUNK)
+    assert (out.witness.spaces if out.witness else None) == witness
+    assert (out.checked, out.min_slack) == (checked, min_slack)
+
+
+def _typed_exhaustive_cases():
+    for name, (expr, _) in sorted(_TYPED_EXPRESSIONS.items()):
+        q, d = (2, 2) if len(expr.variables()) > 4 else (2, 3)
+        for chunk in (1, 7, 16**2 + 3, 1 << 21):
+            # chunk 1 makes every term large; the reference loop runs once per chunk
+            if count_subspaces(q, d) ** len(expr.variables()) <= 2_000 * chunk:
+                yield pytest.param(name, q, d, chunk, id=f"{name}-GF({q})^{d}-chunk{chunk}")
+
+
+@pytest.mark.parametrize("name,q,d,chunk", _typed_exhaustive_cases())
+def test_exhaustive_mode_of_every_slack_type_matches_the_chunk_loop(name, q, d, chunk, monkeypatch):
+    monkeypatch.setattr(rankineq_mod, "_CHUNK", chunk)
+    expr = _TYPED_EXPRESSIONS[name][0]
+    out = search_violation_detailed(expr, q, d, "exhaustive")
+    witness, checked, min_slack = _reference_exhaustive(expr, q, d, chunk)
+    assert (out.witness.spaces if out.witness else None) == witness
+    assert (out.checked, out.min_slack) == (checked, min_slack)
+
+
+@pytest.mark.parametrize("q,d", [(2, 0), (3, 1), (2, 3), (5, 2), (3, 3)])
+def test_join_dims_is_the_dimension_of_every_join(q, d):
+    lat = lattice(q, d)
+    assert lat.join_dims.dtype == np.int8
+    assert not lat.join_dims.flags.writeable
+    assert np.array_equal(lat.join_dims, lat.dims[lat.join_table])
+
+
+def test_sample_tiles_allocate_nothing_per_tile():
+    # the traced peak of a sample search does not grow with its tile count
+    import tracemalloc
+
+    expr = builtin_inequality("oddLRI")
+    search_violation_detailed(expr, 2, 4, "sample", samples=10)  # lattice, join_dims and plan
+    peaks = []
+    for samples in (40_000, 400_000):
+        tracemalloc.start()
+        try:
+            out = search_violation_detailed(expr, 2, 4, "sample", seed=2, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert out.witness is None and out.checked == samples
+    draws_and_scratch = 2 * 7 * rankineq_mod._SAMPLE_TILE * 8
+    assert abs(peaks[1] - peaks[0]) < draws_and_scratch
 
 
 def test_sample_mode_is_deterministic_and_seed_sensitive():
