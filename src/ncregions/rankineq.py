@@ -553,9 +553,9 @@ def _sample_tiles(plan, lat: SubspaceLattice, nvars: int, seed: int, samples: in
     per-variable starts advanced by one tile, mixed in place with one
     scratch buffer, then reduced mod the lattice size), then runs
     :func:`_slack_program` over them.  The tiles are of equal length, so
-    the last may evaluate up to one trial per tile past ``samples``;
-    those are never yielded.  Yields each tile's first trial index and
-    its slack values.
+    the last may evaluate fewer trials past ``samples`` than there are
+    tiles; those are never yielded.  Yields each tile's first trial
+    index and its slack values.
     """
     if samples == 0:
         return

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -510,10 +511,8 @@ def test_slack_dtype_is_the_narrowest_the_bound_allows(name):
     expr, dtype = _TYPED_EXPRESSIONS[name]
     plan, _ = _integer_plan(expr, tuple(sorted(expr.variables())))
     assert _slack_dtype(plan, 3) == dtype
-    bound = sum(abs(w) for w, _ in plan)
     # B = sum |w| * max(d, 1): the same type for d = 0 and d = 1
     assert _slack_dtype(plan, 0) == _slack_dtype(plan, 1)
-    assert _slack_dtype(plan, 32_767 // bound) == (np.int16 if bound <= 32_767 else dtype)
 
 
 def test_slack_dtype_boundaries():
@@ -601,8 +600,6 @@ def test_join_dims_is_the_dimension_of_every_join(q, d):
 
 def test_sample_tiles_allocate_nothing_per_tile():
     # the traced peak of a sample search does not grow with its tile count
-    import tracemalloc
-
     expr = builtin_inequality("oddLRI")
     search_violation_detailed(expr, 2, 4, "sample", samples=10)  # lattice, join_dims and plan
     peaks = []
