@@ -618,7 +618,7 @@ def verify_solution_exhaustive(
     for node in demanded:
         if base ** widths[node] <= count:
             firsts[node] = np.full(base ** widths[node], count, dtype=dtype)
-        elif size < count:
+        else:
             collected[node] = np.empty(count, dtype)
     failures = {}  # (receiver, message) -> (reason, first failing assignment)
     conflict = "two assignments share receiver inputs but differ in the demand"
@@ -633,10 +633,7 @@ def verify_solution_exhaustive(
         if node not in demanded:
             return
         if node not in firsts:  # grouped by a sort once the walk is done
-            if size < count:
-                collected[node][first_index : first_index + size] = key
-            else:
-                collected[node] = key  # one block holds every key
+            collected[node][first_index : first_index + size] = key
             return
         pending = [msg for msg in demanded[node] if (node, msg) not in failures]
         if not pending:

@@ -23,8 +23,6 @@ import functools
 import heapq
 from dataclasses import dataclass
 
-NETWORK_IDS = ("gbutterfly", "fano", "nonfano", "vamos")
-
 
 class NetworkCycleError(ValueError):
     pass
@@ -214,6 +212,7 @@ demand R5 c
 demand R5 d
 """,
 }
+NETWORK_IDS = tuple(_BUNDLED)
 
 
 @functools.cache

@@ -17,8 +17,8 @@ even characteristic).  Violation search supports three modes:
   expression's variables, in lexicographic order, returning the first
   violator;
 - ``sample``: seeded uniform sampling with a reproducible generator
-  (the splitmix sequence of :func:`_splitmix_block`; the i-th draw
-  depends only on seed and i, so runs are reproducible across
+  (the splitmix sequence, drawn only by :func:`_sample_tiles`; the i-th
+  draw depends only on seed and i, so runs are reproducible across
   implementations and chunk sizes).
 
 Every mode hands its slack values, in order and in pieces, to one loop
@@ -34,12 +34,13 @@ term small enough is tabulated once per search over its own variables
 one block's trials when sampling.  Tables and slack are summed in the
 narrowest of int16, int32 and int64 that a bound on the slack proves
 safe (:func:`_slack_dtype`).  A table is read by one gather per
-assignment; a larger term walks the join table from shared prefixes and
-ends with one gather of the lattice's int8 ``join_dims``.  Sample mode
-compiles each search once into a fixed list of numpy calls over buffers
-allocated once (:func:`_slack_program`), which draws and evaluates one
-cache-sized tile of trials at a time, one index row per variable, and
-allocates nothing per tile.
+assignment; a larger term gathers the join table once per further
+variable and ends with one gather of the lattice's int8 ``join_dims``.
+Sample mode compiles each search once into a fixed list of numpy calls
+over buffers allocated once (:func:`_slack_program`), which draws and
+evaluates one cache-sized tile of trials at a time, one index row per
+variable, and allocates nothing per tile; a witness is named from the
+tile that drew it.
 """
 
 from __future__ import annotations
@@ -65,8 +66,6 @@ from .subspace import (
 
 DEFAULT_BUDGET = 2_000_000
 DEFAULT_SAMPLES = 100_000
-
-INEQUALITY_IDS = ("ingleton", "zhang-yeung", "oddLRI", "evenLRI")
 
 # Sample mode draws and evaluates a block in tiles of this many trials,
 # so that a tile's index columns, scratch and slack stay in cache.
@@ -225,6 +224,7 @@ _BUILTINS = {
     "oddLRI": _ODD_LRI,
     "evenLRI": _EVEN_LRI,
 }
+INEQUALITY_IDS = tuple(_BUILTINS)
 
 
 def builtin_inequality(ineq_id: str) -> EntropyExpression:
@@ -283,51 +283,16 @@ def catalog_assignments(q: int, d: int) -> list[SubspaceAssignment]:
 
 
 # ---------------------------------------------------------------------------
-# reproducible sampling
+# violation search
 
 
+# Call i (1-based) of the splitmix sequence outputs mix(seed + i * _GAMMA)
+# mod 2^64, mix being the standard two-round multiplicative mixer, so any
+# output can be computed directly; :func:`_sample_tiles` draws it.
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-def _splitmix_block(seed: int, start_call: int, count: int, width: int = 1) -> np.ndarray:
-    """Outputs for call numbers start_call .. start_call+count*width-1 of
-    the splitmix sequence, as a (count, width) array filled row by row
-    and stored column by column.
-
-    Call i (1-based) outputs mix(seed + i * gamma), with gamma
-    ``_GAMMA`` and the standard two-round multiplicative mixer, so any
-    output can be computed directly.  Call
-    ``start_call + t*width + p`` has state ``seed + (start_call + p)
-    * gamma + t * (width * gamma)``, so the states are one arange scaled
-    and shifted per column; they are then mixed in place with one
-    scratch buffer.
-    """
-    steps = np.arange(count, dtype=np.uint64)
-    steps *= np.uint64(width * _GAMMA & MASK64)
-    starts = [(seed + (start_call + p) * _GAMMA) & MASK64 for p in range(width)]
-    z = np.add(np.array(starts, dtype=np.uint64)[:, None], steps)
-    for step in _mix_steps(z, np.empty_like(z)):
-        step()
-    return z.T
-
-
-def _mix_steps(z: np.ndarray, scratch: np.ndarray) -> list[partial]:
-    """The mixer of the splitmix sequence as steps that mix the states
-    ``z`` in place, through ``scratch`` of the same shape."""
-    steps = []
-    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
-        steps.append(partial(np.right_shift, z, np.uint64(shift), scratch))
-        steps.append(partial(np.bitwise_xor, z, scratch, z))
-        if mix is not None:
-            steps.append(partial(np.multiply, z, np.uint64(mix), z))
-    return steps
-
-
-# ---------------------------------------------------------------------------
-# violation search
 
 
 @dataclass(frozen=True)
@@ -414,22 +379,24 @@ def _slack_program(tables, large, lat: SubspaceLattice, idx: np.ndarray, dtype):
     the batch's slack; running the steps again after new indices are
     written into ``idx`` allocates nothing.  The tables of
     :func:`_term_tables` and the large terms are taken in sorted position
-    order:
+    order, and each walks its positions in one loop:
 
     - the first variable of a key of two or more positions is scaled by
       the lattice size once, and each leading pair is flattened once;
-    - a table is read by one gather at the flat index of its variables;
-    - a large term gathers (int32) the join index of each prefix that it
-      does not share with the large terms before it, then ends with one
-      gather of ``join_dims`` (int8) at its last pair, times its weight.
+    - each further position extends a table's flat index, while a large
+      term first gathers (int32) the join index of the positions so far
+      from ``join_table``;
+    - a table ends with one gather at its flat index, a large term with
+      one gather of ``join_dims`` (int8) at its last pair, times its
+      weight (a weight of +-1 is added or subtracted directly).
     """
     size = len(lat)
     n = idx.shape[1]
     jt, jd = lat.join_table.ravel(), lat.join_dims.ravel()
     slack, term = np.empty(n, dtype), np.empty(n, dtype)
     dims8 = np.empty(n, np.int8)
+    joined = np.empty(n, np.int32)
     scaled, pair, flat = np.empty((3, n), np.int64)
-    joins: list[np.ndarray] = []  # joins[j]: join index of chain[: j + 2]
     steps: list[partial] = []
     started = False
 
@@ -449,15 +416,9 @@ def _slack_program(tables, large, lat: SubspaceLattice, idx: np.ndarray, dtype):
             steps.append(partial(np.add, slack, term, slack))
         started = True
 
-    def extend(prefix, p):
-        # flat = prefix * size + idx[p]: one position past a join or a flat index
-        steps.append(partial(np.multiply, prefix, size, flat, dtype=np.int64))
-        steps.append(partial(np.add, flat, idx[p], flat))
-        return flat
-
     keys = [(host, table, None) for host, table in tables.items()]
     keys += [(positions, jd, weight) for weight, positions in large]
-    scaled_for, chain, live = None, (), 0
+    scaled_for = paired = None
     for positions, table, weight in sorted(keys, key=lambda key: key[0]):
         if len(positions) == 1:  # row 0 of join_dims is dims
             fold(table, idx[positions[0]], weight)
@@ -465,28 +426,19 @@ def _slack_program(tables, large, lat: SubspaceLattice, idx: np.ndarray, dtype):
         if positions[0] != scaled_for:
             scaled_for = positions[0]
             steps.append(partial(np.multiply, idx[positions[0]], size, scaled))
-        if positions[:2] != chain[:2]:
-            chain, live = positions[:2], 0
+        if positions[:2] != paired:
+            paired = positions[:2]
             steps.append(partial(np.add, scaled, idx[positions[1]], pair))
         at = pair
-        if weight is None:
-            for p in positions[2:]:
-                at = extend(at, p)
-            fold(table, at)
-            continue
-        keep = 0  # joins[:keep] hold the prefixes shared with chain
-        while keep < min(live, len(positions) - 2) and chain[: keep + 2] == positions[: keep + 2]:
-            keep += 1
-        for j in range(len(positions) - 2):
-            if j == len(joins):
-                joins.append(np.empty(n, np.int32))
-            if j >= keep:
-                steps.append(partial(jt.take, at, None, joins[j], "clip"))
-            if j + 1 >= keep:
-                at = extend(joins[j], positions[j + 2])
-        if len(positions) > 2:
-            chain, live = positions[:-1], len(positions) - 2
-        fold(jd, at, weight)
+        for p in positions[2:]:
+            if weight is not None:  # a large term joins the positions so far
+                steps.append(partial(jt.take, at, None, joined, "clip"))
+                at = joined
+            # flat = at * size + idx[p]
+            steps.append(partial(np.multiply, at, size, flat, dtype=np.int64))
+            steps.append(partial(np.add, flat, idx[p], flat))
+            at = flat
+        fold(table, at, weight)
     if not started:
         steps.append(partial(slack.fill, 0))
     return steps, slack
@@ -544,26 +496,27 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
 
 
 def _sample_tiles(plan, lat: SubspaceLattice, nvars: int, seed: int, samples: int, block: int):
-    """Slack of trials 0 .. samples-1 in draw order, in tiles of at most
-    ``_SAMPLE_TILE`` trials.  Terms of at most one block's trials
-    (``block``) come tabulated from :func:`_term_tables`, built once.
+    """Compile a sample search into one program over buffers allocated
+    once.  Terms of at most one block's trials (``block``) come
+    tabulated from :func:`_term_tables`, built once.
 
-    One program is compiled per search: it draws a tile's indices into
-    one ``(nvars, tile)`` buffer (splitmix states from a step column and
-    per-variable starts advanced by one tile, mixed in place with one
-    scratch buffer, then reduced mod the lattice size), then runs
-    :func:`_slack_program` over them.  The tiles are of equal length, so
-    the last may evaluate fewer trials past ``samples`` than there are
-    tiles; those are never yielded.  Yields each tile's first trial
-    index and its slack values.
+    Each run of the program draws one tile of at most ``_SAMPLE_TILE``
+    trials into an ``(nvars, tile)`` buffer, one row of subspace indices
+    per variable (splitmix states from a step column and per-variable
+    starts advanced by one tile, mixed in place with one scratch buffer,
+    then reduced mod the lattice size), then runs :func:`_slack_program`
+    over it.  The tiles are of equal length, so the last may evaluate
+    fewer trials past ``samples`` than there are tiles; those are never
+    yielded.  Returns the index buffer, viewed as int64, and an iterator
+    over each tile's first trial index and the slack of trials 0 ..
+    samples-1 in draw order; until the next tile is drawn, trial g has
+    its indices in column ``g % tile`` of the buffer.
     """
-    if samples == 0:
-        return
     size = len(lat)
     dtype = _slack_dtype(plan, lat.d)
     # a table larger than one block's trials would cost more to build than it saves
     tables, large = _term_tables(plan, lat, min(block, samples), dtype)
-    tile = -(-samples // -(-samples // _SAMPLE_TILE))
+    tile = -(-samples // -(-samples // _SAMPLE_TILE)) if samples else 1
     # trial t of the tile from trial ``done`` draws call (done + t) * nvars + 1 + p
     # for variable p, whose state is starts[p] + t * (nvars * gamma)
     starts = np.array([(seed + (1 + p) * _GAMMA) & MASK64 for p in range(nvars)], dtype=np.uint64)[:, None]
@@ -571,23 +524,30 @@ def _sample_tiles(plan, lat: SubspaceLattice, nvars: int, seed: int, samples: in
     stride *= np.uint64(nvars * _GAMMA & MASK64)
     draws = np.empty((nvars, tile), dtype=np.uint64)
     scratch = np.empty_like(draws)
+    steps = [partial(np.add, starts, stride, draws)]
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)):
+        steps.append(partial(np.right_shift, draws, np.uint64(shift), scratch))
+        steps.append(partial(np.bitwise_xor, draws, scratch, draws))
+        if mix is not None:
+            steps.append(partial(np.multiply, draws, np.uint64(mix), draws))
     # draws mod size, as draws - draws // size * size: numpy's floor division
     # by a scalar is about three times faster than its remainder
     modulus = np.uint64(size)
-    steps = [
-        partial(np.add, starts, stride, draws),
-        *_mix_steps(draws, scratch),
-        partial(np.floor_divide, draws, modulus, scratch),
-        partial(np.multiply, scratch, modulus, scratch),
-        partial(np.subtract, draws, scratch, draws),
-    ]
-    program, slack = _slack_program(tables, large, lat, draws.view(np.int64), dtype)
+    steps.append(partial(np.floor_divide, draws, modulus, scratch))
+    steps.append(partial(np.multiply, scratch, modulus, scratch))
+    steps.append(partial(np.subtract, draws, scratch, draws))
+    rows = draws.view(np.int64)
+    program, slack = _slack_program(tables, large, lat, rows, dtype)
     steps += program
     steps.append(partial(np.add, starts, np.uint64(tile * nvars * _GAMMA & MASK64), starts))
-    for done in range(0, samples, tile):
-        for step in steps:
-            step()
-        yield done, slack[: samples - done]
+
+    def tiles():
+        for done in range(0, samples, tile):
+            for step in steps:
+                step()
+            yield done, slack[: samples - done]
+
+    return rows, tiles()
 
 
 def search_violation_detailed(
@@ -640,18 +600,19 @@ def search_violation_detailed(
             indices = lambda g: [(g // size ** (nvars - 1 - k)) % size for k in range(nvars)]
         else:
             block, end = max(_CHUNK // max(nvars, 1), 1), samples
-            pieces = _sample_tiles(plan, lat, nvars, seed, samples, block)
-            indices = lambda g: _splitmix_block(seed, g * nvars + 1, 1, nvars)[0] % np.uint64(size)
+            rows, pieces = _sample_tiles(plan, lat, nvars, seed, samples, block)
+            indices = lambda g: rows[:, g % rows.shape[1]]
 
         def witness(g: int) -> SubspaceAssignment:
             spaces = {v: lat.spaces[int(j)] for v, j in zip(variables, indices(g))}
             return SubspaceAssignment(PrimeField(q), d, spaces)
 
-    g = low = None
+    g = low = found = None
     for start, slack in pieces:
         least = int(slack[: end - start].min())
         if g is None and least < 0:
             g = start + int(np.argmax(slack < 0))
+            found = witness(g)  # while the piece that holds g is current
             # min_slack covers whole blocks, through the witness's block,
             # which may end inside this piece
             end = min((g // block + 1) * block, end)
@@ -660,7 +621,7 @@ def search_violation_detailed(
         if start + len(slack) >= end:
             break
     return SearchOutcome(
-        None if g is None else witness(g),
+        found,
         end if g is None else g + 1,
         None if low is None else Fraction(low, denom),
     )

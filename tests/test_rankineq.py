@@ -29,9 +29,9 @@ from ncregions.rankineq import (
 from ncregions import rankineq as rankineq_mod
 from ncregions.rankineq import (
     _integer_plan,
+    _sample_tiles,
     _slack_dtype,
     _slack_program,
-    _splitmix_block,
     _term_tables,
 )
 from ncregions.subspace import (
@@ -477,6 +477,40 @@ def test_sample_witness_in_the_middle_of_a_tiled_block(chunk, monkeypatch):
     assert min_slack < evaluate(expr, out.witness)
 
 
+# (seed, tile, samples): over GF(2)^3, 3 H(B) - H(A) first goes negative at
+# trial 14 for seed 3, 17 for seed -1 and 69 for seed 2^64 + 5 (seed 5
+# reduced mod 2^64)
+_TILE_EDGE_CASES = [
+    # tiles of 7, 17 and 23: the witness starts the third, second and
+    # fourth tile, and later tiles are drawn over it
+    ("first-of-a-later-tile", 3, 7, 35),
+    ("first-of-a-later-tile", -1, 17, 51),
+    ("first-of-a-later-tile", 2**64 + 5, 23, 115),
+    # tiles of 4, 5 and 8: the witness ends a final tile of 3, 3 and 6 trials
+    ("last-of-a-short-final-tile", 3, 4, 15),
+    ("last-of-a-short-final-tile", -1, 5, 18),
+    ("last-of-a-short-final-tile", 2**64 + 5, 8, 70),
+]
+
+
+@pytest.mark.parametrize(
+    "edge,seed,tile,samples", _TILE_EDGE_CASES,
+    ids=[f"{edge}-seed{seed}" for edge, seed, _, _ in _TILE_EDGE_CASES],
+)
+def test_sample_witness_at_the_edges_of_a_tile(edge, seed, tile, samples, monkeypatch):
+    monkeypatch.setattr(rankineq_mod, "_SAMPLE_TILE", tile)
+    expr = expression([h(3, "B"), h(-1, "A")])
+    out = search_violation_detailed(expr, 2, 3, "sample", seed=seed, samples=samples)
+    witness, checked, min_slack = _reference_sample(expr, 2, 3, seed, samples, rankineq_mod._CHUNK)
+    assert out.witness is not None and out.witness.spaces == witness
+    assert (out.checked, out.min_slack) == (checked, min_slack)
+    g = checked - 1
+    if edge == "first-of-a-later-tile":
+        assert g % tile == 0 and g >= tile and samples % tile == 0 and samples - g > tile
+    else:
+        assert g == samples - 1 and samples % tile
+
+
 def test_sample_mode_with_chunk_below_the_variable_count(monkeypatch):
     # chunk // nvars is 0 here: each block must still draw one trial
     odd = builtin_inequality("oddLRI")
@@ -704,17 +738,26 @@ def test_splitmix_reference_values():
     assert gen.next_uint64() == 0x06C45D188009454F
 
 
-@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-def test_splitmix_block_continues_the_sequence(seed):
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1, -1, 2**64 + 5])
+def test_sample_tiles_draw_the_splitmix_sequence(seed, monkeypatch):
+    # 10 trials in tiles of 4: two whole tiles, then a short final tile of 2
+    monkeypatch.setattr(rankineq_mod, "_SAMPLE_TILE", 4)
+    expr = builtin_inequality("ingleton")
+    variables = tuple(sorted(expr.variables()))
+    plan, _ = _integer_plan(expr, variables)
+    lat = lattice(2, 3)
+    rows, tiles = _sample_tiles(plan, lat, len(variables), seed, 10, 10)
     gen = SplitMix64(seed)
-    for _ in range(4):
-        gen.next_uint64()
-    expected = [gen.next_uint64() for _ in range(30)]
-    assert _splitmix_block(seed, 5, 30).ravel().tolist() == expected
-    # the trial layout: row t holds calls 5 + 3t .. 7 + 3t, each column contiguous
-    rows = _splitmix_block(seed, 5, 10, 3)
-    assert rows.shape == (10, 3) and rows.flags.f_contiguous
-    assert rows.ravel().tolist() == expected
+    drawn = []
+    for done, slack in tiles:
+        assert rows.shape == (4, 4) and rows.dtype == np.int64
+        drawn.append((done, len(slack)))
+        for t in range(len(slack)):
+            expected = [gen.next_below(len(lat)) for _ in variables]
+            assert rows[:, t].tolist() == expected
+            spaces = {v: lat.spaces[j] for v, j in zip(variables, expected)}
+            assert slack[t] == evaluate(expr, assignment(2, 3, spaces))
+    assert drawn == [(0, 4), (4, 4), (8, 2)]
 
 
 # ---------------------------------------------------------------------------
