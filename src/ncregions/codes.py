@@ -14,14 +14,14 @@ gives each block's (start, width): every column offset below comes from
 these two helpers.
 
 Both verifiers push values through the network by one shared walk,
-:func:`_propagate`; each supplies only what a message is, how an edge
-function applies and how input blocks join.  The two routes stay
-independent in how they decide a demand:
+:func:`_propagate`, which hands each receiver's inputs to the verifier
+as soon as it joins them, and both report through :func:`_report`.
+The two routes stay independent in how they decide a demand:
 
 - :func:`verify_solution` is algebraic: the walk composes edge matrices
-  into global transfer matrices from the full message vector, and a
-  demand passes iff every vector of the receiver's kernel is zero on the
-  demanded message's symbols.
+  into transfer matrices from the full message vector and keeps each
+  receiver's, whose kernel is computed once; a demand passes iff every
+  vector of that kernel is zero on the demanded message's symbols.
 - :func:`verify_solution_exhaustive` is operational: the walk pushes
   the message assignments through the edge functions one aligned block
   at a time, and each receiver's inputs must determine its demands (or
@@ -66,7 +66,7 @@ from .ff import (
     mat_zeros,
     power_exceeds,
 )
-from .netmodel import NETWORK_IDS, Network, builtin_network, topological_order
+from .netmodel import NETWORK_IDS, Network, builtin_network, parse_network, topological_order
 
 DEFAULT_ENUMERATION_GUARD = 2**20
 # entries of the algebraic verifier's transfer matrices: one row per
@@ -224,48 +224,39 @@ def _joined(net: Network) -> dict[str, None]:
     return dict.fromkeys([e.tail for e in net.edges] + [node for node, _ in net.demands])
 
 
-def _propagate(net: Network, message_value, apply_edge, concat, visit=None):
+def _propagate(net: Network, message_value, apply_edge, concat, visit) -> None:
     """Push values through the network once, in topological order.
 
     A node's inputs are ``concat`` of its blocks in :func:`_input_layout`
     order, ``message_value(name)`` for a message and the label's value
-    for an in-edge.  Each label carries ``apply_edge(label, inputs)`` of
-    its tail's inputs, computed once for all of its edges.  Returns
-    ``gather(node)``, which joins any node's inputs from the labels'
-    values.
-
-    With ``visit``, each receiver's inputs are joined in the same walk
-    and passed to ``visit(node, inputs)`` before its own labels are
-    applied, and a label's value is dropped once the last tail or
-    receiver that reads it has joined it.
+    for an in-edge, joined once for every tail and receiver.  A
+    receiver's inputs go to ``visit(node, inputs)`` as soon as they are
+    joined, before its own labels are applied.  Each label carries
+    ``apply_edge(label, inputs)`` of its tail's inputs, computed once for
+    all of its edges, and is dropped once the last tail or receiver that
+    reads it has joined it.
     """
+    joined = _joined(net)
+    receivers = {node for node, _ in net.demands}
+    # how many joining nodes have yet to read each label
+    unread = Counter(e.label for e in net.edges if e.head in joined)
     values = {}
-
-    def gather(node: str):
-        return concat(
+    for node in topological_order(net):
+        if node not in joined:
+            continue
+        inputs = concat(
             [message_value(m) for m in net.attached(node)]
             + [values[e.label] for e in net.in_edges(node)]
         )
-
-    receivers = {node for node, _ in net.demands} if visit else ()
-    if visit:  # how many joining nodes have yet to read each label
-        joined = _joined(net)
-        unread = Counter(e.label for e in net.edges if e.head in joined)
-    for node in topological_order(net):
-        labels = dict.fromkeys(e.label for e in net.out_edges(node))
-        if labels or node in receivers:  # join a node's inputs once
-            inputs = gather(node)
-            if visit:
-                for e in net.in_edges(node):
-                    unread[e.label] -= 1
-                    if not unread[e.label]:
-                        del values[e.label]
-                if node in receivers:
-                    visit(node, inputs)
-            for label in labels:
-                values[label] = apply_edge(label, inputs)
-            del inputs  # free them before the next node joins its own
-    return gather
+        for e in net.in_edges(node):
+            unread[e.label] -= 1
+            if not unread[e.label]:
+                del values[e.label]
+        if node in receivers:
+            visit(node, inputs)
+        for label in dict.fromkeys(e.label for e in net.out_edges(node)):
+            values[label] = apply_edge(label, inputs)
+        del inputs  # free them before the next node joins its own
 
 
 def _functions(code: Code) -> tuple[dict, dict]:
@@ -319,8 +310,9 @@ def validate_code(net: Network, code: Code) -> None:
 
 
 def _transfer(net: Network, code: LinearCode):
-    """``gather(node)``: the matrix from the full message vector to a
-    node's inputs; ``select(msg)``: the selector of one message.
+    """``transfer[node]``: the matrix from the full message vector to a
+    receiver's inputs, kept as the walk joins the receiver;
+    ``select(msg)``: the selector of one message.
 
     Refused before any matrix is built when the matrices of every tail
     and receiver together would exceed ``TRANSFER_ENTRY_GUARD`` entries.
@@ -340,62 +332,65 @@ def _transfer(net: Network, code: LinearCode):
         start, width = offsets[msg]
         return mat(fld, [[int(j == start + i) for j in range(total)] for i in range(width)], cols=total)
 
-    gather = _propagate(
+    transfer = {}
+    _propagate(
         net,
         select,
         lambda label, inputs: mat_mul(code.edge_functions[label], inputs),
         lambda blocks: mat_stack(*blocks) if blocks else mat_zeros(fld, 0, total),
+        transfer.__setitem__,
     )
-    return gather, select
+    return transfer, select
 
 
-def _split_assignment(net: Network, rates: RateSpec, vector: Sequence[int]) -> dict[str, tuple[int, ...]]:
-    return {
-        m: tuple(vector[start : start + k])
-        for m, (start, k) in _offsets(_message_layout(net, rates)).items()
-    }
+def _report(net: Network, code: Code, failures: Mapping, checked: int | None = None) -> VerificationReport:
+    """A verifier's report, one status per demand in network order:
+    ``failures`` maps each failed demand to its reason and its witness,
+    a full message vector of symbols in network message order."""
+    offsets = _offsets(_message_layout(net, code.rates))
+    statuses = []
+    for node, msg in net.demands:
+        if (node, msg) in failures:
+            reason, vector = failures[(node, msg)]
+            witness = {m: tuple(vector[start : start + k]) for m, (start, k) in offsets.items()}
+            statuses.append(DemandStatus(node, msg, False, reason, witness))
+        else:
+            statuses.append(DemandStatus(node, msg, True))
+    return VerificationReport(all(s.ok for s in statuses), tuple(statuses), rate_vector(code), checked)
 
 
 def verify_solution(net: Network, code: LinearCode) -> VerificationReport:
     """Algebraic verification of a linear code.
 
-    A demand (r, m) passes iff every vector of the kernel of r's input
-    transfer matrix, computed once per receiver, is zero on m's columns:
+    The walk keeps each receiver's input transfer matrix as it joins the
+    receiver, and each matrix's kernel is computed once.  A demand
+    (r, m) passes iff every vector of r's kernel is zero on m's columns:
     over GF(p) the row space is the kernel's annihilator.  The witness
     is the first kernel vector nonzero on m.  A supplied decoder must in
-    addition reproduce the selector exactly.
+    addition reproduce the selector exactly from the same matrix.
     """
     if not isinstance(code, LinearCode):
         raise TypeError("verify_solution handles linear codes; use the exhaustive verifier")
     validate_code(net, code)
-    rates = code.rates
-    total = rates.total_message_width
-    offsets = _offsets(_message_layout(net, rates))
-    gather, select = _transfer(net, code)
-    kernels = {node: mat_nullspace(gather(node)) for node, _ in net.demands}
-    statuses = []
+    total = code.rates.total_message_width
+    offsets = _offsets(_message_layout(net, code.rates))
+    transfer, select = _transfer(net, code)
+    kernels = {node: mat_nullspace(matrix) for node, matrix in transfer.items()}
+    failures = {}
     for node, msg in net.demands:
         start, k = offsets[msg]
         row = next((row for row in kernels[node].entries if any(row[start : start + k])), None)
-        ok, reason, witness = row is None, None, None
-        if not ok:
-            reason = "demand is not a function of the receiver inputs"
-            witness = _split_assignment(net, rates, row)
+        if row is not None:
+            failures[(node, msg)] = "demand is not a function of the receiver inputs", row
         elif (node, msg) in code.decoders:
             sel = select(msg)
-            product = mat_mul(code.decoders[(node, msg)], gather(node))
+            product = mat_mul(code.decoders[(node, msg)], transfer[node])
             if product != sel:
-                ok = False
-                reason = "supplied decoder does not reproduce the demand"
                 # the unit assignment of the first message symbol it gets wrong
                 j = next(j for j in range(total) if product.column(j) != sel.column(j))
-                witness = _split_assignment(net, rates, [int(i == j) for i in range(total)])
-        statuses.append(DemandStatus(node, msg, ok, reason, witness))
-    return VerificationReport(
-        valid=all(s.ok for s in statuses),
-        statuses=tuple(statuses),
-        rate_vector=rate_vector(code),
-    )
+                unit = [int(i == j) for i in range(total)]
+                failures[(node, msg)] = "supplied decoder does not reproduce the demand", unit
+    return _report(net, code, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -598,14 +593,14 @@ def verify_solution_exhaustive(
         label: _tabulate(code, fn, rates.edge_dim, count, dtype, lookups)
         for label, fn in functions.items()
     }
-    decoding: dict[str, list] = {}  # receiver -> (message, gather) of its decoders
+    decoding: dict[str, list] = {}  # receiver -> (message, decode) of its decoders
     demanded: dict[str, list[str]] = {}  # receiver -> its demands without a decoder
     for node, msg in net.demands:
         if not offsets[msg][1]:
             continue
         if (node, msg) in decoders:
-            gather = _tabulate(code, decoders[(node, msg)], offsets[msg][1], count, dtype, lookups)
-            decoding.setdefault(node, []).append((msg, gather))
+            decode = _tabulate(code, decoders[(node, msg)], offsets[msg][1], count, dtype, lookups)
+            decoding.setdefault(node, []).append((msg, decode))
         else:
             demanded.setdefault(node, []).append(msg)
     lookups.clear()
@@ -625,9 +620,9 @@ def verify_solution_exhaustive(
 
     def check(node: str, inputs) -> None:
         key, _ = inputs
-        for msg, gather in decoding.get(node, ()):
+        for msg, decode in decoding.get(node, ()):
             if (node, msg) not in failures:
-                a = first_differing(gather(key), msg)
+                a = first_differing(decode(key), msg)
                 if a is not None:
                     failures[(node, msg)] = "decoder output differs from the message", a
         if node not in demanded:
@@ -683,22 +678,12 @@ def verify_solution_exhaustive(
                 failures[(node, msg)] = conflict, int(order[1:][step].min())
         del order, tie  # before the next receiver's sort
 
-    statuses = []
-    for node, msg in net.demands:
-        reason, a = failures.get((node, msg), (None, None))
-        if a is None:
-            statuses.append(DemandStatus(node, msg, True))
-        else:
-            digits = [a // base ** (total - 1 - j) % base for j in range(total)]
-            witness = _split_assignment(net, rates, digits)
-            statuses.append(DemandStatus(node, msg, False, reason, witness))
-
-    return VerificationReport(
-        valid=all(s.ok for s in statuses),
-        statuses=tuple(statuses),
-        rate_vector=rate_vector(code),
-        assignments_checked=count,
-    )
+    # each failing assignment index, as its symbols
+    failures = {
+        key: (reason, [a // base ** (total - 1 - j) % base for j in range(total)])
+        for key, (reason, a) in failures.items()
+    }
+    return _report(net, code, failures, count)
 
 
 # ---------------------------------------------------------------------------
@@ -728,9 +713,7 @@ def rate_vector(code: Code) -> dict[str, Fraction]:
     return {m: Fraction(k, n) for m, k in code.rates.message_dims.items()}
 
 
-def concatenate_codes(
-    codes: Sequence[LinearCode], net: Network | None = None
-) -> LinearCode:
+def concatenate_codes(codes: Sequence[LinearCode], net: Network) -> LinearCode:
     """Time sharing: block-diagonal combination of codes on one network.
 
     Message and edge dimensions add; every block computes exactly what
@@ -739,7 +722,6 @@ def concatenate_codes(
     if not codes:
         raise ValueError("nothing to concatenate")
     first = codes[0]
-    net = net or builtin_network(first.network)
     for c in codes:
         if c.network != first.network:
             raise ValueError("codes are for different networks")
@@ -1216,22 +1198,17 @@ def _json_list(value, kind: type, what: str) -> list:
     return value
 
 
-def code_from_json(
-    doc: dict, net: Network | None = None, base_dir: str | Path | None = None
-) -> tuple[Network, Code]:
-    """Materialize a code (and its network) from the JSON document."""
+def code_from_json(doc: dict, base_dir: str | Path | None = None) -> tuple[Network, Code]:
+    """Materialize a code and the network it names from the JSON document."""
     _json_typed(doc, dict, "a code file")
-    if net is None:
-        if "network_file" in doc:
-            from .netmodel import parse_network
-
-            net_path = Path(_json_typed(doc["network_file"], str, "network_file"))
-            if base_dir is not None and not net_path.is_absolute():
-                net_path = Path(base_dir) / net_path
-            name = _json_typed(doc.get("network", "custom"), str, "network")
-            net = parse_network(net_path.read_text(), name=name)
-        else:
-            net = builtin_network(_json_typed(doc.get("network", _MISSING), str, "network"))
+    if "network_file" in doc:
+        net_path = Path(_json_typed(doc["network_file"], str, "network_file"))
+        if base_dir is not None and not net_path.is_absolute():
+            net_path = Path(base_dir) / net_path
+        name = _json_typed(doc.get("network", "custom"), str, "network")
+        net = parse_network(net_path.read_text(), name=name)
+    else:
+        net = builtin_network(_json_typed(doc.get("network", _MISSING), str, "network"))
     dims = _json_typed(doc.get("message_dims", _MISSING), dict, "message_dims")
     for name, k in dims.items():
         _json_typed(k, int, f"message_dims[{name!r}]")
@@ -1312,7 +1289,7 @@ def write_code_file(path: str | Path, net: Network, code: Code) -> None:
     Path(path).write_text(json.dumps(code_to_json(net, code), indent=2, sort_keys=True) + "\n")
 
 
-def read_code_file(path: str | Path, net: Network | None = None) -> tuple[Network, Code]:
+def read_code_file(path: str | Path) -> tuple[Network, Code]:
     path = Path(path)
     doc = json.loads(path.read_text())
-    return code_from_json(doc, net, base_dir=path.parent)
+    return code_from_json(doc, base_dir=path.parent)

@@ -245,9 +245,6 @@ class SubspaceAssignment:
             if s.field != self.field or s.ambient_dim != self.ambient_dim:
                 raise ValueError(f"subspace {name} lives in a different ambient space")
 
-    def variables(self) -> tuple[str, ...]:
-        return tuple(sorted(self.spaces))
-
 
 def assignment(q: int, d: int, spaces: Mapping[str, Subspace]) -> SubspaceAssignment:
     return SubspaceAssignment(PrimeField(q), d, dict(spaces))

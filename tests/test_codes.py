@@ -24,7 +24,6 @@ from ncregions.codes import (
     _functions,
     _input_layout,
     _propagate,
-    _split_assignment,
     _tail,
     _transfer,
     build_code,
@@ -131,7 +130,7 @@ def _evaluate(net, code, assignment):
         if dec is None and linear:
             if transfer is None:
                 transfer, select = _transfer(net, code)
-            dec = _synthesize_decoder(transfer(node), select(msg))
+            dec = _synthesize_decoder(transfer[node], select(msg))
         if dec is not None:
             decoded[(node, msg)] = apply(dec, inputs(node), code.rates.message_dims[msg])
     return _Evaluation(edges, decoded)
@@ -155,6 +154,23 @@ def test_builtin_codes_verify_over_their_claimed_class(net_id):
     for bc in builtin_codes(net_id):
         report = verify_solution(net, bc.code)
         assert report.valid, (net_id, bc.label, report.first_failure())
+
+
+@pytest.mark.parametrize(
+    "net_id, receivers", [("gbutterfly", 2), ("fano", 3), ("nonfano", 4), ("vamos", 5)]
+)
+def test_algebraic_verifier_eliminates_once_per_receiver(net_id, receivers, monkeypatch):
+    # one kernel per receiver, however many demands and decoders it has:
+    # the receivers of gbutterfly (4 demands) and vamos (8) demand several messages
+    calls = []
+    nullspace = codes_module.mat_nullspace
+    monkeypatch.setattr(codes_module, "mat_nullspace", lambda m: calls.append(m) or nullspace(m))
+    net = builtin_network(net_id)
+    assert len({node for node, _ in net.demands}) == receivers
+    for bc in builtin_codes(net_id):
+        calls.clear()
+        assert verify_solution(net, bc.code).valid
+        assert len(calls) == receivers, bc.label
 
 
 def test_builtin_any_codes_also_verify_over_gf3_and_gf5():
@@ -478,16 +494,18 @@ def _reference_exhaustive(net, code, guard=DEFAULT_ENUMERATION_GUARD):
         return assignments[:, offsets[msg] : offsets[msg] + rates.message_dims[msg]]
 
     functions, decoders = _functions(code)
-    gather = _propagate(
+    receiver_inputs = {}
+    _propagate(
         net,
         message_block,
         lambda label, block: _ref_apply_array(code, functions[label], block, rates.edge_dim),
         lambda blocks: np.hstack(blocks) if blocks else np.zeros((count, 0), dtype=np.int16),
+        receiver_inputs.__setitem__,
     )
 
     statuses = []
     for node, msg in net.demands:
-        inputs = gather(node)
+        inputs = receiver_inputs[node]
         k = rates.message_dims[msg]
         msg_block = message_block(msg)
         fail_index = None
@@ -518,9 +536,10 @@ def _reference_exhaustive(net, code, guard=DEFAULT_ENUMERATION_GUARD):
         if fail_index is None:
             statuses.append(DemandStatus(node, msg, True))
         else:
-            witness = _split_assignment(
-                net, rates, [int(x) for x in assignments[fail_index]]
-            )
+            witness = {
+                m: tuple(int(x) for x in assignments[fail_index, offsets[m] : offsets[m] + width])
+                for m, width in rates.message_dims.items()
+            }
             statuses.append(DemandStatus(node, msg, False, reason, witness))
 
     return VerificationReport(
@@ -663,7 +682,7 @@ def test_exhaustive_matches_the_reference_across_the_int32_key_limit(p, k, n):
     })
     transfer, select = _transfer(net, code)
     # decoders on r read its inputs digit by digit: one reproduces a, its double gives 2a
-    decoder = _synthesize_decoder(transfer("r"), select("a"))
+    decoder = _synthesize_decoder(transfer["r"], select("a"))
     decoders = [decoder, mat(fld, [[2 * x % p for x in decoder.entries[0]]], cols=decoder.cols)]
     cases = [code, blind] + [
         LinearCode(code.network, fld, code.rates, code.edge_functions, {("r", "a"): decoder})
@@ -830,7 +849,7 @@ def _random_decoders(net, code, rng):
         k = code.rates.message_dims[msg]
         if rng.random() < 0.5:
             continue
-        dec = _synthesize_decoder(transfer(node), select(msg))
+        dec = _synthesize_decoder(transfer[node], select(msg))
         width = node_input_width(net, code.rates, node)
         rows = [list(r) for r in dec.entries] if dec is not None else [
             [rng.randrange(code.field.p) for _ in range(width)] for _ in range(k)
@@ -910,7 +929,7 @@ def test_kernel_verdict_matches_the_rank_criterion(p):
                                   _random_decoders(net, code, rng))
             transfer, select = _transfer(net, code)
             for status in verify_solution(net, code).statuses:
-                t_matrix = transfer(status.receiver)
+                t_matrix = transfer[status.receiver]
                 decodable = rowspace_contains(t_matrix, select(status.message))
                 verdicts.add((decodable, (status.receiver, status.message) in code.decoders))
                 if decodable:
@@ -1533,6 +1552,76 @@ def test_mis_shaped_decoder_is_rejected_by_both_verifiers():
         verify_solution(net, bad)
     with pytest.raises(ValueError):
         verify_solution_exhaustive(net, bad)
+
+
+def _gf3_edge(net, code):
+    """The code with its first edge matrix moved to GF(3)."""
+    label, fn = next(iter(code.edge_functions.items()))
+    return LinearCode(code.network, code.field, code.rates, {
+        **code.edge_functions, label: mat(GF3, fn.entries, cols=fn.cols)
+    })
+
+
+def _key_out_of_range(net, code):
+    """The tabulated code with one edge table entry of 2^n, one past its keys."""
+    table = to_table_code(net, code)
+    label, fn = next(iter(table.edge_tables.items()))
+    bad = fn.copy()
+    bad[0] = table.alphabet**table.rates.edge_dim
+    return TableCode(table.network, table.alphabet, table.rates, {**table.edge_tables, label: bad})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(
+            lambda net, code: TableCode(code.network, 1, code.rates, {}),
+            ValueError, "alphabet size must be at least 2", id="alphabet-1",
+        ),
+        pytest.param(
+            lambda net, code: validate_code(builtin_network("vamos"), code),
+            ValueError, "code is for network 'fano', not 'vamos'", id="other-network",
+        ),
+        pytest.param(
+            lambda net, code: validate_code(net, LinearCode(
+                code.network, code.field, RateSpec({"a": 1}, 1), code.edge_functions
+            )),
+            ValueError, "rate spec does not cover the network messages", id="rates-short",
+        ),
+        pytest.param(
+            lambda net, code: validate_code(net, LinearCode(
+                code.network, code.field, code.rates, code.edge_functions,
+                {("R12", "a"): mat(GF2, [[0] * 3], cols=3)},
+            )),
+            ValueError, "decoder R12/a is not a demand of the network", id="decoder-not-demand",
+        ),
+        pytest.param(
+            lambda net, code: validate_code(net, _gf3_edge(net, code)),
+            ValueError, "edge 'w' matrix is over the wrong field", id="wrong-field",
+        ),
+        pytest.param(
+            lambda net, code: validate_code(net, _key_out_of_range(net, code)),
+            ValueError, "edge 'w' table has an output key out of range", id="key-out-of-range",
+        ),
+        pytest.param(
+            lambda net, code: verify_solution(net, to_table_code(net, code)),
+            TypeError, "verify_solution handles linear codes", id="verify-table-code",
+        ),
+        pytest.param(
+            lambda net, code: concatenate_codes([], net),
+            ValueError, "nothing to concatenate", id="concatenate-none",
+        ),
+        pytest.param(
+            lambda net, code: zero_fix(net, code, ["a", "q"]),
+            ValueError, r"unknown messages \['q'\]", id="zero-fix-unknown",
+        ),
+    ],
+)
+def test_codes_built_in_the_library_are_refused_with_a_message(call, error, message):
+    # none of these can come from a code file, whose loader checks first
+    net, code = _builtin("fano", "(1,1,1)", GF2)
+    with pytest.raises(error, match=message):
+        call(net, code)
 
 
 def test_rate_spec_validation():
