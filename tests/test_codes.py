@@ -1554,7 +1554,7 @@ def test_mis_shaped_decoder_is_rejected_by_both_verifiers():
         verify_solution_exhaustive(net, bad)
 
 
-def _gf3_edge(net, code):
+def _gf3_edge(code):
     """The code with its first edge matrix moved to GF(3)."""
     label, fn = next(iter(code.edge_functions.items()))
     return LinearCode(code.network, code.field, code.rates, {
@@ -1596,7 +1596,7 @@ def _key_out_of_range(net, code):
             ValueError, "decoder R12/a is not a demand of the network", id="decoder-not-demand",
         ),
         pytest.param(
-            lambda net, code: validate_code(net, _gf3_edge(net, code)),
+            lambda net, code: validate_code(net, _gf3_edge(code)),
             ValueError, "edge 'w' matrix is over the wrong field", id="wrong-field",
         ),
         pytest.param(
@@ -1618,7 +1618,8 @@ def _key_out_of_range(net, code):
     ],
 )
 def test_codes_built_in_the_library_are_refused_with_a_message(call, error, message):
-    # none of these can come from a code file, whose loader checks first
+    # these checks are reached only through the library: the code-file
+    # loader refuses a bad code first, with its own messages
     net, code = _builtin("fano", "(1,1,1)", GF2)
     with pytest.raises(error, match=message):
         call(net, code)
