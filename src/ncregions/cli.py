@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import codes as codes_mod
 from . import netmodel, rankineq, rateregion
@@ -32,19 +31,9 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _render(report: dict, fmt: str, text: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    return text
-
-
 def _message(exc: Exception) -> str:
     """An input error's text; a KeyError's without the quotes str() adds."""
     return exc.args[0] if isinstance(exc, KeyError) else str(exc)
-
-
-def _rate_strings(rates: dict[str, Fraction]) -> dict[str, str]:
-    return {m: frac_str(r) for m, r in rates.items()}
 
 
 def _achieve_field(network: str, cls: str) -> PrimeField:
@@ -144,7 +133,7 @@ def cmd_verify(args) -> tuple[int, dict, str]:
         "network": net.name,
         "mode": mode,
         "valid": rep.valid,
-        "rate_vector": _rate_strings(rep.rate_vector),
+        "rate_vector": {m: frac_str(r) for m, r in rep.rate_vector.items()},
         "demands": _demand_rows(rep),
     }
     if rep.assignments_checked is not None:
@@ -494,7 +483,9 @@ def main(argv: list[str] | None = None) -> int:
     except (KeyError, ValueError) as exc:  # the one boundary: malformed input
         print(f"error: {_message(exc)}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(_render(report, getattr(args, "format", "text"), text))
+    if getattr(args, "format", "text") == "json":
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    sys.stdout.write(text)
     return code
 
 

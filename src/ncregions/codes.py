@@ -924,10 +924,10 @@ class BuiltinCodeSpec:
     label: str
     characteristic: str  # even | odd | any
     region_classes: frozenset[str]
-    dims: tuple[tuple[str, int], ...]
+    dims: Mapping[str, int]
     edge_dim: int
-    edges: tuple[tuple[str, tuple[str, ...]], ...]
-    decoders: tuple[tuple[tuple[str, str], tuple[str, ...]], ...] = ()
+    edges: Mapping[str, Sequence[str]]
+    decoders: Mapping[tuple[str, str], Sequence[str]] | None
 
 
 @dataclass(frozen=True)
@@ -938,14 +938,12 @@ class BuiltinCode:
     code: LinearCode
 
 
-def _spec(char, classes, dims, n, edges, decoders=()):
+def _spec(char, classes, dims, n, edges, decoders=None):
     """A bundled code, made once its network's messages are known: its
     label is its rate vector, k_m/n for every message m."""
-    edges = tuple((k, tuple(v)) for k, v in edges.items())
-    decoders = tuple((k, tuple(v)) for k, v in decoders)
     return lambda messages: BuiltinCodeSpec(
         "(" + ",".join(str(Fraction(dims.get(m, 0), n)) for m in messages) + ")",
-        char, frozenset(classes), tuple(dims.items()), n, edges, decoders,
+        char, frozenset(classes), dims, n, edges, decoders,
     )
 
 
@@ -960,7 +958,7 @@ _GB = [
           {"x": ["a1"], "u": ["b1"], "v": ["0"], "y": ["u1"], "z": ["d1"]}),
     _spec("any", {"coding"}, {"b": 1, "c": 1}, 1,
           {"x": ["b1"], "u": ["b1"], "v": ["c1"], "y": ["u1+v1"], "z": ["c1"]},
-          decoders=[(("R5", "c"), ["y1-x1"]), (("R6", "b"), ["y1-z1"])]),
+          decoders={("R5", "c"): ["y1-x1"], ("R6", "b"): ["y1-z1"]}),
     _spec("any", {"coding", "routing"},
           {"a": 1, "b": 1, "c": 1, "d": 1}, 2,
           {"x": ["0", "a1"], "u": ["b1", "0"], "v": ["0", "c1"],
@@ -1002,10 +1000,10 @@ _FANO = [
 _NONFANO = [
     _spec("odd", {"coding"}, {"a": 1, "b": 1, "c": 1}, 1,
           {"w": ["a1+b1"], "x": ["a1+c1"], "y": ["b1+c1"], "z": ["a1+b1+c1"]},
-          decoders=[(("R12", "c"), ["z1-w1"]),
-                    (("R13", "b"), ["z1-x1"]),
-                    (("R14", "a"), ["z1-y1"]),
-                    (("R15", "c"), ["1/2*x1+1/2*y1-1/2*w1"])]),
+          decoders={("R12", "c"): ["z1-w1"],
+                    ("R13", "b"): ["z1-x1"],
+                    ("R14", "a"): ["z1-y1"],
+                    ("R15", "c"): ["1/2*x1+1/2*y1-1/2*w1"]}),
     _spec("any", {"coding", "linear-even"}, {"a": 2, "b": 2, "c": 1}, 2,
           {"w": ["a1", "b1"], "x": ["a1+c1", "a2"],
            "y": ["b1+c1", "b2"], "z": ["a1+b1+c1", "a2+b2"]}),
@@ -1076,14 +1074,7 @@ def instantiate_builtin(
     net: Network, spec: BuiltinCodeSpec, fld: PrimeField | None = None
 ) -> BuiltinCode:
     fld = fld or _DEFAULT_FIELD[spec.characteristic]
-    code = build_code(
-        net,
-        fld,
-        dict(spec.dims),
-        spec.edge_dim,
-        {label: list(f) for label, f in spec.edges},
-        {key: list(f) for key, f in spec.decoders},
-    )
+    code = build_code(net, fld, spec.dims, spec.edge_dim, spec.edges, spec.decoders)
     return BuiltinCode(spec.label, spec.characteristic, spec.region_classes, code)
 
 
@@ -1270,7 +1261,7 @@ def code_from_json(doc: dict, base_dir: str | Path | None = None) -> tuple[Netwo
         what = f"edge {label!r}"
         functions[label] = parse(entry, _tail(net, label), what, what, rates.edge_dim)
     decoders = {}
-    for key, entry in _json_typed(doc.get("decoders") or {}, dict, "decoders").items():
+    for key, entry in _json_typed(doc.get("decoders", {}), dict, "decoders").items():
         node, _, msg = key.partition("/")
         if (node, msg) not in net.demands:  # before its table's width is looked up
             raise ValueError(f"decoder {node}/{msg} is not a demand of the network")

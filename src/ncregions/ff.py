@@ -101,10 +101,6 @@ class PrimeFieldMatrix:
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.entries)
 
-    def __str__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self.entries)
-        return f"[{body}] over GF({self.field.p})"
-
 
 def mat(field: PrimeField, rows: Iterable[Sequence[int]], cols: int | None = None) -> PrimeFieldMatrix:
     """Build a matrix, reducing entries mod p.

@@ -7,10 +7,12 @@ inequality stored in slack orientation ``RHS - LHS >= 0`` is violated
 exactly when its value is negative.
 
 Four inequalities are bundled: ``ingleton`` and ``zhang-yeung`` (valid
-for subspace ranks over every field), and two characteristic-dependent
-inequalities, ``oddLRI`` (valid over odd characteristic, and over any
-field in ambient dimension <= 2) and ``evenLRI`` (the mirror claim for
-even characteristic).  Violation search supports three modes:
+for subspace ranks over every field, and built from rateregion's
+coefficient vectors, which the vamos transfer reads too), and two
+characteristic-dependent inequalities, ``oddLRI`` (valid over odd
+characteristic, and over any field in ambient dimension <= 2) and
+``evenLRI`` (the mirror claim for even characteristic).  Violation
+search supports three modes:
 
 - ``catalog``: try the bundled counterexample assignments;
 - ``exhaustive``: scan every assignment of enumerated subspaces to the
@@ -55,6 +57,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ff import PrimeField, PrimeFieldMatrix, mat_rank, mat_stack, mat
+from .rateregion import INGLETON_COEFFS, ZHANG_YEUNG_COEFFS, TransferCoefficients
 from .subspace import (
     SubspaceAssignment,
     SubspaceLattice,
@@ -175,21 +178,18 @@ def evaluate(expr: EntropyExpression, assign: SubspaceAssignment) -> Fraction:
 # ---------------------------------------------------------------------------
 # bundled inequalities (slack orientation: RHS - LHS, nonnegative iff valid)
 
-_INGLETON = expression([
-    i(-1, ["A"], ["B"]),
-    i(1, ["A"], ["B"], given=["C"]),
-    i(1, ["A"], ["B"], given=["D"]),
-    i(1, ["C"], ["D"]),
-])
+# a1..a10 of rateregion's TransferCoefficients, atom I(l;r|g) written "lrg".
+_TRANSFER_ATOMS = ("AB", "ABC", "ACB", "BCA", "ABD", "ADB", "BDA", "CD", "CDA", "CDB")
 
-_ZHANG_YEUNG = expression([
-    i(-1, ["A"], ["B"]),
-    i(2, ["A"], ["B"], given=["C"]),
-    i(1, ["A"], ["C"], given=["B"]),
-    i(1, ["B"], ["C"], given=["A"]),
-    i(1, ["A"], ["B"], given=["D"]),
-    i(1, ["C"], ["D"]),
-])
+
+def _transfer_slack(c: TransferCoefficients) -> EntropyExpression:
+    """a2 I(A;B|C) + ... + a10 I(C;D|B) - a1 I(A;B), zero terms left out."""
+    signed = zip((-c.a[0],) + c.a[1:], _TRANSFER_ATOMS)
+    return expression(i(a, atom[0], atom[1], given=atom[2:]) for a, atom in signed if a)
+
+
+_INGLETON = _transfer_slack(INGLETON_COEFFS)
+_ZHANG_YEUNG = _transfer_slack(ZHANG_YEUNG_COEFFS)
 
 _ODD_LRI = expression([
     h(-2, "A"), h(-1, "B"), h(-2, "C"),

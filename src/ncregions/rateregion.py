@@ -419,26 +419,21 @@ _VAMOS_ZY_PLANES = _VAMOS_SHANNON_PLANES + [
 ]
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    dim: int
-    planes: tuple
-    expected: tuple | None  # None: no cataloged vertex list
-
-
-_CATALOG: dict[tuple[str, str], RegionSpec] = {
-    ("gbutterfly", "coding"): RegionSpec(4, tuple(_GB_CODING_PLANES), tuple(_GB_CODING_VERTS)),
-    ("gbutterfly", "routing"): RegionSpec(4, tuple(_GB_ROUTING_PLANES), tuple(_GB_ROUTING_VERTS)),
-    ("fano", "coding"): RegionSpec(3, tuple(_FANO_CODING_PLANES), tuple(_FANO_CODING_VERTS)),
-    ("fano", "linear-odd"): RegionSpec(3, tuple(_FANO_ODD_PLANES), tuple(_FANO_ODD_VERTS)),
-    ("fano", "routing"): RegionSpec(3, tuple(_FANO_ROUTING_PLANES), tuple(_FANO_ROUTING_VERTS)),
-    ("nonfano", "coding"): RegionSpec(3, tuple(_NONFANO_CODING_PLANES), tuple(_NONFANO_CODING_VERTS)),
-    ("nonfano", "linear-even"): RegionSpec(3, tuple(_NONFANO_EVEN_PLANES), tuple(_NONFANO_EVEN_VERTS)),
-    ("nonfano", "routing"): RegionSpec(3, tuple(_NONFANO_ROUTING_PLANES), tuple(_NONFANO_ROUTING_VERTS)),
-    ("vamos", "routing"): RegionSpec(4, tuple(_VAMOS_ROUTING_PLANES), tuple(_VAMOS_ROUTING_VERTS)),
-    ("vamos", "shannon-outer"): RegionSpec(4, tuple(_VAMOS_SHANNON_PLANES), tuple(_VAMOS_SHANNON_VERTS)),
-    ("vamos", "linear"): RegionSpec(4, tuple(_VAMOS_LINEAR_PLANES), tuple(_VAMOS_LINEAR_VERTS)),
-    ("vamos", "zy-outer"): RegionSpec(4, tuple(_VAMOS_ZY_PLANES), None),
+# Each (network, class): its planes and its expected vertices, None where
+# no reference vertex list is cataloged.
+_CATALOG: dict[tuple[str, str], tuple[list, list | None]] = {
+    ("gbutterfly", "coding"): (_GB_CODING_PLANES, _GB_CODING_VERTS),
+    ("gbutterfly", "routing"): (_GB_ROUTING_PLANES, _GB_ROUTING_VERTS),
+    ("fano", "coding"): (_FANO_CODING_PLANES, _FANO_CODING_VERTS),
+    ("fano", "linear-odd"): (_FANO_ODD_PLANES, _FANO_ODD_VERTS),
+    ("fano", "routing"): (_FANO_ROUTING_PLANES, _FANO_ROUTING_VERTS),
+    ("nonfano", "coding"): (_NONFANO_CODING_PLANES, _NONFANO_CODING_VERTS),
+    ("nonfano", "linear-even"): (_NONFANO_EVEN_PLANES, _NONFANO_EVEN_VERTS),
+    ("nonfano", "routing"): (_NONFANO_ROUTING_PLANES, _NONFANO_ROUTING_VERTS),
+    ("vamos", "routing"): (_VAMOS_ROUTING_PLANES, _VAMOS_ROUTING_VERTS),
+    ("vamos", "shannon-outer"): (_VAMOS_SHANNON_PLANES, _VAMOS_SHANNON_VERTS),
+    ("vamos", "linear"): (_VAMOS_LINEAR_PLANES, _VAMOS_LINEAR_VERTS),
+    ("vamos", "zy-outer"): (_VAMOS_ZY_PLANES, None),
 }
 
 # The general nonlinear region coincides with a linear class on three of
@@ -472,10 +467,8 @@ def builtin_region(network: str, region_class: str) -> tuple[HRep, VRep]:
     The expected VRep is empty for (vamos, zy-outer), where no reference
     vertex list is cataloged.
     """
-    spec = _CATALOG[network, canonical_class(network, region_class)]
-    h = hrep(spec.dim, spec.planes)
-    expected = vrep(spec.expected) if spec.expected is not None else VRep(())
-    return h, expected
+    planes, expected = _CATALOG[network, canonical_class(network, region_class)]
+    return hrep(len(planes[0][0]), planes), vrep(expected or ())
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +562,7 @@ def transfer_vamos(c: TransferCoefficients) -> VamosBound:
 
 
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return str(Fraction(x))
 
 
 def parse_fraction(s: str) -> Fraction:

@@ -392,6 +392,20 @@ def test_verify_table_with_a_zero_rate_decoder(tmp_path, capsys):
     assert (code, err) == (0, "") and out.endswith("valid: yes\n")
 
 
+@pytest.mark.parametrize(
+    "value, kind",
+    [([], "a list"), (0, "an integer"), (False, "a boolean"), ("", "a string"), (None, "null")],
+)
+def test_verify_falsy_decoders_are_refused(tmp_path, capsys, value, kind):
+    # a present decoders field that is not an object is malformed, falsy or not
+    doc = json.loads((DATA_DIR / "codes" / "fano_111_gf2.json").read_text())
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({**doc, "decoders": value}))
+    assert run(capsys, "verify", str(path)) == (
+        2, "", f"error: cannot load code file: decoders must be an object, not {kind}\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # achieve
 

@@ -34,6 +34,7 @@ from ncregions.rankineq import (
     _slack_program,
     _term_tables,
 )
+from ncregions.rateregion import transfer_coefficients
 from ncregions.subspace import (
     assignment,
     count_subspaces,
@@ -92,6 +93,51 @@ def test_builtin_term_shapes():
 
     with pytest.raises(KeyError):
         builtin_inequality("frankl")
+
+
+# Ingleton and Zhang-Yeung written out atom by atom, in slack orientation:
+# the reference for the expressions built from their transfer coefficients.
+_REFERENCE = {
+    "ingleton": expression([
+        i(-1, ["A"], ["B"]),
+        i(1, ["A"], ["B"], given=["C"]),
+        i(1, ["A"], ["B"], given=["D"]),
+        i(1, ["C"], ["D"]),
+    ]),
+    "zhang-yeung": expression([
+        i(-1, ["A"], ["B"]),
+        i(2, ["A"], ["B"], given=["C"]),
+        i(1, ["A"], ["C"], given=["B"]),
+        i(1, ["B"], ["C"], given=["A"]),
+        i(1, ["A"], ["B"], given=["D"]),
+        i(1, ["C"], ["D"]),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE))
+def test_four_variable_inequalities_match_their_atoms(name):
+    expr = builtin_inequality(name)
+    assert expr == _REFERENCE[name]
+    assert canonicalize(expr) == canonicalize(_REFERENCE[name])
+
+
+def test_transfer_slack_reads_every_coefficient_in_its_slot():
+    # a1..a10 = 1..10: each slot's atom appears once, with its own weight,
+    # including a6, a7, a9 and a10, which Ingleton and Zhang-Yeung leave at 0
+    expr = rankineq_mod._transfer_slack(transfer_coefficients(range(1, 11)))
+    assert expr == expression([
+        i(-1, ["A"], ["B"]),
+        i(2, ["A"], ["B"], given=["C"]),
+        i(3, ["A"], ["C"], given=["B"]),
+        i(4, ["B"], ["C"], given=["A"]),
+        i(5, ["A"], ["B"], given=["D"]),
+        i(6, ["A"], ["D"], given=["B"]),
+        i(7, ["B"], ["D"], given=["A"]),
+        i(8, ["C"], ["D"]),
+        i(9, ["C"], ["D"], given=["A"]),
+        i(10, ["C"], ["D"], given=["B"]),
+    ])
 
 
 def test_violations_of_the_characteristic_dependent_inequalities():
