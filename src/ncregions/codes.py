@@ -50,7 +50,7 @@ from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from pathlib import Path
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -1157,9 +1157,34 @@ def _permute_columns(
     return [[row[c] for c in cols] if len(row) == len(cols) else row for row in matrix_rows]
 
 
+class _Table(NamedTuple):
+    """A table's distinct lines in first-occurrence order, and each of
+    its entries' position among them."""
+
+    lines: list[str]
+    index: np.ndarray
+
+
+def _compact_table(obj: dict) -> dict:
+    """``json.loads`` object hook: a ``"table"`` that is a list of strings
+    becomes a :class:`_Table` as soon as its object closes, so a parsed
+    document holds the strings of one table at a time.  Any other value
+    is left for the parser to refuse."""
+    table = obj.get("table")
+    if type(table) is list and all(type(line) is str for line in table):
+        positions = dict.fromkeys(table)
+        for i, line in enumerate(positions):
+            positions[line] = i
+        index = np.fromiter(
+            map(positions.__getitem__, table), _compact(len(positions), np.int64), len(table)
+        )
+        obj["table"] = _Table(list(positions), index)
+    return obj
+
+
 _JSON_TYPE_NAMES = {
     dict: "an object", list: "a list", str: "a string", int: "an integer",
-    float: "a number", bool: "a boolean", type(None): "null",
+    float: "a number", bool: "a boolean", type(None): "null", _Table: "a list",
 }
 
 
@@ -1189,13 +1214,26 @@ def _json_list(value, kind: type, what: str) -> list:
     return value
 
 
-def code_from_json(doc: dict, base_dir: str | Path | None = None) -> tuple[Network, Code]:
-    """Materialize a code and the network it names from the JSON document."""
+def write_code_file(path: str | Path, net: Network, code: Code) -> None:
+    Path(path).write_text(json.dumps(code_to_json(net, code), indent=2, sort_keys=True) + "\n")
+
+
+def read_code_file(path: str | Path) -> tuple[Network, Code]:
+    """Materialize a code and the network it names from a JSON code file.
+
+    Each table is cut to its distinct lines and an index as its JSON
+    object closes, so a load holds the file's text plus its largest
+    table, not every table's lines at once."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text(), object_hook=_compact_table)
+    except RecursionError:
+        raise ValueError("JSON is nested too deeply to parse") from None
     _json_typed(doc, dict, "a code file")
     if "network_file" in doc:
         net_path = Path(_json_typed(doc["network_file"], str, "network_file"))
-        if base_dir is not None and not net_path.is_absolute():
-            net_path = Path(base_dir) / net_path
+        if not net_path.is_absolute():
+            net_path = path.parent / net_path
         name = _json_typed(doc.get("network", "custom"), str, "network")
         net = parse_network(net_path.read_text(), name=name)
     else:
@@ -1236,11 +1274,13 @@ def code_from_json(doc: dict, base_dir: str | Path | None = None) -> tuple[Netwo
             raise ValueError(
                 f"table inputs {inputs} must be listed in the node's input order {names}"
             )
-        table = _json_list(entry.get("table", _MISSING), str, f"{what} table")
+        table = entry.get("table", _MISSING)
+        if type(table) is not _Table:  # the hook compacts every list of strings
+            _json_list(table, str, f"{what} table")  # so this raises
         if power_exceeds(alphabet, out_width, 2**63 - 1):  # keys are int64
             raise ValueError(f"{slot} table outputs ({alphabet}^{out_width} values) are too wide")
-        keys = dict.fromkeys(table)  # each distinct line, decoded once to its key
-        for line in keys:
+        keys = []  # each distinct line, decoded once to its key
+        for line in table.lines:
             if not set(line).issubset(_DIGITS):
                 raise ValueError(f"{what} table line {line!r} is not digits and lowercase letters")
             if len(line) != out_width:
@@ -1250,9 +1290,9 @@ def code_from_json(doc: dict, base_dir: str | Path | None = None) -> tuple[Netwo
                 if symbol >= alphabet:
                     raise ValueError(f"{slot} table has a symbol outside the alphabet")
                 key = key * alphabet + symbol
-            keys[line] = key
+            keys.append(key)
         dtype = _compact(alphabet**out_width, np.int64)  # as the verifier gathers from it
-        return np.fromiter(map(keys.__getitem__, table), dtype=dtype, count=len(table))
+        return np.array(keys, dtype).take(table.index)
 
     functions = {}
     for label, entry in _json_typed(doc.get("edges", _MISSING), dict, "edges").items():
@@ -1274,13 +1314,3 @@ def code_from_json(doc: dict, base_dir: str | Path | None = None) -> tuple[Netwo
     )
     validate_code(net, code)
     return net, code
-
-
-def write_code_file(path: str | Path, net: Network, code: Code) -> None:
-    Path(path).write_text(json.dumps(code_to_json(net, code), indent=2, sort_keys=True) + "\n")
-
-
-def read_code_file(path: str | Path) -> tuple[Network, Code]:
-    path = Path(path)
-    doc = json.loads(path.read_text())
-    return code_from_json(doc, base_dir=path.parent)

@@ -243,6 +243,16 @@ def test_verify_non_object_document_exits_two(tmp_path, capsys):
     _assert_one_error_line(err)
 
 
+@pytest.mark.parametrize("opening, closing", [("[", "]"), ('{"a":', "}")], ids=["arrays", "objects"])
+def test_verify_deeply_nested_document_exits_two(tmp_path, capsys, opening, closing):
+    # far past the depth to which the interpreter lets json.loads recurse
+    path = tmp_path / "deep.json"
+    path.write_text(opening * 100_000 + "1" + closing * 100_000)
+    assert run(capsys, "verify", str(path)) == (
+        2, "", "error: cannot load code file: JSON is nested too deeply to parse\n"
+    )
+
+
 def test_verify_input_keys_too_wide_exits_two_quickly(tmp_path, capsys):
     # 2 assignments, but the receiver joins two 31-symbol edges: 2^62 keys
     (tmp_path / "wide.net").write_text("message a@s\nedge e1 s r\nedge e2 s r\ndemand r a\n")

@@ -716,20 +716,26 @@ def test_exhaustive_matches_the_reference_on_a_label_read_by_a_relay_and_a_recei
             assert verify_solution_exhaustive(net, code) == _reference_exhaustive(net, code)
 
 
-def _traced_peak_per_assignment(net, code, guard=DEFAULT_ENUMERATION_GUARD) -> float:
-    """Bytes traced at the peak of one exhaustive verification, per
-    assignment."""
+def _traced_peak(fn, *args):
+    """``fn(*args)`` and the bytes traced at its peak, above those traced
+    before the call."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
     try:
         tracemalloc.reset_peak()
         before = tracemalloc.get_traced_memory()[0]
-        report = verify_solution_exhaustive(net, code, guard)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def _traced_peak_per_assignment(net, code, guard=DEFAULT_ENUMERATION_GUARD) -> float:
+    """Bytes traced at the peak of one exhaustive verification, per
+    assignment."""
+    report, peak = _traced_peak(verify_solution_exhaustive, net, code, guard)
     return peak / report.assignments_checked
 
 
@@ -1470,21 +1476,41 @@ def test_code_file_refuses_a_long_row_in_either_input_order(tmp_path, inputs):
 
 
 @pytest.mark.parametrize(
-    "mutate",
+    "mutate, error",
     [
         # w = a + b over GF(2) tabulates as ["0", "1", "1", "0"]
-        lambda d: d["edges"]["w"].update(table=["0", "z", "3", "0"]),
-        lambda d: d["edges"]["w"].update(table=["0", "1", "1", "2"]),
-        lambda d: d["edges"]["w"].update(table=["0", "1", "1"]),
-        lambda d: d["edges"]["w"].update(table=["00", "1", "1", "0"]),
-        lambda d: d.update(decoders={"R12/a": {"inputs": ["a", "x"], "table": ["0", "1", "1", "0"]}}),
-        lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["0", "1", "1"]}}),
-        lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["00", "11", "11", "00"]}}),
-        lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["0", "1", "1", "2"]}}),
-        lambda d: d["edges"]["w"].update(inputs=["b", "a"]),  # out of layout order
+        (lambda d: d["edges"]["w"].update(table=["0", "z", "3", "0"]),
+         "edge 'w' table has a symbol outside the alphabet"),
+        (lambda d: d["edges"]["w"].update(table=["0", "1", "1", "2"]),
+         "edge 'w' table has a symbol outside the alphabet"),
+        (lambda d: d["edges"]["w"].update(table=["0", "1", "1"]),
+         "edge 'w' table has wrong domain size"),
+        (lambda d: d["edges"]["w"].update(table=["00", "1", "1", "0"]),
+         "edge 'w' table has wrong output width"),
+        (lambda d: d.update(decoders={"R12/a": {"inputs": ["a", "x"], "table": ["0", "1", "1", "0"]}}),
+         "decoder R12/a is not a demand of the network"),
+        (lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["0", "1", "1"]}}),
+         "decoder R12/c table has wrong domain size"),
+        (lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["00", "11", "11", "00"]}}),
+         "decoder R12/c table has wrong output width"),
+        (lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": ["0", "1", "1", "2"]}}),
+         "decoder R12/c table has a symbol outside the alphabet"),
+        (lambda d: d["edges"]["w"].update(inputs=["b", "a"]),  # out of layout order
+         "table inputs ['b', 'a'] must be listed in the node's input order ['a', 'b']"),
+        # the first bad line after many repeats of good ones is named
+        (lambda d: d["edges"]["w"].update(table=["0", "1"] * 1000 + ["!", "?"]),
+         "edge 'w' table line '!' is not digits and lowercase letters"),
+        (lambda d: d["edges"]["w"].update(table=[]), "edge 'w' table has wrong domain size"),
+        (lambda d: d.update(decoders={"R12/c": {"inputs": ["a", "x"], "table": []}}),
+         "decoder R12/c table has wrong domain size"),
+    ],
+    ids=[
+        "symbol-z", "symbol-2", "short", "wide-line", "not-a-demand", "decoder-short",
+        "decoder-wide", "decoder-symbol-2", "inputs-order", "bad-line-after-repeats",
+        "empty", "decoder-empty",
     ],
 )
-def test_table_code_file_rejects_malformed_tables(tmp_path, mutate):
+def test_table_code_file_rejects_malformed_tables(tmp_path, mutate, error):
     net, code = _builtin("fano", "(1,1,1)", GF2)
     path = tmp_path / "t.json"
     write_code_file(path, net, to_table_code(net, code))
@@ -1492,21 +1518,55 @@ def test_table_code_file_rejects_malformed_tables(tmp_path, mutate):
     assert doc["edges"]["w"]["table"] == ["0", "1", "1", "0"]
     mutate(doc)
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as raised:
         read_code_file(path)
+    assert str(raised.value) == error
 
 
-@pytest.mark.parametrize("line", [1, None, ["1"]])
+@pytest.mark.parametrize("line", [1, None, ["1"], {"table": ["1"]}])
 def test_table_code_file_names_a_table_line_that_is_not_a_string(tmp_path, line):
+    # after many copies of the good lines, the first entry that is not a
+    # string is named, even when it holds a table of its own
     net, code = _builtin("fano", "(1,1,1)", GF2)
     doc = code_to_json(net, to_table_code(net, code))
-    doc["edges"]["w"]["table"][2] = line
+    doc["edges"]["w"]["table"] = doc["edges"]["w"]["table"] * 1000 + ["0", "1", line, 2.5]
     path = tmp_path / "t.json"
     path.write_text(json.dumps(doc))
-    kind = {int: "an integer", type(None): "null", list: "a list"}[type(line)]
+    kind = {int: "an integer", type(None): "null", list: "a list", dict: "an object"}[type(line)]
     with pytest.raises(ValueError) as raised:
         read_code_file(path)
     assert str(raised.value) == f"an entry of edge 'w' table must be a string, not {kind}"
+
+
+@pytest.mark.parametrize("table", [["0", "1", "1", "0"], ["!"], [1], "0110"])
+def test_linear_code_file_ignores_a_table_key(tmp_path, table):
+    net, code = _builtin("fano", "(1,1,1)", GF2)
+    doc = code_to_json(net, code)
+    doc["edges"]["w"]["table"] = table
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert read_code_file(path) == (net, code)
+
+
+def test_table_code_file_loads_in_its_text_plus_one_table(tmp_path):
+    # four equal tables of 2^12 lines, 16 of them distinct: each table is
+    # cut to its distinct lines as its JSON object closes, so a load never
+    # holds two tables' lines at once
+    net = builtin_network("vamos")
+    code = _random_linear_code(net, GF2, dict.fromkeys(net.messages, 3), 4, random.Random(5))
+    table_code = to_table_code(net, code)
+    path = tmp_path / "t.json"
+    write_code_file(path, net, table_code)
+    text = path.read_text()
+    tables = [entry["table"] for entry in json.loads(text)["edges"].values()]
+    assert [len(table) for table in tables] == [2**12] * 4
+    one_table = json.dumps(tables[0])
+    del tables
+    _, table_peak = _traced_peak(json.loads, one_table)
+    (_, loaded), load_peak = _traced_peak(read_code_file, path)
+    for label, keys in table_code.edge_tables.items():
+        assert np.array_equal(loaded.edge_tables[label], keys)
+    assert load_peak < len(text) + 2 * table_peak
 
 
 def test_zero_rate_decoder_tabulates_to_zero_keys_and_round_trips(tmp_path):
