@@ -1549,9 +1549,9 @@ def test_linear_code_file_ignores_a_table_key(tmp_path, table):
 
 
 def test_table_code_file_loads_in_its_text_plus_one_table(tmp_path):
-    # four equal tables of 2^12 lines, 16 of them distinct: each table is
-    # cut to its distinct lines as its JSON object closes, so a load never
-    # holds two tables' lines at once
+    # four equal tables of 2^12 lines, at most 16 of them distinct: each
+    # table is cut to its distinct lines as its JSON object closes, so a
+    # load never holds two tables' lines at once
     net = builtin_network("vamos")
     code = _random_linear_code(net, GF2, dict.fromkeys(net.messages, 3), 4, random.Random(5))
     table_code = to_table_code(net, code)
