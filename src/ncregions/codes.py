@@ -120,28 +120,44 @@ class LinearCode:
     edge_functions: dict[str, PrimeFieldMatrix]
     decoders: dict[tuple[str, str], PrimeFieldMatrix] = dc_field(default_factory=dict)
 
+    @property
+    def alphabet(self) -> int:
+        return self.field.p
+
 
 @dataclass(frozen=True)
 class TableCode:
     """Lookup-table code over an arbitrary alphabet {0, ..., A-1}.
 
-    ``edge_tables[label]`` is a read-only integer array, uint8 or uint16
-    where the keys fit, whose entry i is the radix-A key of the output
-    for input key i, first symbol most significant.  Decoder tables are
+    ``edge_functions[label]`` is a read-only integer array, uint8 or
+    uint16 where the keys fit, whose entry i is the radix-A key of the
+    output for input key i, first symbol most significant.  Decoders are
     keyed the same way over the receiver's input symbols.
     """
 
     network: str
     alphabet: int
     rates: RateSpec
-    edge_tables: dict[str, np.ndarray]
-    decoder_tables: dict[tuple[str, str], np.ndarray] = dc_field(default_factory=dict)
+    edge_functions: dict[str, np.ndarray]
+    decoders: dict[tuple[str, str], np.ndarray] = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.alphabet < 2:
             raise ValueError("alphabet size must be at least 2")
-        for table in [*self.edge_tables.values(), *self.decoder_tables.values()]:
+        for table in [*self.edge_functions.values(), *self.decoders.values()]:
             table.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        tables = ((self.edge_functions, other.edge_functions), (self.decoders, other.decoders))
+        return (self.network, self.alphabet, self.rates) == (
+            other.network, other.alphabet, other.rates
+        ) and all(
+            mine.keys() == theirs.keys()
+            and all(np.array_equal(table, theirs[key]) for key, table in mine.items())
+            for mine, theirs in tables
+        )
 
 
 Code = LinearCode | TableCode
@@ -224,17 +240,16 @@ def _joined(net: Network) -> dict[str, None]:
     return dict.fromkeys([e.tail for e in net.edges] + [node for node, _ in net.demands])
 
 
-def _propagate(net: Network, message_value, apply_edge, concat, visit) -> None:
+def _propagate(net: Network, concat, apply_edge, visit) -> None:
     """Push values through the network once, in topological order.
 
     A node's inputs are ``concat`` of its blocks in :func:`_input_layout`
-    order, ``message_value(name)`` for a message and the label's value
-    for an in-edge, joined once for every tail and receiver.  A
-    receiver's inputs go to ``visit(node, inputs)`` as soon as they are
-    joined, before its own labels are applied.  Each label carries
-    ``apply_edge(label, inputs)`` of its tail's inputs, computed once for
-    all of its edges, and is dropped once the last tail or receiver that
-    reads it has joined it.
+    order, a message as its name and an in-edge as its label's value,
+    joined once for every tail and receiver.  A receiver's inputs go to
+    ``visit(node, inputs)`` as soon as they are joined, before its own
+    labels are applied.  Each label carries ``apply_edge(label, inputs)``
+    of its tail's inputs, computed once for all of its edges, and is
+    dropped once the last tail or receiver that reads it has joined it.
     """
     joined = _joined(net)
     receivers = {node for node, _ in net.demands}
@@ -244,10 +259,7 @@ def _propagate(net: Network, message_value, apply_edge, concat, visit) -> None:
     for node in topological_order(net):
         if node not in joined:
             continue
-        inputs = concat(
-            [message_value(m) for m in net.attached(node)]
-            + [values[e.label] for e in net.in_edges(node)]
-        )
+        inputs = concat([*net.attached(node), *(values[e.label] for e in net.in_edges(node))])
         for e in net.in_edges(node):
             unread[e.label] -= 1
             if not unread[e.label]:
@@ -259,20 +271,12 @@ def _propagate(net: Network, message_value, apply_edge, concat, visit) -> None:
         del inputs  # free them before the next node joins its own
 
 
-def _functions(code: Code) -> tuple[dict, dict]:
-    """The edge functions and the decoders of a linear or table code."""
-    if isinstance(code, LinearCode):
-        return code.edge_functions, code.decoders
-    return code.edge_tables, code.decoder_tables
-
-
 def _function_slots(net: Network, code: Code):
     """(description, function, input node, output width) of every edge
     function and decoder of a code."""
-    functions, decoders = _functions(code)
-    for label, fn in functions.items():
+    for label, fn in code.edge_functions.items():
         yield f"edge {label!r}", fn, _tail(net, label), code.rates.edge_dim
-    for (node, msg), fn in decoders.items():
+    for (node, msg), fn in code.decoders.items():
         yield f"decoder {node}/{msg}", fn, node, code.rates.message_dims[msg]
 
 
@@ -282,11 +286,10 @@ def validate_code(net: Network, code: Code) -> None:
     if set(code.rates.message_dims) != set(net.messages):
         raise ValueError("rate spec does not cover the network messages")
     linear = isinstance(code, LinearCode)
-    functions, decoders = _functions(code)
     for label in net.coded_labels():
-        if label not in functions:
+        if label not in code.edge_functions:
             raise ValueError(f"no function for coded edge {label!r}")
-    for node, msg in decoders:
+    for node, msg in code.decoders:
         if (node, msg) not in net.demands:
             raise ValueError(f"decoder {node}/{msg} is not a demand of the network")
     for what, fn, node, out_width in _function_slots(net, code):
@@ -312,7 +315,7 @@ def validate_code(net: Network, code: Code) -> None:
 def _transfer(net: Network, code: LinearCode):
     """``transfer[node]``: the matrix from the full message vector to a
     receiver's inputs, kept as the walk joins the receiver;
-    ``select(msg)``: the selector of one message.
+    ``select[msg]``: the selector of one message.
 
     Refused before any matrix is built when the matrices of every tail
     and receiver together would exceed ``TRANSFER_ENTRY_GUARD`` entries.
@@ -326,18 +329,20 @@ def _transfer(net: Network, code: LinearCode):
             f"transfer matrices of {rows} input symbols by {total} message symbols "
             f"exceed the guard of {TRANSFER_ENTRY_GUARD} entries"
         )
-    offsets = _offsets(_message_layout(net, rates))
+    select = {
+        msg: mat(fld, [[int(j == start + i) for j in range(total)] for i in range(width)], cols=total)
+        for msg, (start, width) in _offsets(_message_layout(net, rates)).items()
+    }
 
-    def select(msg: str) -> PrimeFieldMatrix:
-        start, width = offsets[msg]
-        return mat(fld, [[int(j == start + i) for j in range(total)] for i in range(width)], cols=total)
+    def concat(blocks) -> PrimeFieldMatrix:  # a message's block is its name
+        blocks = [select[b] if isinstance(b, str) else b for b in blocks]
+        return mat_stack(*blocks) if blocks else mat_zeros(fld, 0, total)
 
     transfer = {}
     _propagate(
         net,
-        select,
+        concat,
         lambda label, inputs: mat_mul(code.edge_functions[label], inputs),
-        lambda blocks: mat_stack(*blocks) if blocks else mat_zeros(fld, 0, total),
         transfer.__setitem__,
     )
     return transfer, select
@@ -383,11 +388,10 @@ def verify_solution(net: Network, code: LinearCode) -> VerificationReport:
         if row is not None:
             failures[(node, msg)] = "demand is not a function of the receiver inputs", row
         elif (node, msg) in code.decoders:
-            sel = select(msg)
             product = mat_mul(code.decoders[(node, msg)], transfer[node])
-            if product != sel:
+            if product != select[msg]:
                 # the unit assignment of the first message symbol it gets wrong
-                j = next(j for j in range(total) if product.column(j) != sel.column(j))
+                j = next(j for j in range(total) if product.column(j) != select[msg].column(j))
                 unit = [int(i == j) for i in range(total)]
                 failures[(node, msg)] = "supplied decoder does not reproduce the demand", unit
     return _report(net, code, failures)
@@ -395,10 +399,6 @@ def verify_solution(net: Network, code: LinearCode) -> VerificationReport:
 
 # ---------------------------------------------------------------------------
 # exhaustive verification (brute force over all message assignments)
-
-
-def _alphabet_size(code: Code) -> int:
-    return code.field.p if isinstance(code, LinearCode) else code.alphabet
 
 
 def _reduce(values: np.ndarray, modulus: int) -> None:
@@ -471,7 +471,7 @@ def _tabulate(code: Code, fn, out_width: int, count: int, dtype, lookups: dict):
     :func:`_linear_table`, in uint8 or uint16 where they fit, or for a
     linear function whose table would outgrow the ``count`` assignments,
     a sum over each key's digits, one output symbol and digit at a time."""
-    base = _alphabet_size(code)
+    base = code.alphabet
     if isinstance(code, TableCode):
         return fn.astype(_compact(base**out_width, dtype), copy=False).take
     width = fn.cols
@@ -523,7 +523,7 @@ def verify_solution_exhaustive(
     """
     validate_code(net, code)
     rates = code.rates
-    base = _alphabet_size(code)
+    base = code.alphabet
     total = rates.total_message_width
     if power_exceeds(base, total, guard):
         raise GuardExceededError(
@@ -566,20 +566,18 @@ def verify_solution_exhaustive(
         start, k = local[msg]
         return keys.reshape(base**start, base**k, -1), ramps[msg]
 
-    def concat(blocks):  # a message's block is its name, a label's its keys
-        key, width = np.zeros(size, dtype), 0
-        for block in blocks:
+    def concat(blocks) -> np.ndarray:  # a message's block is its name, a label's its keys
+        key = np.zeros(size, dtype)
+        for i, block in enumerate(blocks):
             message = isinstance(block, str)
-            block_width = offsets[block][1] if message else rates.edge_dim
-            if width:
-                key *= base**block_width
+            if i:
+                key *= base ** (offsets[block][1] if message else rates.edge_dim)
             if message:
                 view, ramp = by_message(key, block)
                 view += ramp
             else:
                 key += block
-            width += block_width
-        return key, width
+        return key
 
     def first_differing(keys: np.ndarray, msg: str) -> int | None:
         """The first assignment whose ``keys`` differ from its key of ``msg``."""
@@ -587,22 +585,21 @@ def verify_solution_exhaustive(
         bad = view != ramp
         return first_index + int(bad.argmax()) if bad.any() else None
 
-    functions, decoders = _functions(code)
     lookups = {}
     gathers = {
         label: _tabulate(code, fn, rates.edge_dim, count, dtype, lookups)
-        for label, fn in functions.items()
+        for label, fn in code.edge_functions.items()
     }
     decoding: dict[str, list] = {}  # receiver -> (message, decode) of its decoders
     demanded: dict[str, list[str]] = {}  # receiver -> its demands without a decoder
     for node, msg in net.demands:
         if not offsets[msg][1]:
             continue
-        if (node, msg) in decoders:
-            decode = _tabulate(code, decoders[(node, msg)], offsets[msg][1], count, dtype, lookups)
-            decoding.setdefault(node, []).append((msg, decode))
-        else:
+        if (node, msg) not in code.decoders:
             demanded.setdefault(node, []).append(msg)
+            continue
+        decode = _tabulate(code, code.decoders[node, msg], offsets[msg][1], count, dtype, lookups)
+        decoding.setdefault(node, []).append((msg, decode))
     lookups.clear()
     # Each assignment is compared with the first one that gives the
     # receiver the same inputs: first[v] is the first assignment so far
@@ -618,8 +615,7 @@ def verify_solution_exhaustive(
     failures = {}  # (receiver, message) -> (reason, first failing assignment)
     conflict = "two assignments share receiver inputs but differ in the demand"
 
-    def check(node: str, inputs) -> None:
-        key, _ = inputs
+    def check(node: str, key: np.ndarray) -> None:
         for msg, decode in decoding.get(node, ()):
             if (node, msg) not in failures:
                 a = first_differing(decode(key), msg)
@@ -650,9 +646,7 @@ def verify_solution_exhaustive(
         for msg, (start, k) in offsets.items():
             constant = first_index // base ** (total - start - k) % base**k
             ramps[msg] = np.arange(constant, constant + base ** local[msg][1], dtype=dtype)[:, None]
-        _propagate(
-            net, lambda msg: msg, lambda label, inputs: gathers[label](inputs[0]), concat, check
-        )
+        _propagate(net, concat, lambda label, key: gathers[label](key), check)
     gathers.clear()
     firsts.clear()
 
@@ -808,11 +802,11 @@ def to_table_code(net: Network, code: LinearCode) -> TableCode:
     the exhaustive verifier's table builder."""
     validate_code(net, code)
     lookups = {}
-    edge_tables, decoder_tables = (
-        {key: _linear_table(m, code.field.p**m.cols, np.int64, lookups) for key, m in fns.items()}
-        for fns in _functions(code)
+    edge_functions, decoders = (
+        {key: _linear_table(m, code.alphabet**m.cols, np.int64, lookups) for key, m in fns.items()}
+        for fns in (code.edge_functions, code.decoders)
     )
-    return TableCode(code.network, code.field.p, code.rates, edge_tables, decoder_tables)
+    return TableCode(code.network, code.alphabet, code.rates, edge_functions, decoders)
 
 
 # ---------------------------------------------------------------------------
@@ -1129,13 +1123,14 @@ def code_to_json(net: Network, code: Code) -> dict:
     def entry(node: str, fn, width: int) -> dict:
         return {"inputs": [name for name, _ in _input_layout(net, rates, node)], kind: dump(fn, width)}
 
-    functions, decoders = _functions(code)
     n = rates.edge_dim
-    doc["edges"] = {label: entry(_tail(net, label), fn, n) for label, fn in functions.items()}
-    if decoders:
+    doc["edges"] = {
+        label: entry(_tail(net, label), fn, n) for label, fn in code.edge_functions.items()
+    }
+    if code.decoders:
         doc["decoders"] = {
             f"{node}/{msg}": entry(node, fn, rates.message_dims[msg])
-            for (node, msg), fn in decoders.items()
+            for (node, msg), fn in code.decoders.items()
         }
     return doc
 

@@ -17,7 +17,7 @@ vertices it can hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable, Sequence
@@ -301,6 +301,92 @@ def average_capacity(h: HRep) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
+# transfer of four-variable inequalities to vamos rate bounds
+
+
+@dataclass(frozen=True)
+class TransferCoefficients:
+    """Coefficients a1..a10 of a four-variable inequality of the shape
+
+        a1 I(A;B) <= a2 I(A;B|C) + a3 I(A;C|B) + a4 I(B;C|A)
+                   + a5 I(A;B|D) + a6 I(A;D|B) + a7 I(B;D|A)
+                   + a8 I(C;D)   + a9 I(C;D|A) + a10 I(C;D|B).
+    """
+
+    a: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.a) != 10:
+            raise ValueError("exactly ten coefficients required")
+
+
+def transfer_coefficients(values: Sequence) -> TransferCoefficients:
+    return TransferCoefficients(tuple(Fraction(v) for v in values))
+
+
+INGLETON_COEFFS = transfer_coefficients([1, 1, 0, 0, 1, 0, 0, 1, 0, 0])
+ZHANG_YEUNG_COEFFS = transfer_coefficients([1, 2, 1, 1, 1, 0, 0, 1, 0, 0])
+ZHANG_YEUNG_SWAPPED_COEFFS = transfer_coefficients([1, 1, 0, 0, 2, 1, 1, 1, 0, 0])
+
+
+@dataclass(frozen=True)
+class VamosBound:
+    """Entropy bound induced on the vamos message/edge variables.
+
+    lhs:  message_coeffs . (H(a),H(b),H(c),H(d)) + cy_coeff*I(c;y)
+          + bx_coeff*I(b;x)
+    rhs:  edge_coeffs . (H(w),H(x),H(y),H(z))
+
+    When both slack coefficients are nonnegative (``reducible``) the
+    slack terms can be dropped and substituting H(msg)=k, H(edge)=n
+    yields the rate bound  rate_coeffs . k <= n_coeff * n.
+    """
+
+    message_coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    cy_coeff: Fraction
+    bx_coeff: Fraction
+    edge_coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
+    reducible: bool
+    rate_coeffs: tuple[Fraction, Fraction, Fraction, Fraction] | None
+    n_coeff: Fraction | None
+
+    def rate_halfspace(self) -> HalfSpace:
+        if not self.reducible:
+            raise ValueError("bound is not reducible to a rate bound")
+        assert self.rate_coeffs is not None and self.n_coeff is not None
+        return HalfSpace(self.rate_coeffs, self.n_coeff)
+
+
+def transfer_vamos(c: TransferCoefficients) -> VamosBound:
+    (a1, a2, a3, a4, a5, a6, a7, a8, a9, a10) = c.a
+    message = (
+        a2 + a3 + a4,
+        a2 + a3 + a8 + a9 + a10,
+        a5 + a7 + a8 + a9 + a10,
+        a5 + a6 + a7,
+    )
+    cy = a2 - a1 - a7
+    bx = a4 + a7 - a10
+    edge = (
+        a5 + a6 + a7 + a8 + a9 + a10,
+        a2 + a3 + a4 + a7,
+        -a1 + a2 + a5 + a9,
+        a3 + a8 + a10,
+    )
+    reducible = a2 >= a1 + a7 and a4 + a7 >= a10
+    if reducible:
+        rate_coeffs = message
+        n_coeff = (
+            -a1 + 2 * a2 + 2 * a3 + a4 + 2 * a5 + a6
+            + 2 * a7 + 2 * a8 + 2 * a9 + 2 * a10
+        )
+    else:
+        rate_coeffs = None
+        n_coeff = None
+    return VamosBound(message, cy, bx, edge, reducible, rate_coeffs, n_coeff)
+
+
+# ---------------------------------------------------------------------------
 # bundled region catalog
 
 
@@ -402,7 +488,11 @@ _VAMOS_SHANNON_VERTS = [
     (1, 0, 2, 0), (0, 0, 2, 0), (1, 1, 1, 1),
 ]
 
-_VAMOS_LINEAR_PLANES = _VAMOS_SHANNON_PLANES + [((1, 2, 2, 1), 5)]
+
+# Ingleton's bound, and Zhang-Yeung's first, are the rate bounds they transfer to
+_VAMOS_LINEAR_PLANES = _VAMOS_SHANNON_PLANES + [
+    astuple(transfer_vamos(INGLETON_COEFFS).rate_halfspace())
+]
 _VAMOS_LINEAR_VERTS = [
     (0, 0, 2, 0), (0, 0, 1, 1), (1, 0, 1, 1), (1, 0, 0, 0),
     (0, 0, 0, 0), (0, 0, 0, 1), (1, 0, 0, 1), (1, 1, 0, 1),
@@ -412,7 +502,7 @@ _VAMOS_LINEAR_VERTS = [
 ]
 
 _VAMOS_ZY_PLANES = _VAMOS_SHANNON_PLANES + [
-    ((4, 4, 2, 1), 10),
+    astuple(transfer_vamos(ZHANG_YEUNG_COEFFS).rate_halfspace()),
     ((2, 2, 4, 4), 11),
     ((1, 2, 4, 5), 11),
     ((5, 6, 6, 5), 20),
@@ -469,92 +559,6 @@ def builtin_region(network: str, region_class: str) -> tuple[HRep, VRep]:
     """
     planes, expected = _CATALOG[network, canonical_class(network, region_class)]
     return hrep(len(planes[0][0]), planes), vrep(expected or ())
-
-
-# ---------------------------------------------------------------------------
-# transfer of four-variable inequalities to vamos rate bounds
-
-
-@dataclass(frozen=True)
-class TransferCoefficients:
-    """Coefficients a1..a10 of a four-variable inequality of the shape
-
-        a1 I(A;B) <= a2 I(A;B|C) + a3 I(A;C|B) + a4 I(B;C|A)
-                   + a5 I(A;B|D) + a6 I(A;D|B) + a7 I(B;D|A)
-                   + a8 I(C;D)   + a9 I(C;D|A) + a10 I(C;D|B).
-    """
-
-    a: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.a) != 10:
-            raise ValueError("exactly ten coefficients required")
-
-
-def transfer_coefficients(values: Sequence) -> TransferCoefficients:
-    return TransferCoefficients(tuple(Fraction(v) for v in values))
-
-
-INGLETON_COEFFS = transfer_coefficients([1, 1, 0, 0, 1, 0, 0, 1, 0, 0])
-ZHANG_YEUNG_COEFFS = transfer_coefficients([1, 2, 1, 1, 1, 0, 0, 1, 0, 0])
-ZHANG_YEUNG_SWAPPED_COEFFS = transfer_coefficients([1, 1, 0, 0, 2, 1, 1, 1, 0, 0])
-
-
-@dataclass(frozen=True)
-class VamosBound:
-    """Entropy bound induced on the vamos message/edge variables.
-
-    lhs:  message_coeffs . (H(a),H(b),H(c),H(d)) + cy_coeff*I(c;y)
-          + bx_coeff*I(b;x)
-    rhs:  edge_coeffs . (H(w),H(x),H(y),H(z))
-
-    When both slack coefficients are nonnegative (``reducible``) the
-    slack terms can be dropped and substituting H(msg)=k, H(edge)=n
-    yields the rate bound  rate_coeffs . k <= n_coeff * n.
-    """
-
-    message_coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
-    cy_coeff: Fraction
-    bx_coeff: Fraction
-    edge_coeffs: tuple[Fraction, Fraction, Fraction, Fraction]
-    reducible: bool
-    rate_coeffs: tuple[Fraction, Fraction, Fraction, Fraction] | None
-    n_coeff: Fraction | None
-
-    def rate_halfspace(self) -> HalfSpace:
-        if not self.reducible:
-            raise ValueError("bound is not reducible to a rate bound")
-        assert self.rate_coeffs is not None and self.n_coeff is not None
-        return HalfSpace(self.rate_coeffs, self.n_coeff)
-
-
-def transfer_vamos(c: TransferCoefficients) -> VamosBound:
-    (a1, a2, a3, a4, a5, a6, a7, a8, a9, a10) = c.a
-    message = (
-        a2 + a3 + a4,
-        a2 + a3 + a8 + a9 + a10,
-        a5 + a7 + a8 + a9 + a10,
-        a5 + a6 + a7,
-    )
-    cy = a2 - a1 - a7
-    bx = a4 + a7 - a10
-    edge = (
-        a5 + a6 + a7 + a8 + a9 + a10,
-        a2 + a3 + a4 + a7,
-        -a1 + a2 + a5 + a9,
-        a3 + a8 + a10,
-    )
-    reducible = a2 >= a1 + a7 and a4 + a7 >= a10
-    if reducible:
-        rate_coeffs = message
-        n_coeff = (
-            -a1 + 2 * a2 + 2 * a3 + a4 + 2 * a5 + a6
-            + 2 * a7 + 2 * a8 + 2 * a9 + 2 * a10
-        )
-    else:
-        rate_coeffs = None
-        n_coeff = None
-    return VamosBound(message, cy, bx, edge, reducible, rate_coeffs, n_coeff)
 
 
 # ---------------------------------------------------------------------------

@@ -736,6 +736,9 @@ _FANO_NO_EDGES = {k: v for k, v in _FANO_DOC.items() if k != "edges"}
         (("verify", FANO_GOOD, "--exhaustive", "--guard", "100"),
          "3^12 assignments exceed the enumeration guard 100"),
         (("rank", "oddLRI", "--field", "4", "--dim", "2"), "modulus 4 is not prime"),
+        # the field is checked before the lattice's enumeration guard
+        (("rank", "ingleton", "--field", "4", "--dim", "800", "--mode", "sample"),
+         "modulus 4 is not prime"),
         (("rank", "oddLRI", "--field", "2", "--dim", "-1"),
          "dimension must be non-negative, got -1"),
         (("transfer", "--coeffs", "x", "1", "0", "0", "1", "0", "0", "1", "0", "0"),
@@ -755,7 +758,8 @@ _FANO_NO_EDGES = {k: v for k, v in _FANO_DOC.items() if k != "edges"}
     ],
     ids=[
         "regions-class", "capacity-class", "achieve-class", "achieve-outer",
-        "verify-missing", "verify-guard", "rank-composite", "rank-negative-dim",
+        "verify-missing", "verify-guard", "rank-composite", "rank-composite-before-guard",
+        "rank-negative-dim",
         "transfer-rational", "polytope-missing", "polytope-point-dim",
         "verify-unknown-network", "verify-no-edges", "rank-table-guard-before-budget",
     ],

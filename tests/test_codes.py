@@ -20,8 +20,6 @@ from ncregions.codes import (
     LinearCode,
     TableCode,
     VerificationReport,
-    _alphabet_size,
-    _functions,
     _input_layout,
     _propagate,
     _tail,
@@ -97,7 +95,7 @@ def _evaluate(net, code, assignment):
     for a linear code, by one synthesized from the transfer matrices
     when the demand is decodable."""
     validate_code(net, code)
-    base = _alphabet_size(code)
+    base = code.alphabet
     linear = isinstance(code, LinearCode)
     messages = {}
     for m in net.messages:
@@ -119,7 +117,7 @@ def _evaluate(net, code, assignment):
         blocks = [messages[m] for m in net.attached(node)] + [edges[e.label] for e in net.in_edges(node)]
         return tuple(x for block in blocks for x in block)
 
-    functions, decoders = _functions(code)
+    functions, decoders = code.edge_functions, code.decoders
     for node in topological_order(net):
         for e in net.out_edges(node):
             edges[e.label] = apply(functions[e.label], inputs(node), code.rates.edge_dim)
@@ -130,7 +128,7 @@ def _evaluate(net, code, assignment):
         if dec is None and linear:
             if transfer is None:
                 transfer, select = _transfer(net, code)
-            dec = _synthesize_decoder(transfer[node], select(msg))
+            dec = _synthesize_decoder(transfer[node], select[msg])
         if dec is not None:
             decoded[(node, msg)] = apply(dec, inputs(node), code.rates.message_dims[msg])
     return _Evaluation(edges, decoded)
@@ -385,15 +383,15 @@ def test_corrupted_decoder_table_is_caught_with_witness():
     table = to_table_code(net, code)
     assert verify_solution_exhaustive(net, table).valid
     key = ("R15", "c")
-    keys = table.decoder_tables[key].copy()  # one symbol per output: its key
+    keys = table.decoders[key].copy()  # one symbol per output: its key
     target = 5  # some mid-table entry
     keys[target] = (keys[target] + 1) % 3
     corrupted = TableCode(
         table.network,
         table.alphabet,
         table.rates,
-        table.edge_tables,
-        {**table.decoder_tables, key: keys},
+        table.edge_functions,
+        {**table.decoders, key: keys},
     )
     report = verify_solution_exhaustive(net, corrupted)
     assert not report.valid
@@ -429,7 +427,7 @@ def _ref_enumerate_assignments(total, base):
 
 
 def _ref_apply_array(code, fn, block, width):
-    base = _alphabet_size(code)
+    base = code.alphabet
     if isinstance(code, LinearCode):
         weights = np.array(fn.entries, dtype=np.int64).reshape(fn.rows, fn.cols)
         return ((block.astype(np.int64) @ weights.T) % base).astype(np.int16)
@@ -480,7 +478,7 @@ def _reference_exhaustive(net, code, guard=DEFAULT_ENUMERATION_GUARD):
     assignment) that the keyed verifier replaced, kept as its oracle."""
     validate_code(net, code)
     rates = code.rates
-    base = _alphabet_size(code)
+    base = code.alphabet
     total = rates.total_message_width
     count = base**total
     if count > guard:
@@ -493,13 +491,16 @@ def _reference_exhaustive(net, code, guard=DEFAULT_ENUMERATION_GUARD):
     def message_block(msg):
         return assignments[:, offsets[msg] : offsets[msg] + rates.message_dims[msg]]
 
-    functions, decoders = _functions(code)
+    functions, decoders = code.edge_functions, code.decoders
     receiver_inputs = {}
+    def concat(blocks):  # a message's block is its name
+        blocks = [message_block(b) if isinstance(b, str) else b for b in blocks]
+        return np.hstack(blocks) if blocks else np.zeros((count, 0), dtype=np.int16)
+
     _propagate(
         net,
-        message_block,
+        concat,
         lambda label, block: _ref_apply_array(code, functions[label], block, rates.edge_dim),
-        lambda blocks: np.hstack(blocks) if blocks else np.zeros((count, 0), dtype=np.int16),
         receiver_inputs.__setitem__,
     )
 
@@ -554,9 +555,9 @@ def _paths(net, code):
     """Which ways the keyed verifier takes on a code: ``dense`` or
     ``sort`` grouping of a receiver without a decoder, ``wide`` for a
     linear function applied to digits instead of its table."""
-    base = _alphabet_size(code)
+    base = code.alphabet
     count = base**code.rates.total_message_width
-    _, decoders = _functions(code)
+    decoders = code.decoders
     wide = lambda node: base ** node_input_width(net, code.rates, node) > count
     paths = set()
     for node, msg in net.demands:
@@ -625,11 +626,11 @@ def test_exhaustive_matches_the_reference_on_wrong_decoders():
     net, code = _builtin("nonfano", "(1,1,1)", GF3)
     table = to_table_code(net, code)
     key = ("R15", "c")
-    keys = table.decoder_tables[key].copy()
+    keys = table.decoders[key].copy()
     keys[5] = (keys[5] + 1) % 3
     corrupted_table = TableCode(
-        table.network, table.alphabet, table.rates, table.edge_tables,
-        {**table.decoder_tables, key: keys},
+        table.network, table.alphabet, table.rates, table.edge_functions,
+        {**table.decoders, key: keys},
     )
     corrupted_linear = LinearCode(
         code.network, code.field, code.rates, code.edge_functions,
@@ -682,7 +683,7 @@ def test_exhaustive_matches_the_reference_across_the_int32_key_limit(p, k, n):
     })
     transfer, select = _transfer(net, code)
     # decoders on r read its inputs digit by digit: one reproduces a, its double gives 2a
-    decoder = _synthesize_decoder(transfer["r"], select("a"))
+    decoder = _synthesize_decoder(transfer["r"], select["a"])
     decoders = [decoder, mat(fld, [[2 * x % p for x in decoder.entries[0]]], cols=decoder.cols)]
     cases = [code, blind] + [
         LinearCode(code.network, fld, code.rates, code.edge_functions, {("r", "a"): decoder})
@@ -773,7 +774,7 @@ def _first_failures_by_block(net, code, block) -> dict:
     """(receiver, message) -> the block of its witness, for each failing
     demand of the reference verifier."""
     report = _reference_exhaustive(net, code)
-    base = _alphabet_size(code)
+    base = code.alphabet
     return {
         (s.receiver, s.message): _assignment_index(net, base, s.witness) // block
         for s in report.statuses
@@ -855,7 +856,7 @@ def _random_decoders(net, code, rng):
         k = code.rates.message_dims[msg]
         if rng.random() < 0.5:
             continue
-        dec = _synthesize_decoder(transfer[node], select(msg))
+        dec = _synthesize_decoder(transfer[node], select[msg])
         width = node_input_width(net, code.rates, node)
         rows = [list(r) for r in dec.entries] if dec is not None else [
             [rng.randrange(code.field.p) for _ in range(width)] for _ in range(k)
@@ -904,10 +905,10 @@ def test_fuzz_exhaustive_against_algebraic_and_reference(net, data):
         if share is not None:
             code = TableCode(
                 code.network, p, code.rates,
-                {label: _redrawn(fn, p**n, rng, share) for label, fn in code.edge_tables.items()},
+                {label: _redrawn(fn, p**n, rng, share) for label, fn in code.edge_functions.items()},
                 {
                     key: _redrawn(fn, p ** code.rates.message_dims[key[1]], rng, share)
-                    for key, fn in code.decoder_tables.items()
+                    for key, fn in code.decoders.items()
                 },
             )
     report = verify_solution_exhaustive(net, code)
@@ -936,7 +937,7 @@ def test_kernel_verdict_matches_the_rank_criterion(p):
             transfer, select = _transfer(net, code)
             for status in verify_solution(net, code).statuses:
                 t_matrix = transfer[status.receiver]
-                decodable = rowspace_contains(t_matrix, select(status.message))
+                decodable = rowspace_contains(t_matrix, select[status.message])
                 verdicts.add((decodable, (status.receiver, status.message) in code.decoders))
                 if decodable:
                     assert status.ok or status.reason == "supplied decoder does not reproduce the demand"
@@ -1296,12 +1297,28 @@ def test_table_code_file_round_trip(tmp_path):
         assert (loaded.network, loaded.alphabet, loaded.rates) == (
             table.network, table.alphabet, table.rates
         )
-        for stored, written in ((loaded.edge_tables, table.edge_tables),
-                                (loaded.decoder_tables, table.decoder_tables)):
+        for stored, written in ((loaded.edge_functions, table.edge_functions),
+                                (loaded.decoders, table.decoders)):
             assert stored.keys() == written.keys()
             for key, keys in stored.items():
                 assert not keys.flags.writeable and np.array_equal(keys, written[key])
         assert verify_solution_exhaustive(net, loaded).valid
+
+
+def test_table_codes_compare_by_value():
+    net, code = read_code_file(DATA_DIR / "codes" / "fano_111_gf2.json")
+    table = to_table_code(net, code)
+    assert to_table_code(net, code) == table
+    label, keys = next(iter(table.edge_functions.items()))
+    changed = keys.copy()
+    changed[0] = (changed[0] + 1) % table.alphabet
+    edited = TableCode(
+        table.network, table.alphabet, table.rates, {**table.edge_functions, label: changed}
+    )
+    assert edited != table and table != edited
+    assert table != code  # a table code never equals a linear one
+    with pytest.raises(TypeError):  # its dicts of tables stay unhashable
+        hash(table)
 
 
 def test_code_file_permutes_listed_inputs(tmp_path):
@@ -1378,7 +1395,7 @@ def test_bundled_code_verifies_alike_against_its_network_file(tmp_path, net_id):
         from_file, code = read_code_file(path)
         assert from_file == net and code == bc.code
         assert verify_solution(from_file, code) == verify_solution(net, bc.code)
-        if _alphabet_size(code) ** code.rates.total_message_width <= 3**8:
+        if code.alphabet ** code.rates.total_message_width <= 3**8:
             assert verify_solution_exhaustive(from_file, code) == verify_solution_exhaustive(net, bc.code)
 
 
@@ -1564,8 +1581,8 @@ def test_table_code_file_loads_in_its_text_plus_one_table(tmp_path):
     del tables
     _, table_peak = _traced_peak(json.loads, one_table)
     (_, loaded), load_peak = _traced_peak(read_code_file, path)
-    for label, keys in table_code.edge_tables.items():
-        assert np.array_equal(loaded.edge_tables[label], keys)
+    for label, keys in table_code.edge_functions.items():
+        assert np.array_equal(loaded.edge_functions[label], keys)
     assert load_peak < len(text) + 2 * table_peak
 
 
@@ -1577,13 +1594,13 @@ def test_zero_rate_decoder_tabulates_to_zero_keys_and_round_trips(tmp_path):
     table = to_table_code(net, fixed)
     for key in (("R12", "c"), ("R15", "c")):
         assert fixed.decoders[key].rows == 0
-        keys = table.decoder_tables[key]
+        keys = table.decoders[key]
         assert len(keys) == 3 ** fixed.decoders[key].cols and not keys.any()
     path = tmp_path / "zero.json"
     write_code_file(path, net, table)
     assert set(json.loads(path.read_text())["decoders"]["R12/c"]["table"]) == {""}
     _, loaded = read_code_file(path)
-    assert not loaded.decoder_tables[("R12", "c")].any()
+    assert not loaded.decoders[("R12", "c")].any()
     assert verify_solution_exhaustive(net, loaded) == _reference_exhaustive(net, loaded)
     assert verify_solution_exhaustive(net, loaded).valid
 
@@ -1625,10 +1642,10 @@ def _gf3_edge(code):
 def _key_out_of_range(net, code):
     """The tabulated code with one edge table entry of 2^n, one past its keys."""
     table = to_table_code(net, code)
-    label, fn = next(iter(table.edge_tables.items()))
+    label, fn = next(iter(table.edge_functions.items()))
     bad = fn.copy()
     bad[0] = table.alphabet**table.rates.edge_dim
-    return TableCode(table.network, table.alphabet, table.rates, {**table.edge_tables, label: bad})
+    return TableCode(table.network, table.alphabet, table.rates, {**table.edge_functions, label: bad})
 
 
 @pytest.mark.parametrize(
