@@ -351,7 +351,7 @@ def _term_tables(plan, lat: SubspaceLattice, limit: int, dtype):
     """
     size = len(lat)
     jt, jd = lat.join_table, lat.join_dims
-    joined = [np.zeros((), dtype=np.int32)]  # joined[k]: join index of k variables, (size,)*k
+    joined = [np.zeros((), dtype=np.int16)]  # joined[k]: join index of k variables, (size,)*k
     tables: dict[tuple[int, ...], np.ndarray] = {}
     large = []
     for weight, positions in sorted(plan, key=lambda term: -len(term[1])):
@@ -384,7 +384,7 @@ def _slack_program(tables, large, lat: SubspaceLattice, idx: np.ndarray, dtype):
     - the first variable of a key of two or more positions is scaled by
       the lattice size once, and each leading pair is flattened once;
     - each further position extends a table's flat index, while a large
-      term first gathers (int32) the join index of the positions so far
+      term first gathers (int16) the join index of the positions so far
       from ``join_table``;
     - a table ends with one gather at its flat index, a large term with
       one gather of ``join_dims`` (int8) at its last pair, times its
@@ -395,7 +395,7 @@ def _slack_program(tables, large, lat: SubspaceLattice, idx: np.ndarray, dtype):
     jt, jd = lat.join_table.ravel(), lat.join_dims.ravel()
     slack, term = np.empty(n, dtype), np.empty(n, dtype)
     dims8 = np.empty(n, np.int8)
-    joined = np.empty(n, np.int32)
+    joined = np.empty(n, np.int16)
     scaled, pair, flat = np.empty((3, n), np.int64)
     steps: list[partial] = []
     started = False
@@ -471,7 +471,7 @@ def _slack_slabs(plan, lat: SubspaceLattice, nvars: int, chunk: int):
     for weight, positions in large_terms:
         outer_pos = [p for p in positions if p < outer]
         shape = [size if k in positions else 1 for k in range(outer, nvars)]
-        inner_joins = np.zeros((), dtype=np.int32)
+        inner_joins = np.zeros((), dtype=np.int16)
         for _ in range(len(positions) - len(outer_pos)):
             inner_joins = jt[inner_joins]
         large.append((dtype(weight), outer_pos, inner_joins, shape))

@@ -313,7 +313,7 @@ def _join_table(q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     member = np.zeros((n, starts[2]), dtype=bool)  # member[K, p]: point p lies in K
     for k in range(1, d + 1):
         member[np.arange(starts[k], starts[k + 1])[:, None], points[k]] = True
-    table = np.empty((n, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=np.int16)  # n <= 4,096 under the join-table guard
     table[0] = np.arange(n)
     for m in range(d):
         low, mid, high = starts[m : m + 3]
@@ -340,7 +340,7 @@ class SubspaceLattice:
     """All subspaces of GF(q)^d with a precomputed pairwise join table.
 
     Indices follow the :func:`enumerate_subspaces` order, so the zero
-    subspace is index 0 and dimensions ascend.  ``join_table`` (int32)
+    subspace is index 0 and dimensions ascend.  ``join_table`` (int16)
     and ``dims`` (int64) are read-only arrays built once from the RREF
     bases as integer arrays (see :func:`_join_table`), with no
     elimination and no :class:`Subspace` objects.  ``join_dims``, the

@@ -147,7 +147,7 @@ def test_lattice_join_table_matches_direct_joins():
     for q, d in [(2, 0), (2, 2), (2, 3), (3, 3), (5, 2), (2, 4)]:
         lat = lattice(q, d)
         table = lat.join_table
-        assert table.dtype == np.int32 and table.shape == (len(lat), len(lat))
+        assert table.dtype == np.int16 and table.shape == (len(lat), len(lat))
         assert np.array_equal(table, table.T)
         assert np.array_equal(np.diagonal(table), np.arange(len(lat)))
         for idx1, s1 in enumerate(lat.spaces):
@@ -274,7 +274,7 @@ def test_lattice_build_matches_the_mask_build(q, d, monkeypatch):
     for chunk in (subspace_mod._BITMAP_BYTES, 64):
         monkeypatch.setattr(subspace_mod, "_BITMAP_BYTES", chunk)
         lat = subspace_mod.SubspaceLattice(q, d)
-        assert lat.join_table.dtype == np.int32 and lat.dims.dtype == np.int64
+        assert lat.join_table.dtype == np.int16 and lat.dims.dtype == np.int64
         assert np.array_equal(lat.join_table, table)
         assert np.array_equal(lat.dims, dims)
         assert lat.spaces == spaces
