@@ -387,6 +387,28 @@ def test_exhaustive_min_slack_stops_inside_the_witness_slab(monkeypatch):
     assert evaluate(expr, assignment(2, 2, {"A": line, "B": line})) == -2
 
 
+_LARGE_TERM_EXPRESSIONS = {
+    # valid, so every assignment is scanned; a B of dimension 3 read as one
+    # of dimension 2 would make it negative
+    "h(A|B)": expression([h(1, "A", given=["B"])]),
+    # violated first at A = the first line, B = 0: flat index 212
+    "2h(A,B)-3h(A)-h(B)": expression([h(2, "A", "B"), h(-3, "A"), h(-1, "B")]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LARGE_TERM_EXPRESSIONS))
+def test_exhaustive_large_terms_over_gf3_4(name, monkeypatch):
+    # GF(3)^4 has 212 subspaces, so pair indices run past 2^15; with chunk
+    # 215 a slab is one A and the 212^2-entry pair term is too large to
+    # tabulate, so each slab gathers join_dims at A's joins with every B
+    monkeypatch.setattr(rankineq_mod, "_CHUNK", 215)
+    expr = _LARGE_TERM_EXPRESSIONS[name]
+    out = search_violation_detailed(expr, 3, 4, "exhaustive")
+    witness, checked, min_slack = _reference_exhaustive(expr, 3, 4, 215)
+    assert (out.witness.spaces if out.witness else None) == witness
+    assert (out.checked, out.min_slack) == (checked, min_slack)
+
+
 def _program_slack(plan, lat, idx, limit):
     """Slack of each row of ``idx`` from a compiled program, run twice
     over the same buffers."""
@@ -428,8 +450,9 @@ def _reference_splitmix_block(seed, start_call, count):
 
 
 def _reference_slack_block(plan, lat, idx):
-    """Every term walked from its own join prefix, shared prefixes once."""
-    jt = lat.join_table.ravel()
+    """Every term walked from its own join prefix, shared prefixes once;
+    join indices are widened to int64 before they are scaled."""
+    jt = lat.join_table.ravel().astype(np.int64)
     size = len(lat)
     slack = np.zeros(len(idx), dtype=np.int64)
     prefix = ()
@@ -473,24 +496,28 @@ def _reference_sample(expr, q, d, seed, samples, chunk):
 
 
 def _sample_cases():
+    # GF(5)^3 has 64 subspaces: 64^2 > 3,000 samples.  GF(3)^4 has 212:
+    # 212^2 > 2^15, so a flat index computed in int16 would wrap; its
+    # cases come last, so the earlier cases keep their seeds
+    spaces = [(name, q, d) for name in _DIFFERENTIAL_EXPRESSIONS for q, d in [(2, 2), (3, 3), (5, 3)]]
+    spaces += [(name, 3, 4) for name in _DIFFERENTIAL_EXPRESSIONS]
     seed = 0
-    for name in _DIFFERENTIAL_EXPRESSIONS:
-        for q, d in [(2, 2), (3, 3), (5, 3)]:  # GF(5)^3 has 64 subspaces: 64^2 > 3,000 samples
-            size = count_subspaces(q, d)
-            tabulated = size ** 2 if size ** 2 <= 1_000 else size
-            for chunk in (3, 64, 1 << 21):
-                if chunk == 3:
-                    runs = [(200, None)]  # one trial per block
-                elif chunk == 64:
-                    runs = [(500, None), (500, 5)]  # blocks of 9 to 32 trials, in tiles of 5
-                else:  # the tabulation limit is the sample count: each side of it
-                    runs = [(tabulated - 1, None), (tabulated, None), (3_000, 97)]
-                for samples, tile in runs:
-                    seed += 1
-                    yield pytest.param(
-                        name, q, d, chunk, samples, tile, seed,
-                        id=f"{name}-GF({q})^{d}-chunk{chunk}-samples{samples}-tile{tile}",
-                    )
+    for name, q, d in spaces:
+        size = count_subspaces(q, d)
+        tabulated = size ** 2 if size ** 2 <= 1_000 else size
+        for chunk in (3, 64, 1 << 21):
+            if chunk == 3:
+                runs = [(200, None)]  # one trial per block
+            elif chunk == 64:
+                runs = [(500, None), (500, 5)]  # blocks of 9 to 32 trials, in tiles of 5
+            else:  # the tabulation limit is the sample count: each side of it
+                runs = [(tabulated - 1, None), (tabulated, None), (3_000, 97)]
+            for samples, tile in runs:
+                seed += 1
+                yield pytest.param(
+                    name, q, d, chunk, samples, tile, seed,
+                    id=f"{name}-GF({q})^{d}-chunk{chunk}-samples{samples}-tile{tile}",
+                )
 
 
 @pytest.mark.parametrize("name,q,d,chunk,samples,tile,seed", _sample_cases())

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from itertools import combinations, groupby, product
@@ -191,9 +192,15 @@ def test_lattice_table_guard_runs_before_enumeration(monkeypatch):
         assert lattice_size(q, d) == count_subspaces(q, d)
 
 
+def test_join_indices_fit_int16():
+    # lattice_size admits at most isqrt(guard) subspaces, so every index
+    # of an admitted lattice fits the join table's int16
+    assert math.isqrt(subspace_mod.LATTICE_TABLE_GUARD) - 1 <= np.iinfo(np.int16).max
+
+
 def test_largest_admitted_cubic_lattice():
     # built directly, not through lattice(), so the per-process cache
-    # does not keep its 55 MB join table
+    # does not keep its 27 MiB join table
     q, d = 43, 3
     lat = subspace_mod.SubspaceLattice(q, d)
     spaces = lat.spaces
@@ -280,9 +287,10 @@ def test_lattice_build_matches_the_mask_build(q, d, monkeypatch):
         assert lat.spaces == spaces
 
 
-@pytest.mark.parametrize("q,d,parent_peak_mib", [(13, 3, 2.06), (2, 5, 0.85)])
-def test_lattice_build_memory(q, d, parent_peak_mib):
-    # the bounds are the traced peaks of the earlier mask build
+@pytest.mark.parametrize("q,d,bound_mib", [(13, 3, 2.06), (2, 5, 0.85), (2, 6, 18)])
+def test_lattice_build_memory(q, d, bound_mib):
+    # the first two bounds are the traced peaks of the earlier mask build;
+    # GF(2)^6 peaked at 32.5 MiB with an int32 join table and 17.3 with int16
     subspace_mod.SubspaceLattice(q, d)
     tracemalloc.start()
     try:
@@ -290,7 +298,7 @@ def test_lattice_build_memory(q, d, parent_peak_mib):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= parent_peak_mib * 2**20
+    assert peak <= bound_mib * 2**20
 
 
 def test_join_meet_algebra():
